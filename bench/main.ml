@@ -20,9 +20,26 @@
      nonoverlap — the two-stage-buffer receiver extension (the paper's
                 non-overlapping-transition case)
      worstcase — worst-aggressor-alignment search (noise-aware STA)
+     sweep    — branch-and-bound pruned alignment search on the Config
+                II grid vs the exhaustive sweep (solve counts, worst-case
+                drift within the coverage slack) and sparse cache-entry
+                compression
      corners  — technique accuracy across process corners
      montecarlo — randomized alignment/polarity error percentiles
      awe      — moment-matched interconnect model vs transient sim
+
+   Explicit-only sections (run only when named; see --help for their
+   flags: --clients --reqs --queue-depth --connect --misbehave
+   --inject-net-faults --fuzz-count --kill-count --kill-seed
+   --recovery-budget):
+     serve    — load test of the sta_serve daemon, in-process or over
+                --connect: sheds, protocol errors, byte identity
+     chaos    — service-boundary chaos: misbehaving clients, injected
+                network and disk-cache faults, breaker open/re-close,
+                and a seeded protocol fuzz sweep
+     crash    — crash-safety drill: SIGKILL a supervised, journaled
+                daemon mid-load; zero acknowledged-and-lost requests and
+                bounded recovery
 
    Options:
      --cases N      per-configuration case count (default 100 here; the

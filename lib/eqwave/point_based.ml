@@ -16,7 +16,7 @@ let p1 =
       (fun ctx ->
         let ( let* ) = Result.bind in
         let* () =
-          match Waveform.Wave.slew ctx.noiseless_in ctx.th with
+          match Arc.slew (arc ctx) with
           | Some slew when slew > 0.0 -> Ok ()
           | _ -> Error "P1: noiseless waveform has no slew"
         in
@@ -25,7 +25,7 @@ let p1 =
           "P1: noisy waveform never crosses 0.5 Vdd");
     run =
       (fun ctx ->
-        match Waveform.Wave.slew ctx.noiseless_in ctx.th with
+        match Arc.slew (arc ctx) with
         | Some slew -> anchored_ramp ctx ~slew
         | None -> raise (Unsupported "P1: noiseless waveform has no slew"));
   }

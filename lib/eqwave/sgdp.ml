@@ -44,7 +44,7 @@ let fit options ctx ts vs rho drho =
      any secondary glitch, and the Gauss-Newton refinement below then
      pulls it onto the samples the output actually cares about. *)
   let seed =
-    match Waveform.Wave.slew ctx.noiseless_in ctx.th with
+    match Arc.slew (arc ctx) with
     | Some s when s > 0.0 ->
         Waveform.Ramp.of_arrival_slew ~arrival:(latest_mid_crossing ctx)
           ~slew:s ~dir:(direction ctx) ctx.th
@@ -95,22 +95,9 @@ let fit options ctx ts vs rho drho =
    time carry no weight. The commit time is the latest noisy mid
    crossing plus the noiseless input-mid-to-output-settle margin. *)
 let output_commit_time ctx =
-  let open Waveform in
-  let out_dir = Wave.direction ctx.noiseless_out in
-  let settle_level =
-    match out_dir with
-    | Wave.Rising -> Thresholds.v_high ctx.th
-    | Wave.Falling -> Thresholds.v_low ctx.th
-  in
-  let vm = Thresholds.v_mid ctx.th in
-  match
-    ( Wave.last_crossing ctx.noiseless_in vm,
-      Wave.last_crossing ctx.noiseless_out settle_level )
-  with
-  | Some t_in_mid, Some t_out_settle when t_out_settle > t_in_mid ->
-      let margin = t_out_settle -. t_in_mid in
-      latest_mid_crossing ctx +. margin
-  | _ -> infinity
+  match Arc.commit_margin (arc ctx) with
+  | Some margin -> latest_mid_crossing ctx +. margin
+  | None -> infinity
 
 let make options =
   {
@@ -130,7 +117,7 @@ let make options =
             "SGDP: noisy waveform never crosses 0.5 Vdd"
         in
         let* () =
-          match Waveform.Wave.slew ctx.noiseless_in ctx.th with
+          match Arc.slew (arc ctx) with
           | Some s when s > 0.0 -> Ok ()
           | _ -> Error "SGDP: noiseless waveform has no slew"
         in

@@ -6,7 +6,7 @@ type ctx = {
   samples : int;
 }
 
-exception Unsupported of string
+exception Unsupported = Arc.Unsupported
 
 let make_ctx ?(samples = 35) ~th ~noisy_in ~noiseless_in ~noiseless_out () =
   if samples < 4 then invalid_arg "Technique.make_ctx: samples < 4";
@@ -19,43 +19,19 @@ type t = {
   run : ctx -> Waveform.Ramp.t;
 }
 
-let direction ctx = Waveform.Wave.direction ctx.noiseless_in
-
-let critical_region_opt wave th dir =
-  let open Waveform in
-  let lo = Thresholds.v_low th and hi = Thresholds.v_high th in
-  let from_level, to_level =
-    match dir with Wave.Rising -> (lo, hi) | Wave.Falling -> (hi, lo)
-  in
-  match (Wave.first_crossing wave from_level, Wave.last_crossing wave to_level)
-  with
-  | Some a, Some b when b > a -> Some (a, b)
-  | _ -> None
-
-let critical_region_of wave th dir =
-  match critical_region_opt wave th dir with
-  | Some r -> r
-  | None ->
-      raise
-        (Unsupported "critical region: waveform does not span the thresholds")
+let arc ctx = Arc.find ctx.th ctx.noiseless_in ctx.noiseless_out
+let direction ctx = Arc.direction (arc ctx)
 
 let noisy_critical_region_opt ctx =
-  critical_region_opt ctx.noisy_in ctx.th (direction ctx)
+  Arc.critical_region_opt ctx.noisy_in ctx.th (direction ctx)
 
-let noiseless_critical_region_opt ctx =
-  critical_region_opt ctx.noiseless_in ctx.th (direction ctx)
+let noiseless_critical_region_opt ctx = Arc.region_opt (arc ctx)
 
 let noisy_critical_region ctx =
-  critical_region_of ctx.noisy_in ctx.th (direction ctx)
+  Arc.critical_region ctx.noisy_in ctx.th (direction ctx)
 
-let noiseless_critical_region ctx =
-  critical_region_of ctx.noiseless_in ctx.th (direction ctx)
-
-let sample_times (a, b) p =
-  if p < 2 then invalid_arg "Technique.sample_times: p < 2";
-  if b <= a then invalid_arg "Technique.sample_times: empty region";
-  let h = (b -. a) /. float_of_int (p - 1) in
-  Array.init p (fun i -> a +. (h *. float_of_int i))
+let noiseless_critical_region ctx = Arc.region (arc ctx)
+let sample_times = Arc.sample_times
 
 let latest_mid_crossing_opt ctx =
   Waveform.Wave.last_crossing ctx.noisy_in (Waveform.Thresholds.v_mid ctx.th)

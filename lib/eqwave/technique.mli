@@ -42,6 +42,11 @@ type t = {
   run : ctx -> Waveform.Ramp.t;
 }
 
+val arc : ctx -> Arc.t
+(** The characterized noiseless half of the context: {!Arc.find} on its
+    thresholds and noiseless pair. The noiseless accessors below read
+    from it. *)
+
 val direction : ctx -> Waveform.Wave.direction
 (** Transition direction, judged from the noiseless input. *)
 

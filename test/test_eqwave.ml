@@ -276,6 +276,187 @@ let test_unsupported_on_flat_waveform () =
     Registry.all
 
 (* ------------------------------------------------------------------ *)
+(* Per-arc memo                                                        *)
+
+let copy_wave w = Waveform.Wave.(create (times w) (values w))
+
+(* The same context over physically distinct copies of its noiseless
+   waves: its arc lookup misses, so whatever it reads is computed
+   fresh. *)
+let fresh_arc (ctx : Technique.ctx) =
+  {
+    ctx with
+    Technique.noiseless_in = copy_wave ctx.noiseless_in;
+    noiseless_out = copy_wave ctx.noiseless_out;
+  }
+
+(* Rebuild [base]'s noisy input as [noise] applied to its noiseless
+   input: contexts of one arc with different noisy waveforms. *)
+let with_noise (base : Technique.ctx) noise =
+  let open Waveform in
+  let ts = Wave.times base.noiseless_in in
+  let vs = Wave.values base.noiseless_in in
+  { base with noisy_in = Wave.create ts (Array.mapi (fun i v -> noise ts.(i) v) vs) }
+
+let bits = Int64.bits_of_float
+
+let sens_bits (s : Sensitivity.t) =
+  List.map (Array.map bits)
+    [
+      [| fst s.region; snd s.region; s.output_shift |];
+      s.ts; s.vin; s.rho; s.drho_dv; s.v_grid; s.rho_by_v; s.drho_by_v;
+    ]
+
+let region_bits ctx =
+  Option.map (fun (a, b) -> (bits a, bits b)) (Technique.noiseless_critical_region_opt ctx)
+
+let ramp_bits (r : Waveform.Ramp.t) =
+  (bits r.Waveform.Ramp.slope, bits r.Waveform.Ramp.intercept)
+
+(* Every technique's ramp (or its rejection reason) and the default
+   ladder's outcome, in comparable form. *)
+let mapping ctx =
+  ( List.map
+      (fun (t : Technique.t) ->
+        match t.Technique.run ctx with
+        | r -> Ok (ramp_bits r)
+        | exception Technique.Unsupported reason -> Error reason)
+      Registry.all,
+    match Ladder.run Ladder.default ctx with
+    | Ok o -> Ok (o.technique, o.rung, ramp_bits o.ramp, bits o.score_v)
+    | Error skipped -> Error (List.map (fun (s : Ladder.skip) -> s.reason) skipped) )
+
+let test_memo_hit_matches_fresh () =
+  let ctx = synth_ctx ~noise:dip_noise ~delay:500e-12 () in
+  let fresh = fresh_arc ctx in
+  check_true "hit returns the arc" (Technique.arc ctx == Technique.arc ctx);
+  check_true "copies miss" (Technique.arc fresh != Technique.arc ctx);
+  let shift = Sensitivity.overlap_shift ctx in
+  check_true "non-zero shift" (shift > 0.0);
+  check_true "overlap shift" (bits shift = bits (Sensitivity.overlap_shift fresh));
+  List.iter
+    (fun output_shift ->
+      let s = Sensitivity.compute ~output_shift ctx in
+      check_true "tables memoized" (Sensitivity.compute ~output_shift ctx == s);
+      check_true "tables bit for bit"
+        (sens_bits s = sens_bits (Sensitivity.compute ~output_shift fresh)))
+    [ 0.0; shift ];
+  check_true "noiseless region" (region_bits ctx = region_bits fresh);
+  let slew_bits c = Option.map bits (Arc.slew (Technique.arc c)) in
+  check_true "noiseless slew" (slew_bits ctx = slew_bits fresh);
+  check_true "slew as Wave.slew"
+    (slew_bits ctx = Option.map bits (Waveform.Wave.slew fresh.noiseless_in th));
+  check_true "ramps" (mapping ctx = mapping fresh)
+
+let test_memo_keys_never_alias () =
+  let ctx = synth_ctx ~delay:500e-12 () in
+  let fresh = fresh_arc ctx in
+  (* Five keys against four tables per arc: the first is evicted and
+     recomputed on the second pass. *)
+  let keys = [ (0.0, 201); (-0.0, 201); (5e-10, 201); (0.0, 101); (5e-10, 57) ] in
+  let pass () =
+    List.map (fun (output_shift, points) -> Sensitivity.compute ~output_shift ~points ctx) keys
+  in
+  let first = pass () in
+  let second = pass () in
+  List.iteri
+    (fun i ((output_shift, points), s) ->
+      let own = sens_bits (Sensitivity.compute ~output_shift ~points fresh) in
+      check_true "matches its own key" (sens_bits s = own);
+      check_true "stable across passes" (sens_bits (List.nth second i) = own);
+      Alcotest.(check int) "points" points (Array.length s.ts);
+      check_true "shift kept bit for bit" (bits s.output_shift = bits output_shift);
+      List.iteri
+        (fun j s' -> if j <> i then check_true "distinct keys, distinct tables" (s != s'))
+        first)
+    (List.combine keys first);
+  check_true "input is part of the key"
+    (Technique.arc { ctx with noiseless_in = copy_wave ctx.noiseless_in } != Technique.arc ctx);
+  check_true "output is part of the key"
+    (Technique.arc { ctx with noiseless_out = copy_wave ctx.noiseless_out } != Technique.arc ctx);
+  let th2 = Waveform.Thresholds.make ~low_frac:0.2 ~high_frac:0.8 ~vdd () in
+  let narrow = { ctx with th = th2 } in
+  check_true "thresholds are part of the key" (Technique.arc narrow != Technique.arc ctx);
+  check_true "narrower region" (region_bits narrow <> region_bits ctx);
+  check_true "region of its own thresholds"
+    (region_bits narrow = region_bits { fresh with th = th2 });
+  let same_th = { ctx with th = { th with vdd = th.vdd } } in
+  check_true "thresholds compare structurally" (Technique.arc same_th == Technique.arc ctx)
+
+let test_memo_replays_unsupported () =
+  let open Waveform in
+  (* The output never reaches 0.1 Vdd: the shift is undefined. *)
+  let noiseless_out = Wave.create [| 0.0; 1.1e-9; 2e-9 |] [| vdd; vdd; 0.5 *. vdd |] in
+  let base = synth_ctx () in
+  let ctx = { base with noiseless_out } in
+  let reason c =
+    match Sensitivity.overlap_shift c with
+    | _ -> Alcotest.fail "expected Unsupported"
+    | exception Technique.Unsupported r -> r
+  in
+  let expected = "overlap_shift: noiseless output does not span the thresholds" in
+  let r1 = reason ctx in
+  check_true "memoized" (Technique.arc ctx == Technique.arc ctx);
+  Alcotest.(check string) "reason" expected r1;
+  Alcotest.(check string) "same reason on a hit" r1 (reason ctx);
+  Alcotest.(check string) "same reason fresh" r1 (reason (fresh_arc ctx));
+  let probe c = Sgdp.sgdp.Technique.applicable c in
+  check_true "SGDP rejects alike on a hit" (probe ctx = Error expected && probe ctx = probe (fresh_arc ctx))
+
+let test_memo_beyond_bound () =
+  (* Twelve arcs visited round-robin overflow the eight-arc table, so
+     every lookup of the second pass misses and rebuilds. *)
+  let ctxs =
+    Array.init 12 (fun i ->
+        synth_ctx ~noise:dip_noise ~in_slew:(80e-12 +. (10e-12 *. float_of_int i)) ())
+  in
+  let first = Array.map mapping ctxs in
+  let second = Array.map mapping ctxs in
+  let fresh = Array.map (fun c -> mapping (fresh_arc c)) ctxs in
+  check_true "second pass identical" (first = second);
+  check_true "fresh arcs identical" (first = fresh)
+
+(* Characterize an arc, then drop every reference to its context. *)
+let[@inline never] characterized_then_dropped () =
+  let ctx = synth_ctx () in
+  ignore (Sensitivity.compute ctx);
+  let probe = Weak.create 2 in
+  Weak.set probe 0 (Some ctx.Technique.noiseless_in);
+  Weak.set probe 1 (Some ctx.Technique.noiseless_out);
+  probe
+
+let test_memo_keeps_no_wave_alive () =
+  let probe = characterized_then_dropped () in
+  Gc.full_major ();
+  Gc.full_major ();
+  check_true "noiseless input collected" (not (Weak.check probe 0));
+  check_true "noiseless output collected" (not (Weak.check probe 1))
+
+let test_memo_pool_matches_sequential () =
+  let arcs =
+    [ synth_ctx (); synth_ctx ~delay:500e-12 ~out_slew:150e-12 (); synth_ctx ~in_slew:200e-12 () ]
+  in
+  let dip t0 depth t v = if t > t0 && t < t0 +. 80e-12 then Float.max 0.0 (v -. depth) else v in
+  let ctxs =
+    List.concat_map
+      (fun base ->
+        List.concat_map
+          (fun t0 ->
+            List.map
+              (fun depth -> with_noise base (dip t0 depth))
+              [ 0.05; 0.2; 0.45 ])
+          [ 0.9e-9; 0.98e-9; 1.05e-9; 1.2e-9 ])
+      arcs
+    |> Array.of_list
+  in
+  let sequential = Array.map mapping ctxs in
+  let pooled =
+    Runtime.Pool.with_pool ~jobs:2 (fun pool ->
+        Runtime.Pool.map ~chunk:1 pool (Array.length ctxs) (fun i -> mapping ctxs.(i)))
+  in
+  check_true "jobs 2 equals sequential" (pooled = sequential)
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck_tests =
   [
@@ -383,5 +564,11 @@ let suite =
       case "SGDP: rho_eff remap" test_sgdp_rho_eff_remap;
       case "polarity guard" test_polarity_guard;
       case "flat waveform rejected" test_unsupported_on_flat_waveform;
+      case "arc memo: hit equals fresh" test_memo_hit_matches_fresh;
+      case "arc memo: keys never alias" test_memo_keys_never_alias;
+      case "arc memo: Unsupported replayed" test_memo_replays_unsupported;
+      case "arc memo: beyond the bound" test_memo_beyond_bound;
+      case "arc memo: keeps no wave alive" test_memo_keeps_no_wave_alive;
+      case "arc memo: pool equals sequential" test_memo_pool_matches_sequential;
     ]
     @ exactness_cases @ qcheck_tests )
