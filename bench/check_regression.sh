@@ -9,12 +9,13 @@
 #     against BENCH_baseline.json. Fails when the optimized per-solve
 #     time regressed by more than 25% or any reference delay drifted
 #     by more than 0.01 ps.
-#   * batch — the same sweep through the batch-first lockstep kernel
-#     vs the one-at-a-time scalar loop, compared against
+#   * batch — the same sweep through the batch-first API (a
+#     sequential Transient.run loop per batch, fanned out over the
+#     pool) vs the one-at-a-time scalar loop, compared against
 #     BENCH_batch.json. Fails on >25% per-solve regression, >0.01 ps
 #     drift against the baseline delays, a sweep that never selects
-#     the batch path, or any drift at all between the batch kernel
-#     and the scalar loop (byte-identity is exact, not a tolerance).
+#     the batch path, or any drift at all between the batch API and
+#     the scalar loop (byte-identity is exact, not a tolerance).
 #   * crash — SIGKILL the supervised daemon twice mid-load and require
 #     zero acknowledged-and-lost responses, byte-identical replay,
 #     recovery within budget and a clean drain. Unlike the timing

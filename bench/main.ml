@@ -12,10 +12,11 @@
                 per-iteration refactorization vs the auto-selected
                 bordered-banded kernel with Jacobian reuse (per-solve
                 wall time, factorization counts, delay drift)
-     batch    — batch-first A/B on the same sweep: the lockstep
-                multi-case kernel behind Transient.run_batch vs the
-                one-at-a-time scalar loop (per-solve wall time,
-                batched/peeled counts, exact-identity drift check)
+     batch    — batch-first A/B on the same sweep: the batch API
+                (run_table's pre-solve pass over
+                Transient.run_batch_outcomes, on the pool) vs the
+                one-at-a-time scalar loop (per-solve wall time, batched
+                count, exact-identity drift check)
      ablation — SGDP design-choice ablations (DESIGN.md)
      nonoverlap — the two-stage-buffer receiver extension (the paper's
                 non-overlapping-transition case)
@@ -79,8 +80,9 @@
      --guard-tol-ps X guard delay tolerance in picoseconds (default 1)
      --solver KIND  linear-kernel selection: dense | banded | auto
      --no-jac-reuse refactor the Jacobian on every Newton iteration
-     --batch N      lockstep batch width the engine submits at a time
-                    (default 16; 1 disables lockstep batching)
+     --batch N      batch width: group size of table1's pre-solve pass
+                    and the pool chunk (default 16; 1 skips the
+                    pre-solve pass)
      --compare FILE regression gate for the kernel and batch sections:
                     fail when the per-solve time regressed >25% or
                     delays drifted >0.01 ps against FILE (a previous
@@ -642,7 +644,7 @@ let kernel () =
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Batch: the lockstep multi-case kernel behind the batch-first API    *)
+(* Batch: the batch-first API vs the one-at-a-time scalar loop         *)
 
 (* JSON fragment from the batch-vs-scalar comparison, for --json and
    the regression gate. *)
@@ -686,7 +688,7 @@ let batch_compare ~batch_per_solve_ms ~delays_ps path =
         else Printf.printf "  delay drift %.4f ps vs baseline: ok\n" drift
 
 let batch_stage () =
-  header "Batch: lockstep multi-case kernel vs one-at-a-time scalar loop";
+  header "Batch: batch-first API vs one-at-a-time scalar loop";
   let n = Int.min !cases 20 in
   let scen = Noise.Scenario.with_cases Noise.Scenario.config_ii n in
   let s = cli_spec () in
@@ -702,9 +704,9 @@ let batch_stage () =
     | None -> e
   in
   (* Batch side: the same solver config behind the batch-first surface
-     — a lockstep batch width sized so the prewarm groups fill the
-     pool, a fresh in-memory cache for the kernel to publish into, and
-     worker domains for the fan-out. *)
+     — a batch width sized so the pre-solve groups fill the pool, a
+     fresh in-memory cache for them to publish into, and worker domains
+     for the fan-out. *)
   let jobs =
     if s.Runtime.Cli.jobs > 1 then s.Runtime.Cli.jobs
     else Domain.recommended_domain_count ()
@@ -755,17 +757,17 @@ let batch_stage () =
     "  %d-case Config II sweep\n\
     \  scalar loop       %8.3f ms/solve  (%d sims, jobs 1)\n\
     \  batch-first       %8.3f ms/solve  (%d sims, jobs %d, width %d, \
-     %d batched, %d peeled)\n\
+     %d batched)\n\
     \  speedup %.2fx; max delay drift %.4f ps\n"
     n scalar_ms s_scalar.sims batch_ms s_batch.sims jobs width
-    s_batch.batched_solves s_batch.peeled_solves speedup drift_ps;
+    s_batch.batched_solves speedup drift_ps;
   if s_batch.batched_solves = 0 then begin
     Printf.printf "  FAIL: batch path never selected for the sweep\n";
     exit_code := 1
   end;
   if drift_ps <> 0.0 then begin
     Printf.printf
-      "  FAIL: batch kernel must be byte-identical to the scalar loop\n";
+      "  FAIL: batch API must be byte-identical to the scalar loop\n";
     exit_code := 1
   end;
   batch_json :=
@@ -781,7 +783,6 @@ let batch_stage () =
            ("batch_per_solve_ms", Printf.sprintf "%.6f" batch_ms);
            ("speedup", Printf.sprintf "%.4f" speedup);
            ("batched_solves", string_of_int s_batch.batched_solves);
-           ("peeled_solves", string_of_int s_batch.peeled_solves);
            ("max_delay_delta_ps", Printf.sprintf "%.6f" drift_ps);
            ( "delays_ps",
              json_list (List.map (Printf.sprintf "%.6f") d_batch) );

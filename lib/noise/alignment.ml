@@ -25,8 +25,8 @@
    holds, and every alignment the search did solve is byte-identical
    to the exhaustive solve at that grid point. Pruned brackets are
    discarded for good (the incumbent only grows, so the decision is
-   final); each round's midpoints are batch-solved through the
-   lockstep kernel.
+   final); each round's midpoints are solved through the batch API
+   ([Injection.prewarm_noisy]).
 
    The model terms are conservative estimates and the observed-slope
    rate is an estimate outright (both carry the [safety] factor); the
@@ -247,8 +247,8 @@ let search ?(config = default) ?engine scenario ~noiseless =
   let n = Array.length taus in
   let delays = Array.make n None in
   let rounds = ref 0 in
-  (* Solve a round of grid indices: warm the lockstep batch kernel,
-     then fan the (now cached) probes out over the pool. *)
+  (* Solve a round of grid indices: warm the cache through the batch
+     API, then fan the (now cached) probes out over the pool. *)
   let solve_round idxs =
     match idxs with
     | [] -> ()

@@ -2,7 +2,7 @@
 
     The exhaustive alignment sweep solves one transient per grid
     point. Most alignments are not worth solving: [search] solves a
-    coarse sub-grid (batched through the lockstep kernel),
+    coarse sub-grid (solved through the batch API),
     upper-bounds every unexplored bracket — from a superposition
     estimate on the linear coupled interconnect
     ({!Interconnect.Noise_bound}) capping the total delay push-out,

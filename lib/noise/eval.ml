@@ -407,18 +407,18 @@ let run_table ?reference ?techniques ?samples ?ladder ?progress
                      [ Printf.sprintf "prune:%h" prune_tol_ps ]
                    else [])))
   in
-  (* Batch-first warm-up: solve the alignment sweep's noisy runs
-     through the lockstep multi-case kernel before the per-case
-     evaluation walks them, splitting batch-sized groups over the
-     pool. The kernel produces byte-identical waveforms (same stepping
-     code path), published into the cache under the keys the scalar
-     path reads, so the sweep below sees cache hits; cases the batch
-     failed to solve or validate stay uncached and go through the full
-     scalar resilience ladder as before. Skipped when there is no
-     cache (nowhere to publish), when batching is off, and when a
-     fault plan is armed — deterministic fault assignment is by solve
-     index, which warm-up would reorder. Checkpoint-replayed cases are
-     not warmed: they will not simulate at all. *)
+  (* Pre-solve pass: solve the alignment sweep's noisy runs through
+     the batch API before the per-case evaluation walks them, splitting
+     batch-sized groups over the pool. The batch API runs the same
+     [Transient.run], so its waveforms are byte-identical; they are
+     published into the cache under the keys the per-case path reads,
+     so the sweep below sees cache hits. Cases the batch failed to
+     solve or validate stay uncached and go through the full
+     resilience ladder as before. Skipped when there is no cache
+     (nowhere to publish), when the batch width is 1, and when a fault
+     plan is armed — deterministic fault assignment is by solve index,
+     which a pre-solve pass would reorder. Checkpoint-replayed cases
+     are not warmed: they will not simulate at all. *)
   let () =
     let b = Runtime.Engine.batch engine in
     if

@@ -169,9 +169,9 @@ val run_table :
 
     When the engine carries a cache and its batch width is above 1,
     the not-yet-cached (and not-yet-checkpointed) alignments are first
-    warmed through the lockstep multi-case transient kernel
-    ({!Injection.prewarm_noisy}) in engine-batch-sized groups, so the
-    per-case evaluations below hit the cache. Warming publishes only
+    pre-solved through the batch API ({!Injection.prewarm_noisy}) in
+    engine-batch-sized groups, so the per-case evaluations below hit
+    the cache. Warming publishes only
     validated results under the exact keys the scalar path reads, so
     the table stays byte-identical to the unwarmed sweep.
 

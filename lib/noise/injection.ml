@@ -102,14 +102,14 @@ let noisy ?engine scenario ~tau =
   simulate ?engine scenario ~aggressor_active:true ~tau
 
 (* Batch-first cache warming for an alignment sweep: every
-   not-yet-cached tau is solved through the lockstep multi-case kernel
+   not-yet-cached tau is solved through the batch API
    ([Spice.Transient.run_batch_outcomes]) and the successful, validated
    waveform pairs are published into the engine's cache under exactly
    the key the scalar [noisy] path computes for its primary attempt.
    Failed or invalid cases are simply not cached — the later scalar
    call re-solves them under the full resilience ladder, so per-case
    retry and deadline semantics are untouched. Returns how many cases
-   the batch kernel solved (0 without a cache: nowhere to publish). *)
+   the batch solved (0 without a cache: nowhere to publish). *)
 let prewarm_noisy ?engine scenario taus =
   let engine = Runtime.Engine.resolve engine in
   if Spice.Transient.Fault.is_armed () then

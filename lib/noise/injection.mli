@@ -36,13 +36,13 @@ val noisy : ?engine:Runtime.Engine.t -> Scenario.t -> tau:float -> run
 val prewarm_noisy :
   ?engine:Runtime.Engine.t -> Scenario.t -> float array -> int
 (** Batch-first warm-up for an alignment sweep: solve every
-    not-yet-cached alignment through the lockstep multi-case kernel
+    not-yet-cached alignment through the batch API
     ({!Spice.Transient.run_batch_outcomes}) and publish the validated
     results into the engine's cache under the keys the scalar {!noisy}
     path reads, so the sweep's subsequent per-case calls are cache
     hits. Cases that fail to solve or validate are left uncached and
     fall back to the scalar resilience ladder when the sweep reaches
-    them. Returns the number of cases the batch kernel solved; 0
+    them. Returns the number of cases the batch solved; 0
     without a cache (there is nowhere to publish) and 0 when a fault
     plan is armed (warming would reorder solve-index fault
     assignment). *)

@@ -34,7 +34,7 @@ val search :
     (default 0, exhaustive) positive, provably non-critical brackets
     of the coarse grid are bounded away unsolved — then runs [refine]
     (default 12) golden-section steps around the best bracket. The
-    coarse scan is first warmed through the lockstep batch kernel
+    coarse scan is first warmed through the batch API
     ({!Injection.prewarm_noisy}) when the engine carries a cache, then
     fans out over the engine's pool ({!Runtime.Engine.submit_batch});
     the refinement is sequential. The result is independent of the

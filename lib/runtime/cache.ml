@@ -296,13 +296,11 @@ let locked s f =
    Format 3 lays out magic, one codec byte (dense or
    threshold-sparsified, see {!Waveform.Sparse}), a CRC-32 of the
    marshalled payload — so a torn or bit-rotted entry is detected
-   before [Marshal] ever sees it — then the payload. Format-2 entries
-   (same layout minus the codec byte) are still readable, so an
-   upgrade inherits a warm cache dir; format-1 entries fail the magic
-   check and are reaped like any other corrupt entry. *)
+   before [Marshal] ever sees it — then the payload. Entries of older
+   formats fail the magic check and are reaped like any other corrupt
+   entry: it is a cache, so the miss just recomputes. *)
 
 let disk_magic = "noisy_sta.cache.3\n"
-let disk_magic_v2 = "noisy_sta.cache.2\n"
 let codec_dense = '\000'
 let codec_sparse = '\001'
 
@@ -324,45 +322,35 @@ let crc_bytes crc =
   Bytes.set_int32_be b 0 crc;
   Bytes.to_string b
 
-(* Parse one disk entry held fully in memory: magic, codec byte
-   (format 3), big-endian CRC-32 of the payload, marshalled payload.
-   Returns the decoded waves or [Error `Corrupt]; shared by the read
-   path and the startup scrub. *)
+(* Parse one disk entry held fully in memory: magic, codec byte,
+   big-endian CRC-32 of the payload, marshalled payload. Returns the
+   decoded waves or [Error `Corrupt]; shared by the read path and the
+   startup scrub. *)
 let decode_entry raw =
   let mlen = String.length disk_magic in
-  let payload_at pos =
-    if String.length raw < pos + 4 then Error `Corrupt
-    else
-      let stored = String.get_int32_be raw pos in
-      let payload_pos = pos + 4 in
-      let payload_len = String.length raw - payload_pos in
-      if Crc32.update 0l raw payload_pos payload_len <> stored then
-        Error `Corrupt
-      else
-        match
-          (Marshal.from_string raw payload_pos
-            : (float array * float array) list)
-        with
-        | raw_waves
-          when List.for_all
-                 (fun (ts, vs) -> Array.length ts = Array.length vs)
-                 raw_waves ->
-            Ok
-              (List.map (fun (ts, vs) -> Waveform.Wave.create ts vs) raw_waves)
-        | _ -> Error `Corrupt
-        | exception _ -> Error `Corrupt
-  in
-  if String.length raw < mlen then Error `Corrupt
+  let payload_pos = mlen + 1 + 4 in
+  if
+    String.length raw < payload_pos
+    || (not (String.equal (String.sub raw 0 mlen) disk_magic))
+    || (raw.[mlen] <> codec_dense && raw.[mlen] <> codec_sparse)
+  then Error `Corrupt
   else
-    let magic = String.sub raw 0 mlen in
-    if String.equal magic disk_magic then
-      if
-        String.length raw < mlen + 1
-        || (raw.[mlen] <> codec_dense && raw.[mlen] <> codec_sparse)
-      then Error `Corrupt
-      else payload_at (mlen + 1)
-    else if String.equal magic disk_magic_v2 then payload_at mlen
-    else Error `Corrupt
+    let stored = String.get_int32_be raw (mlen + 1) in
+    let payload_len = String.length raw - payload_pos in
+    if Crc32.update 0l raw payload_pos payload_len <> stored then
+      Error `Corrupt
+    else
+      match
+        (Marshal.from_string raw payload_pos
+          : (float array * float array) list)
+      with
+      | raw_waves
+        when List.for_all
+               (fun (ts, vs) -> Array.length ts = Array.length vs)
+               raw_waves ->
+          Ok (List.map (fun (ts, vs) -> Waveform.Wave.create ts vs) raw_waves)
+      | _ -> Error `Corrupt
+      | exception _ -> Error `Corrupt
 
 (* Report a disk op's outcome to the breaker (when the cache has one).
    An absent file is a successful disk interaction: only genuine

@@ -87,10 +87,11 @@ let spec_term ?(default_engine = "reference") ?default_cache_dir () =
     in
     Arg.(value & opt (some c) None
          & info [ "batch" ] ~docv:"N"
-             ~doc:"Batch width: cases grouped into one lockstep \
-                   multi-case solve (and the pool chunk of a batch \
-                   submission). 1 disables lockstep batching; the \
-                   default is the engine's width (16).")
+             ~doc:"Batch width: cases per group of the Table-1 \
+                   sweep's pre-solve pass (and the pool chunk of a \
+                   batch submission). 1 skips the pre-solve pass; the \
+                   default is the engine's width (16). Answers do not \
+                   depend on it.")
   in
   let no_cache =
     Arg.(value & flag

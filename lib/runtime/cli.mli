@@ -15,7 +15,7 @@ type spec = {
   engine_name : string;       (** [--engine], a validated preset name *)
   ltetol : float option;      (** [--ltetol], volts *)
   jobs : int;                 (** [--jobs], clamped to >= 1 *)
-  batch : int option;         (** [--batch], lockstep batch width *)
+  batch : int option;         (** [--batch], batch width *)
   use_cache : bool;           (** negated [--no-cache] *)
   cache_dir : string option;  (** [--cache-dir] *)
   fallback : string;          (** [--fallback], a validated policy name *)

@@ -96,8 +96,7 @@ let resolve = function Some e -> e | None -> reference
 (* The single fan-out point for every harness: split [n] work items
    over the engine's pool (or run them inline without one). [?chunk]
    overrides the work-splitting granularity; the default lets the pool
-   chunk by [batch]-sized slices so a batched solve kernel sees whole
-   sub-batches per domain rather than interleaved singletons. *)
+   chunk by [batch]-sized slices. *)
 let submit_batch ?chunk t n f =
   let chunk = match chunk with Some c -> c | None -> t.batch in
   Pool.maybe_map ~chunk t.pool n f

@@ -70,9 +70,11 @@ val guard : t -> Guard.t option
     no cross-validation. *)
 
 val batch : t -> int
-(** Batch width: how many cases a harness groups into one
-    [Spice.Transient.run_batch] submission (and the default pool chunk
-    of {!submit_batch}). 1 disables lockstep batching. *)
+(** Batch width: the group size of [Noise.Eval.run_table]'s pre-solve
+    pass ([Noise.Injection.prewarm_noisy] over
+    [Spice.Transient.run_batch_outcomes]), which 1 skips, and the
+    default pool chunk of {!submit_batch}. Answers never depend on
+    it. *)
 
 val with_solver : t -> Spice.Transient.config -> t
 val with_pool : t -> Pool.t -> t

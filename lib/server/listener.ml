@@ -74,6 +74,35 @@ let respond fd ~status ~body =
   in
   go 0
 
+(* Closing a socket with request bytes still unread makes the kernel
+   reset the connection, which can destroy an error response before the
+   peer reads it. So after a 413/408 the server half-closes its send
+   side (the peer sees the whole response, then EOF) and reads and
+   discards what the peer still sends until its EOF, [drain_cap] bytes
+   or [drain_s] seconds, whichever comes first; only then does the
+   caller close. *)
+let drain_cap = 64 * 1024
+let drain_s = 0.25
+
+let drain fd =
+  let chunk = Bytes.create 4096 in
+  let deadline = Unix.gettimeofday () +. drain_s in
+  let rec go left =
+    let wait = deadline -. Unix.gettimeofday () in
+    if left > 0 && wait > 0.0 then
+      match Unix.select [ fd ] [] [] wait with
+      | [], _, _ -> ()
+      | _ -> (
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> ()
+          | n -> go (left - n))
+      | exception Unix.Unix_error (EINTR, _, _) -> go left
+  in
+  try
+    Unix.shutdown fd Unix.SHUTDOWN_SEND;
+    go drain_cap
+  with Unix.Unix_error _ -> ()
+
 let route ~metrics ~health line =
   match String.split_on_char ' ' (String.trim line) with
   | [ "GET"; "/metrics"; _ ] | [ "GET"; "/metrics" ] ->
@@ -93,11 +122,13 @@ let handle_http ~metrics ~health fd =
         | Error `Too_large ->
             Runtime.Metrics.incr metrics "server.http_errors";
             respond fd ~status:"413 Content Too Large"
-              ~body:"request header block too large\n"
+              ~body:"request header block too large\n";
+            drain fd
         | Error `Timeout ->
             Runtime.Metrics.incr metrics "server.http_errors";
             respond fd ~status:"408 Request Timeout"
-              ~body:"request header read timed out\n"
+              ~body:"request header read timed out\n";
+            drain fd
         | Ok request ->
             let line =
               match String.index_opt request '\n' with

@@ -16,7 +16,10 @@
     Anything else is a 404. A header block over the request cap is a
     413, an expired socket read deadline a 408; both — plus any
     I/O error mid-exchange — count under [server.http_errors] so a
-    flapping scrape target is visible to operators. There is
+    flapping scrape target is visible to operators. After either error
+    the connection is drained (see {!drain_s}) before it is closed, so
+    the unread rest of the request cannot make the kernel reset the
+    connection and destroy the response. There is
     deliberately no request body handling, keep-alive, or TLS — this
     is an operability port, not a web server. *)
 
@@ -28,6 +31,12 @@ val accept_loop :
 (** Accept connections on a listening socket until [stop] is set;
     returns without closing the listening descriptor. Transient accept
     errors ([EINTR], [ECONNABORTED]) are retried. *)
+
+val drain_s : float
+(** Longest time, in seconds, a connection answered 413 or 408 is held
+    open after its response: the handler shuts down its send side, then
+    reads and discards the rest of the request until the peer's EOF, a
+    byte cap, or this bound. *)
 
 val handle_http :
   metrics:Runtime.Metrics.t ->

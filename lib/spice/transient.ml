@@ -218,7 +218,6 @@ module Stats = struct
   let jac_reuses = Atomic.make 0
   let banded_solves = Atomic.make 0
   let batched_solves = Atomic.make 0
-  let peeled_solves = Atomic.make 0
 
   let snapshot () =
     {
@@ -235,7 +234,7 @@ module Stats = struct
       jac_reuses = Atomic.get jac_reuses;
       banded_solves = Atomic.get banded_solves;
       batched_solves = Atomic.get batched_solves;
-      peeled_solves = Atomic.get peeled_solves;
+      peeled_solves = 0;
     }
 
   let diff a b =
@@ -269,15 +268,14 @@ module Stats = struct
     Atomic.set factorizations 0;
     Atomic.set jac_reuses 0;
     Atomic.set banded_solves 0;
-    Atomic.set batched_solves 0;
-    Atomic.set peeled_solves 0
+    Atomic.set batched_solves 0
 
   let pp ppf s =
     Format.fprintf ppf
-      "%d sims (%d banded, %d batched, %d peeled), %d steps (%d rejected, %d \
-       by LTE), %d newton iters, %d factorizations (%d reused), %d \
-       bisections, %d gmin retries, %d injected faults, %d deadline hits"
-      s.sims s.banded_solves s.batched_solves s.peeled_solves s.steps
+      "%d sims (%d banded, %d batched), %d steps (%d rejected, %d by LTE), \
+       %d newton iters, %d factorizations (%d reused), %d bisections, %d \
+       gmin retries, %d injected faults, %d deadline hits"
+      s.sims s.banded_solves s.batched_solves s.steps
       s.rejected_steps s.lte_rejections s.newton_iters s.factorizations
       s.jac_reuses s.bisections s.gmin_retries s.injected_faults
       s.deadline_hits
@@ -617,14 +615,10 @@ let plan_for cp cfg =
       ~max_bandwidth ~max_border ()
   end
 
-(* Build a workspace from a precomputed ordering plan. The plan (RCM
-   reordering + border selection) depends only on the sparsity pattern,
-   so a batch of structurally identical cases computes it once and
-   instantiates one workspace per lane from it. *)
-let make_ws_planned plan cp =
+let make_ws cp cfg =
   let nu = cp.n + cp.m in
   let order, mat =
-    match plan with
+    match plan_for cp cfg with
     | Some p when p.Numerics.Ordering.core > 0 ->
         let nb = p.Numerics.Ordering.core in
         let bw = Int.max 1 p.Numerics.Ordering.bandwidth in
@@ -723,8 +717,6 @@ let make_ws_planned plan cp =
     nw_total = 0;
     nw_reused = false;
   }
-
-let make_ws cp cfg = make_ws_planned (plan_for cp cfg) cp
 
 let geq_of ~integ ~h c =
   match integ with
@@ -1155,24 +1147,16 @@ let validate_adaptive a =
 
    Everything one transient case needs between accepted steps lives in
    this record: the compiled circuit, its workspace, the committed
-   solution [c_x], the capacitor state, the accepted-step budget, and
-   (on a fixed grid) the output grid/data plus a cursor. Both the
-   scalar [run] path and the lockstep batch driver advance cases
-   exclusively through [fixed_step] below, so a batched case executes
-   the *same float operations in the same order* as a scalar one —
-   byte-identical results by construction, not by tolerance. *)
+   solution [c_x], the capacitor state and the accepted-step budget. *)
 type case_state = {
   c_cp : compiled;
   c_ws : ws;
   c_cfg : config;
-  c_fault : Fault.kind option; (* pre-rolled; [Diverge] handled upstream *)
-  c_x : float array; (* committed solution (shared scratch in a batch) *)
+  c_fault : Fault.kind option; (* rolled by [run]; [Diverge] handled there *)
+  c_x : float array; (* committed solution *)
   c_vcap : float array;
   c_icap : float array;
   mutable c_steps : int; (* accepted steps; 0 = nothing charged yet *)
-  mutable c_grid : float array; (* fixed grid only; [||] until started *)
-  mutable c_data : float array array;
-  mutable c_k : int; (* next grid index to fill *)
 }
 
 let case_load_caps st =
@@ -1272,23 +1256,23 @@ let rec fixed_advance st depth t0 t1 =
     fixed_advance st (depth + 1) tm t1
   end
 
-(* Advance one fixed-grid interval and record the sample; returns
-   whether more intervals remain. This is the lockstep quantum: the
-   batch driver round-robins it across cases, the scalar path just
-   loops it to exhaustion. *)
-let fixed_step st =
-  let k = st.c_k in
-  fixed_advance st 0 st.c_grid.(k - 1) st.c_grid.(k);
-  st.c_data.(k) <- Array.copy st.c_x;
-  st.c_k <- k + 1;
-  st.c_k < Array.length st.c_grid
+(* Walk the fixed grid one interval at a time, recording each
+   committed sample. *)
+let run_fixed st =
+  let grid = build_grid st.c_cp st.c_cfg in
+  let data = Array.make (Array.length grid) [||] in
+  data.(0) <- Array.copy st.c_x;
+  for k = 1 to Array.length grid - 1 do
+    fixed_advance st 0 grid.(k - 1) grid.(k);
+    data.(k) <- Array.copy st.c_x
+  done;
+  (grid, data)
 
 (* DC-solve the case at [tstart] and initialise the capacitor state
    (voltage across and, for trapezoidal, current). Raises
-   [No_convergence] when no operating point is found. The solution /
-   cap-state arrays are supplied by the caller: the scalar path owns
-   fresh ones, the batch driver passes its shared scratch. *)
-let case_start cp ws cfg fault ic ~x ~vcap ~icap =
+   [No_convergence] when no operating point is found. *)
+let case_start cp ws cfg fault ic =
+  let x = Array.make ws.nu 0.0 in
   List.iter
     (fun (name, v) ->
       match Hashtbl.find_opt cp.name_index name with
@@ -1297,27 +1281,16 @@ let case_start cp ws cfg fault ic ~x ~vcap ~icap =
     ic;
   if not (dc_solve ws cp cfg ~at:cfg.tstart x) then
     raise (No_convergence cfg.tstart);
-  Array.iteri (fun k (a, b, _) -> vcap.(k) <- getv x a -. getv x b) cp.caps;
   {
     c_cp = cp;
     c_ws = ws;
     c_cfg = cfg;
     c_fault = fault;
     c_x = x;
-    c_vcap = vcap;
-    c_icap = icap;
+    c_vcap = Array.map (fun (a, b, _) -> getv x a -. getv x b) cp.caps;
+    c_icap = Array.make (Array.length cp.caps) 0.0;
     c_steps = 0;
-    c_grid = [||];
-    c_data = [||];
-    c_k = 1;
   }
-
-let fixed_start st =
-  let grid = build_grid st.c_cp st.c_cfg in
-  st.c_grid <- grid;
-  st.c_data <- Array.make (Array.length grid) [||];
-  st.c_data.(0) <- Array.copy st.c_x;
-  st.c_k <- 1
 
 (* -------------- adaptive local-truncation-error grid ------------- *)
 (* Each step is solved twice, with the configured companion and with
@@ -1449,7 +1422,7 @@ let run_adaptive st a =
   (grid, data)
 
 (* Finalise a trace into a [result]: apply a pending [Corrupt] fault
-   and build the branch index. Shared by the scalar and batch paths. *)
+   and build the branch index. *)
 let assemble (cp : compiled) fault grid data =
   (* A Corrupt fault poisons every node voltage of one mid-trace
      sample, modelling a solver that "succeeded" with garbage —
@@ -1481,12 +1454,10 @@ let validate_config cfg =
   | Fixed -> ()
   | Adaptive a -> validate_adaptive a
 
-(* The solve body shared by [run] and the batch driver's peeled path:
-   everything except the sims counter and the fault roll, which the
-   caller has already done (the batch driver rolls all its cases up
-   front, in index order, so fault plans assign identically to a
-   sequential loop). *)
-let run_internal ~fault ~config:cfg ~ic ckt =
+let run ?(config = default_config) ?(ic = []) ckt =
+  let cfg = config in
+  Atomic.incr Stats.sims;
+  let fault = Fault.roll () in
   (match fault with
   | Some Fault.Diverge -> raise (No_convergence cfg.tstart)
   | _ -> ());
@@ -1495,253 +1466,51 @@ let run_internal ~fault ~config:cfg ~ic ckt =
   Deadline.check ~at:cfg.tstart;
   validate_config cfg;
   let cp = compile ckt in
-  let ws = make_ws cp cfg in
-  let nu = ws.nu in
-  let ncap = Array.length cp.caps in
-  let x = Array.make nu 0.0 in
-  let vcap = Array.make ncap 0.0 and icap = Array.make ncap 0.0 in
-  let st = case_start cp ws cfg fault ic ~x ~vcap ~icap in
+  let st = case_start cp (make_ws cp cfg) cfg fault ic in
   let grid, data =
     match cfg.step_control with
-    | Fixed ->
-        fixed_start st;
-        while fixed_step st do () done;
-        (st.c_grid, st.c_data)
+    | Fixed -> run_fixed st
     | Adaptive a -> run_adaptive st a
   in
   assemble cp fault grid data
 
-let run ?(config = default_config) ?(ic = []) ckt =
-  Atomic.incr Stats.sims;
-  let fault = Fault.roll () in
-  run_internal ~fault ~config ~ic ckt
-
-(* ------------------------------------------------------------------ *)
-(* Batch-first entry point: lockstep multi-case transient kernel.
-
-   A batch of structurally identical cases (same topology; source
-   values and device parameters free to differ) shares one ordering
-   plan and advances in lockstep: per round, every live case takes one
-   fixed-grid interval through the same [fixed_step] the scalar path
-   uses. Committed per-case state is parked in structure-of-arrays
-   Bigarray slabs — one row per unknown, contiguous across the case
-   dimension — and swapped through a single shared scratch vector, so
-   the working set stays one case's Newton state plus three slab rows
-   regardless of batch width.
-
-   Per-case masks let finished or failed cases drop out without
-   stalling the rest; cases that don't conform to the batch's
-   reference structure (or an adaptive-stepping config, whose step
-   sequence is inherently per-case) are peeled to the scalar path.
-   Determinism: lanes never mix numerically — each case runs its own
-   Newton loop on its own workspace — so every case's trace is
-   byte-identical to what a sequential [run] loop would produce. *)
-
-(* Structural conformance for lockstep batching. Linear element values
-   (resistors, capacitors) must match exactly — they feed the shared
-   linear pre-stamp reasoning and the grid epsilon — while source
-   values and MOSFET evaluations may differ per case (each lane
-   evaluates its own devices), which is exactly the alignment-sweep /
-   process-corner shape: same netlist, different stimuli. *)
-let conforms (a : compiled) (b : compiled) =
-  a.n = b.n && a.m = b.m && a.res = b.res && a.caps = b.caps
-  && Array.length a.isrc = Array.length b.isrc
-  && Array.for_all2
-       (fun (ia, ib, _) (ja, jb, _) -> ia = ja && ib = jb)
-       a.isrc b.isrc
-  && Array.length a.vsrc = Array.length b.vsrc
-  && Array.for_all2 (fun (i, _) (j, _) -> i = j) a.vsrc b.vsrc
-  && Array.length a.fets = Array.length b.fets
-  && Array.for_all2
-       (fun (g, d, s, _) (g', d', s', _) -> g = g' && d = d' && s = s')
-       a.fets b.fets
-
+(* Batch entry point: [run] over the cases in index order. Cases share
+   no numerical state, so the loop is the whole kernel — traces are
+   [run]'s own and an armed fault plan rolls in the sequential loop's
+   order. *)
 let run_batch_outcomes ?(config = default_config) ?ics ckts =
-  let cfg = config in
-  let ncase = Array.length ckts in
-  validate_config cfg;
+  validate_config config;
   let ics =
     match ics with
-    | None -> Array.make ncase []
+    | None -> Array.make (Array.length ckts) []
     | Some a ->
-        if Array.length a <> ncase then
-          invalid_arg "Transient.run_batch: ics length mismatch";
+        if Array.length a <> Array.length ckts then
+          invalid_arg "Transient.run_batch_outcomes: ics length mismatch";
         a
   in
-  (* Roll every case's fault up front, in index order, so an armed
-     fault plan assigns the same faults a sequential [run] loop
-     would. *)
-  let faults = Array.make ncase None in
-  for c = 0 to ncase - 1 do
-    Atomic.incr Stats.sims;
-    faults.(c) <- Fault.roll ()
-  done;
-  (* Per-case deadline slices. A caller-installed budget is reinstalled
-     around each case's compute so that each case gets the budget that
-     a scalar [Deadline.with_budget] around its own [run] would give
-     it: one slow case cancels alone, the rest of the batch completes.
-     [remaining] is decremented by the case's own elapsed time, so a
-     case's slice behaves like a contiguous scalar run even though its
-     rounds interleave with other lanes. *)
+  (* A caller-installed budget is sliced per case: each case may spend
+     what was left when the batch started, so one slow case is
+     cancelled alone and its siblings complete. *)
   let ambient = Domain.DLS.get Deadline.key in
-  let remaining =
+  let left =
     match ambient with
-    | None -> [||]
-    | Some (expiry, _) ->
-        Array.make ncase (expiry -. Unix.gettimeofday ())
+    | None -> 0.0
+    | Some (expiry, _) -> expiry -. Unix.gettimeofday ()
   in
-  let with_case c f =
+  let in_slice f =
     match ambient with
     | None -> f ()
     | Some (_, ms) ->
-        let start = Unix.gettimeofday () in
-        Domain.DLS.set Deadline.key (Some (start +. remaining.(c), ms));
-        Fun.protect
-          ~finally:(fun () ->
-            remaining.(c) <- remaining.(c) -. (Unix.gettimeofday () -. start);
-            Domain.DLS.set Deadline.key ambient)
-          f
+        Domain.DLS.set Deadline.key (Some (Unix.gettimeofday () +. left, ms));
+        Fun.protect ~finally:(fun () -> Domain.DLS.set Deadline.key ambient) f
   in
-  let out : (result, exn) Stdlib.result array = Array.make ncase (Error Exit) in
-  let cps = Array.make ncase None in
-  Array.iteri
+  Array.mapi
     (fun c ckt ->
-      match faults.(c) with
-      | Some Fault.Diverge -> out.(c) <- Error (No_convergence cfg.tstart)
-      | _ -> (
-          match compile ckt with
-          | cp -> cps.(c) <- Some cp
-          | exception e -> out.(c) <- Error e))
-    ckts;
-  (* Partition: the first compilable case fixes the batch's reference
-     structure; conforming fixed-grid cases form the lockstep lanes,
-     everything else peels to the scalar path. *)
-  let fixed_grid = match cfg.step_control with Fixed -> true | _ -> false in
-  let lanes = ref [] and peeled = ref [] in
-  let ref_cp = ref None in
-  Array.iteri
-    (fun c cpo ->
-      match cpo with
-      | None -> ()
-      | Some cp ->
-          if Option.is_none !ref_cp then ref_cp := Some cp;
-          let lockstep =
-            fixed_grid
-            && match !ref_cp with Some r -> conforms r cp | None -> false
-          in
-          if lockstep then lanes := c :: !lanes else peeled := c :: !peeled)
-    cps;
-  let lanes = Array.of_list (List.rev !lanes) in
-  let peeled = Array.of_list (List.rev !peeled) in
-  let nl = Array.length lanes in
-  if nl > 0 then begin
-    let cp0 = Option.get cps.(lanes.(0)) in
-    (* One ordering plan for the whole batch: the RCM reorder / border
-       selection depends only on the (shared) sparsity pattern. *)
-    let plan = plan_for cp0 cfg in
-    let nu = cp0.n + cp0.m in
-    let ncap = Array.length cp0.caps in
-    (* SoA state slabs: row i holds unknown i (resp. capacitor i)
-       across all lanes, contiguous in memory, so the per-round
-       load/store sweeps touch each cache line once per unknown. *)
-    let open Bigarray in
-    let sx = Array2.create float64 c_layout (Int.max nu 1) nl in
-    let svcap = Array2.create float64 c_layout (Int.max ncap 1) nl in
-    let sicap = Array2.create float64 c_layout (Int.max ncap 1) nl in
-    (* Shared scratch: every lane's Newton state flows through the same
-       vectors; committed state parks in the slabs between rounds. *)
-    let x = Array.make nu 0.0 in
-    let vcap = Array.make ncap 0.0 and icap = Array.make ncap 0.0 in
-    let store l =
-      for i = 0 to nu - 1 do
-        Array2.unsafe_set sx i l (Array.unsafe_get x i)
-      done;
-      for k = 0 to ncap - 1 do
-        Array2.unsafe_set svcap k l (Array.unsafe_get vcap k);
-        Array2.unsafe_set sicap k l (Array.unsafe_get icap k)
-      done
-    in
-    let load l =
-      for i = 0 to nu - 1 do
-        Array.unsafe_set x i (Array2.unsafe_get sx i l)
-      done;
-      for k = 0 to ncap - 1 do
-        Array.unsafe_set vcap k (Array2.unsafe_get svcap k l);
-        Array.unsafe_set icap k (Array2.unsafe_get sicap k l)
-      done
-    in
-    let sts = Array.make nl None in
-    let active = Array.make nl false in
-    let nactive = ref 0 in
-    Array.iteri
-      (fun l c ->
-        Atomic.incr Stats.batched_solves;
-        let cpc = Option.get cps.(c) in
-        match
-          with_case c (fun () ->
-              Deadline.check ~at:cfg.tstart;
-              let ws = make_ws_planned plan cpc in
-              Array.fill x 0 nu 0.0;
-              Array.fill vcap 0 ncap 0.0;
-              Array.fill icap 0 ncap 0.0;
-              let st =
-                case_start cpc ws cfg faults.(c) ics.(c) ~x ~vcap ~icap
-              in
-              fixed_start st;
-              st)
-        with
-        | st ->
-            sts.(l) <- Some st;
-            active.(l) <- true;
-            incr nactive;
-            store l
-        | exception e -> out.(c) <- Error e)
-      lanes;
-    (* Lockstep rounds: every live lane advances one grid interval per
-       round. The mask drops finished or failed lanes so a diverging
-       or deadline-cancelled case never stalls its siblings. *)
-    while !nactive > 0 do
-      for l = 0 to nl - 1 do
-        if active.(l) then begin
-          let c = lanes.(l) in
-          let st = Option.get sts.(l) in
-          load l;
-          match with_case c (fun () -> fixed_step st) with
-          | true -> store l
-          | false ->
-              store l;
-              active.(l) <- false;
-              decr nactive;
-              out.(c) <- Ok (assemble st.c_cp faults.(c) st.c_grid st.c_data)
-          | exception e ->
-              active.(l) <- false;
-              decr nactive;
-              out.(c) <- Error e
-        end
-      done
-    done
-  end;
-  (* Peeled cases run the unmodified scalar path, in index order, with
-     their pre-rolled faults and their own deadline slices — retry
-     ladders and deadline semantics unchanged. *)
-  Array.iter
-    (fun c ->
-      Atomic.incr Stats.peeled_solves;
-      match
-        with_case c (fun () ->
-            run_internal ~fault:faults.(c) ~config:cfg ~ic:ics.(c) ckts.(c))
-      with
-      | r -> out.(c) <- Ok r
-      | exception e -> out.(c) <- Error e)
-    peeled;
-  out
-
-let run_batch ?config ?ics ckts =
-  let out = run_batch_outcomes ?config ?ics ckts in
-  (* Surface the lowest-index failure, like the sequential loop the
-     batch replaces (later cases have still been attempted). *)
-  Array.iter (function Error e -> raise e | Ok _ -> ()) out;
-  Array.map (function Ok r -> r | Error e -> raise e) out
+      Atomic.incr Stats.batched_solves;
+      match in_slice (fun () -> run ~config ~ic:ics.(c) ckt) with
+      | r -> Ok r
+      | exception e -> Error e)
+    ckts
 
 let dc_operating_point ?(config = default_config) ?(guess = []) ~at ckt =
   let cp = compile ckt in

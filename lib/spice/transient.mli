@@ -168,13 +168,11 @@ module Stats : sig
         (** [run]s (and DC solves) that selected the bordered-banded
             kernel rather than dense *)
     batched_solves : int;
-        (** cases that went through the lockstep batch kernel of
-            {!run_batch} (conforming lanes, whether or not they
-            completed) *)
+        (** cases run through {!run_batch_outcomes}, whether or not
+            they completed *)
     peeled_solves : int;
-        (** {!run_batch} cases peeled to the scalar path: structure
-            mismatch with the batch reference, or an adaptive-stepping
-            config *)
+        (** always 0: every batch case runs through {!run}. Kept for
+            readers that report batched / (batched + peeled). *)
   }
 
   val snapshot : unit -> snapshot
@@ -250,49 +248,27 @@ val run : ?config:config -> ?ic:(string * float) list -> Circuit.t -> result
     node voltages as Newton starting guesses for the DC solve, which is
     how logic-level hints are passed in. *)
 
-val run_batch :
-  ?config:config ->
-  ?ics:(string * float) list array ->
-  Circuit.t array ->
-  result array
-(** Batch-first solve: simulate every circuit under one shared
-    [config], producing exactly the results a sequential {!run} loop
-    would — byte-identical traces, same fault-plan assignment, same
-    per-case deadline semantics — but through a lockstep multi-case
-    kernel.
-
-    Cases that are structurally identical to the batch's first case
-    (same node/branch counts, same resistor/capacitor element values,
-    same source and MOSFET topology; source values and device
-    parameters free to differ — the alignment-sweep / process-corner
-    shape) share one ordering plan and advance in lockstep, one
-    fixed-grid interval per round, with committed state parked in
-    structure-of-arrays [Bigarray] slabs between rounds. Finished or
-    failed cases drop out of the round mask without stalling the rest.
-    Non-conforming cases — and every case under adaptive stepping,
-    whose step sequence is inherently per-case — are peeled to the
-    scalar path, preserving its behaviour exactly.
-
-    [ics] optionally gives per-case initial-condition hints (same
-    meaning as {!run}'s [ic]); its length must equal the batch's.
-
-    On a per-case failure the lowest-index failure is raised, as the
-    sequential loop would raise it — though unlike the loop, later
-    cases have already been attempted (their stats are counted). Use
-    {!run_batch_outcomes} to observe every case's outcome. A
-    caller-installed {!Deadline} budget is sliced per case: each case
-    may consume the full remaining budget on its own compute, so one
-    slow case is cancelled alone and its siblings complete. *)
-
 val run_batch_outcomes :
   ?config:config ->
   ?ics:(string * float) list array ->
   Circuit.t array ->
   (result, exn) Stdlib.result array
-(** Like {!run_batch} but per-case failures (non-convergence, deadline
-    cancellation, step-budget exhaustion, compile rejection) are
-    returned in place rather than raised, so callers with per-case
-    retry ladders ([Runtime.Resilience]) can recover individually. *)
+(** Batch-first solve: {!run} every circuit under one shared
+    [config], in index order, and return each case's outcome in place.
+    Results are exactly the sequential loop's — byte-identical traces,
+    and an armed {!Fault} plan rolls once per case in index order.
+    Per-case failures (non-convergence, deadline cancellation,
+    step-budget exhaustion, compile rejection) are returned rather
+    than raised, so callers with per-case retry ladders
+    ([Runtime.Resilience]) can recover individually; an invalid
+    [config] raises [Invalid_argument] before any case runs.
+
+    [ics] optionally gives per-case initial-condition hints (same
+    meaning as {!run}'s [ic]); its length must equal the batch's.
+
+    A caller-installed {!Deadline} budget is sliced per case: each case
+    may spend the budget that was left when the batch started, so one
+    slow case is cancelled alone and its siblings complete. *)
 
 val times : result -> float array
 

@@ -1,11 +1,10 @@
 open Helpers
 open Spice
 
-(* Semantics of the batch-first solve API: [Transient.run_batch] must
-   be observationally identical to the sequential [Transient.run] loop
-   — byte-identical traces, the same fault-plan assignment by solve
-   index, and per-case deadline cancellation — while actually taking
-   the lockstep multi-case kernel on conforming work. *)
+(* Semantics of the batch-first solve API: [Transient.run_batch_outcomes]
+   must be observationally identical to the sequential [Transient.run]
+   loop — byte-identical traces, the same fault-plan assignment by
+   solve index, and per-case deadline cancellation. *)
 
 let stats_of f =
   let before = Transient.Stats.snapshot () in
@@ -19,59 +18,32 @@ let wave_identical msg a b =
     (Waveform.Wave.values a = Waveform.Wave.values b)
 
 (* ------------------------------------------------------------------ *)
-(* Byte-identity on the paper's Config II alignment sweep, with an
-   aggressor-quiet lane mixed in: quiet lanes share the topology (the
-   sources merely hold their rails), so the whole batch conforms. *)
+(* Byte-identity against the scalar loop, over three batch shapes:
+   - the paper's Config II alignment sweep with an aggressor-quiet case
+     mixed in;
+   - mixed structures: a Config I circuit (one aggressor, different
+     line) between two Config II ones;
+   - adaptive stepping, whose step sequence differs per case. *)
 
-let test_batch_matches_scalar_loop_config_ii () =
+let scenario_config scen =
+  { Transient.default_config with dt = scen.Noise.Scenario.dt;
+    tstop = scen.Noise.Scenario.tstop }
+
+let config_ii_batch () =
   let scen = Noise.Scenario.with_cases Noise.Scenario.config_ii 3 in
-  let taus = Noise.Scenario.taus scen in
   let cases =
     Array.append
       (Array.map
          (fun tau -> Noise.Scenario.build scen ~aggressor_active:true ~tau)
-         taus)
+         (Noise.Scenario.taus scen))
       [| Noise.Scenario.build scen ~aggressor_active:false ~tau:0.0 |]
   in
-  let config =
-    { Transient.default_config with dt = scen.Noise.Scenario.dt;
-      tstop = scen.Noise.Scenario.tstop }
-  in
-  let circuits = Array.map fst cases in
-  let ics = Array.map snd cases in
-  let scalar =
-    Array.map (fun (c, ic) -> Transient.run ~config ~ic c) cases
-  in
-  let batch, s =
-    stats_of (fun () -> Transient.run_batch ~config ~ics circuits)
-  in
-  Alcotest.(check int) "result count" (Array.length cases)
-    (Array.length batch);
-  Alcotest.(check int) "all cases lockstep" (Array.length cases)
-    s.Transient.Stats.batched_solves;
-  Alcotest.(check int) "nothing peeled" 0 s.Transient.Stats.peeled_solves;
-  let far = Noise.Scenario.victim_far_node scen
-  and rcv = Noise.Scenario.victim_rcv_node scen in
-  Array.iteri
-    (fun i rb ->
-      let rs = scalar.(i) in
-      check_true
-        (Printf.sprintf "case %d: same grid" i)
-        (Transient.times rb = Transient.times rs);
-      wave_identical
-        (Printf.sprintf "case %d: %s" i far)
-        (Transient.probe rb far) (Transient.probe rs far);
-      wave_identical
-        (Printf.sprintf "case %d: %s" i rcv)
-        (Transient.probe rb rcv) (Transient.probe rs rcv))
-    batch
+  ( scenario_config scen,
+    cases,
+    [ Noise.Scenario.victim_far_node scen; Noise.Scenario.victim_rcv_node scen ]
+  )
 
-(* ------------------------------------------------------------------ *)
-(* Mixed structures: a Config I circuit (one aggressor, different line)
-   does not conform to a Config II batch reference and must be peeled
-   to the scalar path — with its answer still byte-identical. *)
-
-let test_batch_peels_nonconforming () =
+let mixed_config_batch () =
   let sii = Noise.Scenario.with_cases Noise.Scenario.config_ii 2 in
   let si = Noise.Scenario.with_cases Noise.Scenario.config_i 2 in
   let tii = Noise.Scenario.taus sii and ti = Noise.Scenario.taus si in
@@ -82,82 +54,58 @@ let test_batch_peels_nonconforming () =
       Noise.Scenario.build sii ~aggressor_active:true ~tau:tii.(1);
     |]
   in
-  let config =
-    { Transient.default_config with dt = sii.Noise.Scenario.dt;
-      tstop = sii.Noise.Scenario.tstop }
-  in
-  let circuits = Array.map fst cases in
-  let ics = Array.map snd cases in
-  let scalar =
-    Array.map (fun (c, ic) -> Transient.run ~config ~ic c) cases
-  in
-  let batch, s =
-    stats_of (fun () -> Transient.run_batch ~config ~ics circuits)
-  in
-  (* Case 0 anchors the batch structure; case 2 conforms, case 1 (the
-     Config I circuit) cannot. *)
-  Alcotest.(check int) "two lockstep lanes" 2
-    s.Transient.Stats.batched_solves;
-  Alcotest.(check int) "one peeled case" 1 s.Transient.Stats.peeled_solves;
-  Array.iteri
-    (fun i rb ->
-      check_true
-        (Printf.sprintf "case %d: same grid" i)
-        (Transient.times rb = Transient.times scalar.(i));
-      wave_identical
-        (Printf.sprintf "case %d: receiver output" i)
-        (Transient.probe rb "vic.rcv")
-        (Transient.probe scalar.(i) "vic.rcv"))
-    batch
+  (scenario_config sii, cases, [ "vic.rcv" ])
 
-(* Adaptive stepping is inherently per-case: every case must peel. *)
-let test_batch_adaptive_all_peeled () =
+let adaptive_batch () =
   let scen = Noise.Scenario.with_cases Noise.Scenario.config_ii 2 in
-  let taus = Noise.Scenario.taus scen in
   let cases =
     Array.map
       (fun tau -> Noise.Scenario.build scen ~aggressor_active:true ~tau)
-      taus
+      (Noise.Scenario.taus scen)
   in
   let config =
     Transient.with_crossing_levels_if_empty
-      {
-        Transient.default_config with
-        dt = scen.Noise.Scenario.dt;
-        tstop = scen.Noise.Scenario.tstop;
-        step_control =
-          Transient.Adaptive
-            {
-              lte_tol = 2e-3;
-              dt_min = 1e-15;
-              dt_max = 50e-12;
-              grow_limit = 2.0;
-              safety = 0.9;
-              crossing_levels = [];
-              crossing_dt = 0.0;
-            };
-      }
+      (Transient.with_adaptive ~lte_tol:2e-3 ~dt_min:1e-15 ~dt_max:50e-12
+         (scenario_config scen))
       [ 0.12; 0.6; 1.08 ]
   in
-  let circuits = Array.map fst cases in
-  let ics = Array.map snd cases in
-  let scalar =
-    Array.map (fun (c, ic) -> Transient.run ~config ~ic c) cases
-  in
-  let batch, s =
-    stats_of (fun () -> Transient.run_batch ~config ~ics circuits)
-  in
-  Alcotest.(check int) "no lockstep lanes" 0
-    s.Transient.Stats.batched_solves;
-  Alcotest.(check int) "all cases peeled" (Array.length cases)
-    s.Transient.Stats.peeled_solves;
-  Array.iteri
-    (fun i rb ->
-      wave_identical
-        (Printf.sprintf "case %d: receiver output" i)
-        (Transient.probe rb "vic.rcv")
-        (Transient.probe scalar.(i) "vic.rcv"))
-    batch
+  (config, cases, [ "vic.rcv" ])
+
+let test_batch_matches_scalar_loop () =
+  List.iter
+    (fun (shape, make) ->
+      let config, cases, nodes = make () in
+      let scalar =
+        Array.map (fun (c, ic) -> Transient.run ~config ~ic c) cases
+      in
+      let batch, s =
+        stats_of (fun () ->
+            Transient.run_batch_outcomes ~config ~ics:(Array.map snd cases)
+              (Array.map fst cases))
+      in
+      Alcotest.(check int) (shape ^ ": every case counted as batched")
+        (Array.length cases) s.Transient.Stats.batched_solves;
+      Array.iteri
+        (fun i outcome ->
+          let msg = Printf.sprintf "%s case %d" shape i in
+          match outcome with
+          | Error e ->
+              Alcotest.failf "%s: %s" msg (Printexc.to_string e)
+          | Ok rb ->
+              let rs = scalar.(i) in
+              check_true (msg ^ ": same grid")
+                (Transient.times rb = Transient.times rs);
+              List.iter
+                (fun nd ->
+                  wave_identical (msg ^ ": " ^ nd) (Transient.probe rb nd)
+                    (Transient.probe rs nd))
+                nodes)
+        batch)
+    [
+      ("Config II", config_ii_batch);
+      ("mixed Config I/II", mixed_config_batch);
+      ("adaptive", adaptive_batch);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Mid-batch failures: a deterministic fault plan assigns failures by
@@ -214,13 +162,7 @@ let test_batch_fault_assignment_matches_loop () =
                 (i = 1)
           | _ ->
               Alcotest.failf "case %d: batch and loop outcomes disagree" i)
-        batch;
-      (* run_batch itself raises the lowest-index failure. *)
-      Transient.Fault.arm (Transient.Fault.Nth { n = 1; kind = Diverge });
-      match Transient.run_batch ~config:ladder_config circuits with
-      | (_ : Transient.result array) ->
-          Alcotest.fail "run_batch must raise the injected failure"
-      | exception Transient.No_convergence _ -> ())
+        batch)
 
 (* ------------------------------------------------------------------ *)
 (* Per-case deadline slicing: a budget installed around the batch
@@ -229,7 +171,7 @@ let test_batch_fault_assignment_matches_loop () =
 
 let test_batch_deadline_cancels_one_case () =
   let circuits = Array.init 3 (fun _ -> ladder 8) in
-  let clean = Transient.run_batch ~config:ladder_config circuits in
+  let clean = Array.map (Transient.run ~config:ladder_config) circuits in
   Fun.protect ~finally:Transient.Fault.disarm (fun () ->
       Transient.Fault.arm (Transient.Fault.Nth { n = 1; kind = Slow });
       let outcomes, s =
@@ -260,42 +202,59 @@ let test_batch_deadline_cancels_one_case () =
         outcomes)
 
 (* ------------------------------------------------------------------ *)
-(* The lockstep inner loop must stay allocation-free: the minor-heap
-   delta across a warm batch is dominated by per-step result rows,
-   exactly as on the scalar path (see the spice suite's bound). SoA
-   slab load/store are bigarray writes and add nothing per step. *)
+(* [Injection.prewarm_noisy] is the library's batch caller: it must
+   publish exactly what an uncached [noisy] computes, solve nothing
+   twice, and stand aside without a cache or under a fault plan (whose
+   solve-index assignment a warm-up would reorder). *)
 
-let test_batch_lockstep_allocation_bounded () =
-  let circuits = Array.init 4 (fun _ -> ladder 19) in
-  ignore (Transient.run_batch ~config:ladder_config circuits);
-  let before = Gc.minor_words () in
-  let r, s = stats_of (fun () ->
-      Transient.run_batch ~config:ladder_config circuits)
+let test_prewarm_noisy () =
+  let scen = Noise.Scenario.with_cases Noise.Scenario.config_ii 3 in
+  let taus = Noise.Scenario.taus scen in
+  let reference = Runtime.Engine.reference in
+  let cached () = Runtime.Engine.with_cache reference (Runtime.Cache.create ()) in
+  let engine = cached () in
+  let solved, s =
+    stats_of (fun () -> Noise.Injection.prewarm_noisy ~engine scen taus)
   in
-  let words = Gc.minor_words () -. before in
-  ignore r;
-  let steps = s.Transient.Stats.steps in
-  Alcotest.(check int) "all lanes lockstep" 4
+  Alcotest.(check int) "every alignment solved" (Array.length taus) solved;
+  Alcotest.(check int) "through the batch API" (Array.length taus)
     s.Transient.Stats.batched_solves;
-  check_true "enough steps" (steps >= 4000);
-  check_true
-    (Printf.sprintf "minor words per step bounded: %.0f words / %d steps"
-       words steps)
-    (words < 80.0 *. float_of_int steps)
+  Array.iteri
+    (fun i tau ->
+      let warm, s =
+        stats_of (fun () -> Noise.Injection.noisy ~engine scen ~tau)
+      in
+      Alcotest.(check int) (Printf.sprintf "tau %d: cache hit" i) 0
+        s.Transient.Stats.sims;
+      let cold = Noise.Injection.noisy ~engine:reference scen ~tau in
+      wave_identical (Printf.sprintf "tau %d: far end" i)
+        warm.Noise.Injection.far cold.Noise.Injection.far;
+      wave_identical (Printf.sprintf "tau %d: receiver" i)
+        warm.Noise.Injection.rcv cold.Noise.Injection.rcv)
+    taus;
+  let idle label engine =
+    let solved, s =
+      stats_of (fun () -> Noise.Injection.prewarm_noisy ~engine scen taus)
+    in
+    Alcotest.(check int) (label ^ ": returns 0") 0 solved;
+    Alcotest.(check int) (label ^ ": solves nothing") 0 s.Transient.Stats.sims
+  in
+  idle "second call" engine;
+  idle "no cache" reference;
+  Fun.protect ~finally:Transient.Fault.disarm (fun () ->
+      Transient.Fault.arm (Transient.Fault.Nth { n = 0; kind = Diverge });
+      idle "fault plan armed" (cached ()))
 
 let suite =
   ( "batch",
     [
-      case "run_batch: byte-identical to scalar loop (Config II A/B)"
-        test_batch_matches_scalar_loop_config_ii;
-      case "run_batch: non-conforming case peeled, identical"
-        test_batch_peels_nonconforming;
-      case "run_batch: adaptive stepping peels every case"
-        test_batch_adaptive_all_peeled;
+      case "run_batch: byte-identical to scalar loop (Config II, mixed, \
+            adaptive)"
+        test_batch_matches_scalar_loop;
       case "run_batch: fault plan assigned by solve index"
         test_batch_fault_assignment_matches_loop;
       slow_case "run_batch: deadline cancels only the slow case"
         test_batch_deadline_cancels_one_case;
-      case "run_batch: lockstep loop allocation bounded"
-        test_batch_lockstep_allocation_bounded;
+      case "prewarm_noisy: publishes uncached waves, solves once"
+        test_prewarm_noisy;
     ] )

@@ -763,7 +763,8 @@ let test_daemon_frame_limit () =
       check_true "frame limit counted"
         (counter d "server.conn_frame_limit" >= 1))
 
-let test_http_cap_enforced () =
+(* A daemon with its HTTP port on a free loopback port. *)
+let with_http_daemon f =
   let sock = tmp_sock () in
   (* Find a free loopback port by binding port 0 first. *)
   let probe = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -774,52 +775,96 @@ let test_http_cap_enforced () =
     | _ -> Alcotest.fail "no port"
   in
   Unix.close probe;
-  let d =
-    Server.Daemon.start { (daemon_config sock) with http_port = Some port }
+  f port
+    (Server.Daemon.start { (daemon_config sock) with http_port = Some port })
+
+let http_connect port payload =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let b = Bytes.of_string payload in
+  let rec send ofs =
+    if ofs < Bytes.length b then
+      send (ofs + Unix.write fd b ofs (Bytes.length b - ofs))
   in
+  send 0;
+  fd
+
+(* Everything the server sends until its EOF. *)
+let http_read_all fd =
+  let buf = Buffer.create 256 in
+  let chunk = Bytes.create 512 in
+  let rec recv () =
+    match Unix.read fd chunk 0 512 with
+    | 0 -> Buffer.contents buf
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        recv ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> Buffer.contents buf
+  in
+  recv ()
+
+let http_status resp =
+  if String.length resp >= 12 then String.sub resp 9 3 else "none"
+
+let oversized_request =
+  "GET /health HTTP/1.0\r\nX-Filler: " ^ String.make (10 * 1024) 'a' ^ "\r\n\r\n"
+
+let test_http_cap_enforced () =
+  with_http_daemon @@ fun port d ->
   Fun.protect
     ~finally:(fun () -> Server.Daemon.stop d)
     (fun () ->
-      let http_get payload =
-        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      (* Send, wait [linger] seconds, half-close, read to EOF. *)
+      let http_get ?(linger = 0.0) payload =
+        let fd = http_connect port payload in
         Fun.protect
           ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
           (fun () ->
-            let b = Bytes.of_string payload in
-            let rec send ofs =
-              if ofs < Bytes.length b then
-                send (ofs + Unix.write fd b ofs (Bytes.length b - ofs))
-            in
-            send 0;
+            Thread.delay linger;
             Unix.shutdown fd Unix.SHUTDOWN_SEND;
-            let buf = Buffer.create 256 in
-            let chunk = Bytes.create 512 in
-            let rec recv () =
-              match Unix.read fd chunk 0 512 with
-              | 0 -> Buffer.contents buf
-              | n ->
-                  Buffer.add_subbytes buf chunk 0 n;
-                  recv ()
-              | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-                  Buffer.contents buf
-            in
-            recv ())
+            http_read_all fd)
       in
-      let health = http_get "GET /health HTTP/1.0\r\n\r\n" in
       check_true "health ok"
-        (String.length health >= 12 && String.sub health 9 3 = "200");
+        (http_status (http_get "GET /health HTTP/1.0\r\n\r\n") = "200");
       (* A header block past the cap must be answered 413, not
-         truncated into a served request. *)
-      let huge =
-        "GET /health HTTP/1.0\r\nX-Filler: "
-        ^ String.make (10 * 1024) 'a'
-        ^ "\r\n\r\n"
-      in
-      let resp = http_get huge in
+         truncated into a served request. The client lingers before
+         its half-close, so the server has answered long before: had it
+         closed with the request's tail unread, the kernel would have
+         reset the connection and the 413 would be lost. *)
       check_true "413 on oversized header block"
-        (String.length resp >= 12 && String.sub resp 9 3 = "413");
+        (http_status (http_get ~linger:0.1 oversized_request) = "413");
       check_true "http error counted" (counter d "server.http_errors" >= 1))
+
+(* A client that is answered 413 but never half-closes must not hold
+   the handler, and so [Daemon.stop], past the drain bound. *)
+let test_http_drain_bounded () =
+  with_http_daemon @@ fun port d ->
+  let fd = http_connect port oversized_request in
+  (* The server half-closes after its answer, so this read ends while
+     the server is still draining. *)
+  let resp = try http_read_all fd with Unix.Unix_error _ -> "" in
+  let bound = Server.Listener.drain_s +. 2.0 in
+  let stopped = Atomic.make false in
+  let t0 = Unix.gettimeofday () in
+  let th =
+    Thread.create
+      (fun () ->
+        Server.Daemon.stop d;
+        Atomic.set stopped true)
+      ()
+  in
+  while (not (Atomic.get stopped)) && Unix.gettimeofday () -. t0 < bound do
+    Thread.delay 0.01
+  done;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  (* Closing releases a handler that ignored the bound, so a failure
+     here reports instead of hanging the suite. *)
+  Unix.close fd;
+  Thread.join th;
+  check_true "413 before the client half-closes" (http_status resp = "413");
+  check_true
+    (Printf.sprintf "stop returned within %.2f s (took %.2f s)" bound elapsed)
+    (elapsed < bound)
 
 (* ------------------------------------------------------------------ *)
 (* Client retry with backoff                                           *)
@@ -951,6 +996,7 @@ let suite =
         test_daemon_frame_limit;
       slow_case "daemon: http request cap answers 413"
         test_http_cap_enforced;
+      slow_case "daemon: http drain is bounded" test_http_drain_bounded;
       slow_case "client: retry recovers from dropped conns"
         test_client_retry_recovers;
       slow_case "client: retry budget is a hard cap"

@@ -1,6 +1,6 @@
 (* Branch-and-bound alignment search and sparse waveform storage:
    tol=0 byte-identity, within-tol pruning, Sparse round-trip
-   properties, cache format-2 -> 3 migration, sparse disk layer,
+   properties, cache format-2 entries as misses, sparse disk layer,
    LRU eviction, checkpoint CRC recovery. *)
 
 open Helpers
@@ -186,41 +186,41 @@ let with_dir tag f =
     ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
     (fun () -> f dir)
 
+(* A format-2 entry is not read: an upgrade migrates it by missing on
+   it (a counted read error), reaping it, and storing the recomputed
+   value as format 3. *)
 let test_cache_v2_migration () =
   with_dir "v2" @@ fun dir ->
   Unix.mkdir dir 0o755;
   let times = [| 0.0; 1e-12; 2e-12 |] and values = [| 0.0; 0.6; 1.2 |] in
   let key = Runtime.Cache.Key.make "v2-migration" [ Runtime.Cache.Key.int 1 ] in
-  (* Hand-build a format-2 entry: v2 magic, CRC-32, payload — no codec
-     byte. An upgraded cache must still read it. *)
+  let path = Filename.concat dir key in
+  (* Hand-build a well-formed format-2 entry: v2 magic, CRC-32,
+     payload — no codec byte. *)
   let payload = Marshal.to_string [ (times, values) ] [] in
-  let crc = Runtime.Crc32.string payload in
   let b = Bytes.create 4 in
-  Bytes.set_int32_be b 0 crc;
-  let oc = open_out_bin (Filename.concat dir key) in
+  Bytes.set_int32_be b 0 (Runtime.Crc32.string payload);
+  let oc = open_out_bin path in
   output_string oc "noisy_sta.cache.2\n";
   output_string oc (Bytes.to_string b);
   output_string oc payload;
   close_out oc;
   let c = Runtime.Cache.create ~disk_dir:dir () in
-  (match Runtime.Cache.find c key with
+  check_true "v2 entry is a miss" (Runtime.Cache.find c key = None);
+  Alcotest.(check int) "counted as a read error" 1 (Runtime.Cache.read_errors c);
+  check_true "v2 entry reaped" (not (Sys.file_exists path));
+  Runtime.Cache.store c key [ Waveform.Wave.create times values ];
+  let ic = open_in_bin path in
+  let magic = really_input_string ic (String.length "noisy_sta.cache.3\n") in
+  close_in ic;
+  Alcotest.(check string) "recomputed entry is format 3" "noisy_sta.cache.3\n"
+    magic;
+  match Runtime.Cache.find (Runtime.Cache.create ~disk_dir:dir ()) key with
   | Some [ w ] ->
-      Alcotest.(check (array (float 0.0)))
-        "times" times (Waveform.Wave.times w);
+      Alcotest.(check (array (float 0.0))) "times" times (Waveform.Wave.times w);
       Alcotest.(check (array (float 0.0)))
         "values" values (Waveform.Wave.values w)
-  | _ -> Alcotest.fail "v2 entry must decode");
-  Alcotest.(check int) "no read errors" 0 (Runtime.Cache.read_errors c);
-  (* A flipped payload bit must still be caught by the v2 CRC. *)
-  let key2 = Runtime.Cache.Key.make "v2-torn" [ Runtime.Cache.Key.int 2 ] in
-  let oc = open_out_bin (Filename.concat dir key2) in
-  output_string oc "noisy_sta.cache.2\n";
-  output_string oc (Bytes.to_string b);
-  output_string oc (String.map (fun ch -> Char.chr (Char.code ch lxor 1)) payload);
-  close_out oc;
-  check_true "torn v2 entry is a miss" (Runtime.Cache.find c key2 = None);
-  check_true "torn v2 entry reaped"
-    (not (Sys.file_exists (Filename.concat dir key2)))
+  | _ -> Alcotest.fail "format-3 entry must decode"
 
 let test_cache_sparse_disk_roundtrip () =
   with_dir "sparse" @@ fun dir ->
