@@ -1496,7 +1496,7 @@ let serve_stage () =
      yields zero escaped exceptions.                                   *)
 
 let chaos_misbehave = ref 0.25
-let chaos_net : Server.Netfault.plan option ref = ref None
+let chaos_net : Server.Netfault.kind Faultplan.plan option ref = ref None
 let chaos_fuzz = ref 100_000
 let chaos_json : string option ref = ref None
 
@@ -1523,13 +1523,15 @@ let chaos_stage () =
   (* Arm the chaos. Cache faults may already be armed by
      --inject-cache-faults; otherwise use a deterministic default so a
      bare `bench chaos` still exercises the breaker. *)
-  if not (Runtime.Cache.Disk_fault.is_armed ()) then
-    (match Runtime.Cache.Disk_fault.of_string "0.8@11" with
-    | Ok plan -> Runtime.Cache.Disk_fault.arm plan
-    | Error _ -> ());
+  let arm_cache_faults rate seed =
+    Faultplan.(
+      arm Runtime.Cache.faults { kind = None; sel = Fraction { rate; seed } })
+  in
+  if not (Faultplan.is_armed Runtime.Cache.faults) then
+    arm_cache_faults 0.8 11;
   Option.iter (Server.Netfault.arm ~stall_s:0.02) !chaos_net;
-  let net_injected_before = Server.Netfault.injected () in
-  let cache_injected_before = Runtime.Cache.Disk_fault.injected () in
+  let net_injected_before = Faultplan.injected Server.Netfault.injector in
+  let cache_injected_before = Faultplan.injected Runtime.Cache.faults in
   let sock = Printf.sprintf "/tmp/sta_chaos_%d.sock" (Unix.getpid ()) in
   let max_conns = Int.max 8 (n_total / 4) in
   let config =
@@ -1568,8 +1570,8 @@ let chaos_stage () =
     "driving %d clients (%d misbehaving) x %d requests at %s\n\
      max_conns %d, read deadline 0.25 s, net faults %s, cache faults %s\n%!"
     n_total n_bad n_reqs sock max_conns
-    (if Server.Netfault.is_armed () then "armed" else "off")
-    (if Runtime.Cache.Disk_fault.is_armed () then "armed" else "off");
+    (if Faultplan.is_armed Server.Netfault.injector then "armed" else "off")
+    (if Faultplan.is_armed Runtime.Cache.faults then "armed" else "off");
   (* Per-thread slots: no shared mutable state during the run. *)
   let served = Array.make (Int.max 1 n_wb) 0 in
   let retried_typed = Array.make (Int.max 1 n_wb) 0 in
@@ -1677,10 +1679,7 @@ let chaos_stage () =
      opens it deterministically. *)
   let wave = Waveform.Wave.create [| 0.0; 1e-12 |] [| 0.0; 1.0 |] in
   if Runtime.Cache.breaker_opens chaos_cache = 0 then begin
-    Runtime.Cache.Disk_fault.disarm ();
-    (match Runtime.Cache.Disk_fault.of_string "1.0@1" with
-    | Ok plan -> Runtime.Cache.Disk_fault.arm plan
-    | Error _ -> ());
+    arm_cache_faults 1.0 1;
     for i = 0 to 15 do
       Runtime.Cache.store chaos_cache
         (Printf.sprintf "chaos:drill:%d" i)
@@ -1701,10 +1700,7 @@ let chaos_stage () =
      Runtime.Cache.breaker_state chaos_cache
      <> Some Runtime.Cache.Breaker.Open
    then begin
-     Runtime.Cache.Disk_fault.disarm ();
-     (match Runtime.Cache.Disk_fault.of_string "1.0@3" with
-     | Ok plan -> Runtime.Cache.Disk_fault.arm plan
-     | Error _ -> ());
+     arm_cache_faults 1.0 3;
      let i = ref 0 in
      while
        Runtime.Cache.breaker_state chaos_cache
@@ -1722,8 +1718,8 @@ let chaos_stage () =
   in
   (* Recovery: faults off, past the cooldown, the half-open probe must
      re-close the breaker and disk writes must resume. *)
-  Runtime.Cache.Disk_fault.disarm ();
-  Server.Netfault.disarm ();
+  Faultplan.disarm Runtime.Cache.faults;
+  Faultplan.disarm Server.Netfault.injector;
   Thread.delay (cooldown_s +. 0.15);
   Runtime.Cache.store chaos_cache "chaos:probe" [ wave ];
   let breaker_recloses = Runtime.Cache.breaker_recloses chaos_cache in
@@ -1808,9 +1804,11 @@ let chaos_stage () =
   let p50 = percentile lats 0.50
   and p95 = percentile lats 0.95
   and p99 = percentile lats 0.99 in
-  let net_injected = Server.Netfault.injected () - net_injected_before in
+  let net_injected =
+    Faultplan.injected Server.Netfault.injector - net_injected_before
+  in
   let cache_injected =
-    Runtime.Cache.Disk_fault.injected () - cache_injected_before
+    Faultplan.injected Runtime.Cache.faults - cache_injected_before
   in
   let passed =
     unserved_n = 0 && conn_shed >= 1 && breaker_opens >= 1
@@ -2404,7 +2402,8 @@ let resilience_json () =
       ("recoveries", string_of_int d.recoveries);
       ("failures", string_of_int d.failures);
       ("rejected_waveforms", string_of_int d.rejected_waveforms);
-      ("injected_faults", string_of_int (Spice.Transient.Fault.injected ()));
+      ( "injected_faults",
+        string_of_int (Spice.Transient.Stats.snapshot ()).injected_faults );
       ("recovery_rate", Printf.sprintf "%.4f" rate);
     ]
 
@@ -2463,10 +2462,7 @@ let write_json path =
       | Some j -> [ ("crash", j) ]
       | None -> [])
   in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-      output_string oc body;
-      output_char oc '\n');
+  Runtime.Record.write_atomic path (body ^ "\n");
   Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
@@ -2553,14 +2549,7 @@ let () =
              (stall mid-frame, disconnect mid-frame, or send garbage).")
   in
   let net_fault_arg =
-    let c =
-      Arg.conv
-        ( (fun s ->
-            match Server.Netfault.of_string s with
-            | Ok plan -> Ok plan
-            | Error msg -> Error (`Msg msg)),
-          fun ppf _ -> Format.pp_print_string ppf "<net-fault-plan>" )
-    in
+    let c = Runtime.Cli.fault_conv Server.Netfault.injector in
     Arg.(
       value & opt (some c) None
       & info [ "inject-net-faults" ] ~docv:"SPEC"
@@ -2691,10 +2680,12 @@ let () =
        | None -> ());
     (let d = Runtime.Resilience.Stats.(diff (snapshot ()) !resil_before) in
      let open Runtime.Resilience.Stats in
-     if Spice.Transient.Fault.is_armed () || d.retries > 0 || d.failures > 0
+     if
+       Faultplan.is_armed Spice.Transient.Fault.injector
+       || d.retries > 0 || d.failures > 0
      then
        Printf.printf "\nresilience: %d injected faults; %s\n"
-         (Spice.Transient.Fault.injected ())
+         (Spice.Transient.Stats.snapshot ()).injected_faults
          (Format.asprintf "%a" pp d));
     Printf.printf "\nDone.\n";
     if !exit_code <> 0 then exit !exit_code

@@ -42,7 +42,7 @@ type serve_opts = {
   journal_dir : string option;
   scrub : float option;
   watchdog : float option;
-  inject_net : Server.Netfault.plan option;
+  inject_net : Server.Netfault.kind Faultplan.plan option;
   spec : Runtime.Cli.spec;
 }
 
@@ -120,14 +120,7 @@ let serve_opts_term =
                    daemon exits 70 so a supervisor can respawn it.")
   in
   let inject_net =
-    let c =
-      Arg.conv
-        ( (fun s ->
-            match Server.Netfault.of_string s with
-            | Ok plan -> Ok plan
-            | Error msg -> Error (`Msg msg)),
-          fun ppf _ -> Format.pp_print_string ppf "<net-fault-plan>" )
-    in
+    let c = Runtime.Cli.fault_conv Server.Netfault.injector in
     Arg.(value & opt (some c) None
          & info [ "inject-net-faults" ] ~docv:"SPEC"
              ~doc:"Deterministic network fault injection for chaos \

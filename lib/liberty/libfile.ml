@@ -231,17 +231,8 @@ let of_string s =
   in
   cells []
 
-let save path cells =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string cells))
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
+let save path cells = Runtime.Record.write_atomic path (to_string cells)
+let load path = of_string (Runtime.Record.read_file path)
 
 let find cells name =
   match List.find_opt (fun c -> c.Nldm.cell = name) cells with

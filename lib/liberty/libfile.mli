@@ -25,7 +25,7 @@ val of_string : string -> Nldm.cell_timing list
 (** Raises [Failure] with a line-located message on malformed input. *)
 
 val save : string -> Nldm.cell_timing list -> unit
-(** [save path cells]. *)
+(** [save path cells], atomically ({!Runtime.Record.write_atomic}). *)
 
 val load : string -> Nldm.cell_timing list
 (** Raises [Sys_error] when the file is unreadable, [Failure] on parse

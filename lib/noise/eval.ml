@@ -389,7 +389,7 @@ let run_table ?reference ?techniques ?samples ?ladder ?progress
      shift deterministic fault assignment). *)
   let pruning =
     prune_tol_ps > 0.0
-    && (not (Spice.Transient.Fault.is_armed ()))
+    && (not (Faultplan.is_armed Spice.Transient.Fault.injector))
     && Result.is_ok noiseless
   in
   let checkpoint =
@@ -424,7 +424,7 @@ let run_table ?reference ?techniques ?samples ?ladder ?progress
     if
       b > 1 && (not pruning)
       && Option.is_some (Runtime.Engine.cache engine)
-      && (not (Spice.Transient.Fault.is_armed ()))
+      && (not (Faultplan.is_armed Spice.Transient.Fault.injector))
       && Result.is_ok noiseless
     then begin
       let wanted =

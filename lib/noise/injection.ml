@@ -112,7 +112,7 @@ let noisy ?engine scenario ~tau =
    the batch solved (0 without a cache: nowhere to publish). *)
 let prewarm_noisy ?engine scenario taus =
   let engine = Runtime.Engine.resolve engine in
-  if Spice.Transient.Fault.is_armed () then
+  if Faultplan.is_armed Spice.Transient.Fault.injector then
     (* Deterministic fault plans assign faults by solve index; warming
        would reorder the sequence. Let the scalar path roll them. *)
     0

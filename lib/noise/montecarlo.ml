@@ -36,7 +36,8 @@ let run ?(seed = 42) ?(samples = 50) ?techniques ?ladder ?checkpoint_dir
         (tau, rising))
   in
   let pruning =
-    prune_tol_ps > 0.0 && not (Spice.Transient.Fault.is_armed ())
+    prune_tol_ps > 0.0
+    && not (Faultplan.is_armed Spice.Transient.Fault.injector)
   in
   let checkpoint =
     match checkpoint_dir with

@@ -19,87 +19,16 @@ module Key = struct
     Digest.to_hex (Digest.string (String.concat "\x00" (str tag :: parts)))
 end
 
-(* ------------------------------------------------------------------ *)
-(* Deterministic disk-layer fault injection. Mirrors
-   [Spice.Transient.Fault]'s [nth:N | RATE[@SEED]] grammar so the CLI
-   vocabulary is the same for solver and cache chaos; every armed roll
-   is indexed by a process-global disk-op counter, so a given
-   (plan, op sequence) always faults the same ops. *)
+(* Deterministic disk-layer fault injection: one plan for every disk op
+   of every cache, indexed by a process-global op counter, so a given
+   (plan, op sequence) always faults the same ops. A hit surfaces as a
+   simulated I/O error ahead of any file access. *)
+let faults = Faultplan.create ~salt:"cache.fault" ~kinds:[] ~default:ignore
 
-module Disk_fault = struct
-  type plan = Nth of { n : int } | Fraction of { rate : float; seed : int }
+exception Injected
 
-  let armed : plan option Atomic.t = Atomic.make None
-  let op_index = Atomic.make 0
-  let injected_ops = Atomic.make 0
-
-  let arm plan =
-    Atomic.set op_index 0;
-    Atomic.set injected_ops 0;
-    Atomic.set armed (Some plan)
-
-  let disarm () = Atomic.set armed None
-  let is_armed () = Option.is_some (Atomic.get armed)
-  let injected () = Atomic.get injected_ops
-
-  let roll_float seed k =
-    let d = Digest.string (Printf.sprintf "cache.fault:%d:%d" seed k) in
-    let x = ref 0 in
-    for i = 0 to 5 do
-      x := (!x lsl 8) lor Char.code d.[i]
-    done;
-    float_of_int !x /. float_of_int (1 lsl 48)
-
-  let roll () =
-    match Atomic.get armed with
-    | None -> false
-    | Some plan ->
-        let k = Atomic.fetch_and_add op_index 1 in
-        let hit =
-          match plan with
-          | Nth { n } -> k = n
-          | Fraction { rate; seed } -> roll_float seed k < rate
-        in
-        if hit then Atomic.incr injected_ops;
-        hit
-
-  (* Spec grammar: "nth:"N | RATE["@"SEED]. Examples: "nth:3" (the
-     third disk op fails), "0.5" (half the disk ops fail, seed 0),
-     "0.8@13". *)
-  let of_string s =
-    let nth_prefix = "nth:" in
-    let has_nth =
-      String.length s > String.length nth_prefix
-      && String.sub s 0 (String.length nth_prefix) = nth_prefix
-    in
-    if has_nth then
-      let num =
-        String.sub s (String.length nth_prefix)
-          (String.length s - String.length nth_prefix)
-      in
-      match int_of_string_opt num with
-      | Some n when n >= 0 -> Ok (Nth { n })
-      | _ ->
-          Error (Printf.sprintf "bad cache fault spec %S: nth:N needs N >= 0" s)
-    else
-      let rate_s, seed =
-        match String.index_opt s '@' with
-        | Some i ->
-            (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-        | None -> (s, "0")
-      in
-      match (float_of_string_opt rate_s, int_of_string_opt seed) with
-      | Some rate, Some seed when rate >= 0.0 && rate <= 1.0 ->
-          Ok (Fraction { rate; seed })
-      | _ ->
-          Error
-            (Printf.sprintf
-               "bad cache fault spec %S: want nth:N or RATE[@SEED] with RATE \
-                in [0,1]"
-               s)
-
-  exception Injected
-end
+let roll_fault () =
+  if Option.is_some (Faultplan.roll faults) then raise Injected
 
 (* ------------------------------------------------------------------ *)
 (* Circuit breaker guarding the disk layer: after [threshold]
@@ -293,64 +222,35 @@ let locked s f =
 (* ------------------------------------------------------------------ *)
 (* Disk layer. Waves are flattened to plain float arrays before
    marshalling so the format does not depend on Wave's representation.
-   Format 3 lays out magic, one codec byte (dense or
-   threshold-sparsified, see {!Waveform.Sparse}), a CRC-32 of the
-   marshalled payload — so a torn or bit-rotted entry is detected
-   before [Marshal] ever sees it — then the payload. Entries of older
-   formats fail the magic check and are reaped like any other corrupt
-   entry: it is a cache, so the miss just recomputes. *)
+   Format 4 is one {!Record} frame whose body is a codec byte (dense or
+   threshold-sparsified, see {!Waveform.Sparse}) followed by the
+   marshalled payload, so a torn or bit-rotted entry fails its CRC
+   before [Marshal] ever sees it. Entries of older formats fail the
+   magic check and are reaped like any other corrupt entry: it is a
+   cache, so the miss just recomputes. *)
 
-let disk_magic = "noisy_sta.cache.3\n"
+let disk_magic = "noisy_sta.cache.4\n"
 let codec_dense = '\000'
 let codec_sparse = '\001'
 
 let disk_path dir key = Filename.concat dir key
 
-let is_tmp name =
-  let rec find i =
-    i + 5 <= String.length name
-    && (String.equal (String.sub name i 5) ".tmp." || find (i + 1))
-  in
-  find 0
-
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
-let crc_bytes crc =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_be b 0 crc;
-  Bytes.to_string b
-
-(* Parse one disk entry held fully in memory: magic, codec byte,
-   big-endian CRC-32 of the payload, marshalled payload. Returns the
-   decoded waves or [Error `Corrupt]; shared by the read path and the
-   startup scrub. *)
+(* Decode one disk entry held fully in memory into its waves, or
+   [Error `Corrupt]; shared by the read path and the startup scrub. *)
 let decode_entry raw =
-  let mlen = String.length disk_magic in
-  let payload_pos = mlen + 1 + 4 in
-  if
-    String.length raw < payload_pos
-    || (not (String.equal (String.sub raw 0 mlen) disk_magic))
-    || (raw.[mlen] <> codec_dense && raw.[mlen] <> codec_sparse)
-  then Error `Corrupt
-  else
-    let stored = String.get_int32_be raw (mlen + 1) in
-    let payload_len = String.length raw - payload_pos in
-    if Crc32.update 0l raw payload_pos payload_len <> stored then
-      Error `Corrupt
-    else
-      match
-        (Marshal.from_string raw payload_pos
-          : (float array * float array) list)
-      with
+  match Record.single ~magic:disk_magic raw with
+  | Some body
+    when String.length body >= 1
+         && (body.[0] = codec_dense || body.[0] = codec_sparse) -> (
+      match (Marshal.from_string body 1 : (float array * float array) list) with
       | raw_waves
         when List.for_all
                (fun (ts, vs) -> Array.length ts = Array.length vs)
                raw_waves ->
           Ok (List.map (fun (ts, vs) -> Waveform.Wave.create ts vs) raw_waves)
       | _ -> Error `Corrupt
-      | exception _ -> Error `Corrupt
+      | exception _ -> Error `Corrupt)
+  | _ -> Error `Corrupt
 
 (* Report a disk op's outcome to the breaker (when the cache has one).
    An absent file is a successful disk interaction: only genuine
@@ -368,21 +268,14 @@ let breaker_admits t =
    an absent file is a plain miss, a corrupt/truncated entry bumps
    [read_errors] and is unlinked so it cannot poison future runs, and
    an I/O error (permissions, transient FS trouble) bumps
-   [read_errors] but leaves the file alone. Armed {!Disk_fault} plans
-   surface here as simulated I/O errors, ahead of any file access. *)
+   [read_errors] but leaves the file alone. An armed {!faults} plan
+   surfaces here as simulated I/O errors, ahead of any file access. *)
 let disk_read t dir key =
   let path = disk_path dir key in
   let parse () =
-    if Disk_fault.roll () then raise Disk_fault.Injected;
+    roll_fault ();
     if not (Sys.file_exists path) then Error `Absent
-    else
-      let ic = open_in_bin path in
-      let raw =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      decode_entry raw
+    else decode_entry (Record.read_file path)
   in
   match parse () with
   | Ok waves ->
@@ -400,7 +293,7 @@ let disk_read t dir key =
          ignore (Atomic.fetch_and_add t.disk_bytes (-sz))
        with Sys_error _ -> ());
       None
-  | exception (Sys_error _ | Disk_fault.Injected) ->
+  | exception (Sys_error _ | Injected) ->
       Atomic.incr t.read_errors;
       breaker_outcome t false;
       None
@@ -427,7 +320,7 @@ let maybe_evict t dir =
             | names ->
                 let entries =
                   Array.to_list names
-                  |> List.filter (fun n -> not (is_tmp n))
+                  |> List.filter (fun n -> not (Record.is_tmp n))
                   |> List.filter_map (fun n ->
                          match Unix.stat (Filename.concat dir n) with
                          | st -> Some (st.Unix.st_mtime, st.Unix.st_size, n)
@@ -447,13 +340,9 @@ let maybe_evict t dir =
 
 let disk_write t dir key waves =
   match
-    if Disk_fault.roll () then raise Disk_fault.Injected;
-    ensure_dir dir;
+    roll_fault ();
+    Record.ensure_dir dir;
     let path = disk_path dir key in
-    let tmp =
-      Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-        ((Domain.self () :> int))
-    in
     (* Sparsification applies to the disk copy only; the memory shards
        keep the dense wave, so in-process replay is byte-identical and
        only a cross-process disk round-trip sees the (crossing-exact,
@@ -472,17 +361,14 @@ let disk_write t dir key waves =
            waves_out)
         []
     in
-    let oc = open_out_bin tmp in
-    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-        output_string oc disk_magic;
-        output_char oc codec;
-        output_string oc (crc_bytes (Crc32.string payload));
-        output_string oc payload);
+    let entry =
+      Record.encode ~magic:disk_magic [ String.make 1 codec ^ payload ]
+    in
     let replaced = file_size path in
-    Sys.rename tmp path;
-    let entry = String.length disk_magic + 1 + 4 + String.length payload in
-    ignore (Atomic.fetch_and_add t.bytes_written entry);
-    ignore (Atomic.fetch_and_add t.disk_bytes (entry - replaced))
+    Record.write_atomic path entry;
+    let size = String.length entry in
+    ignore (Atomic.fetch_and_add t.bytes_written size);
+    ignore (Atomic.fetch_and_add t.disk_bytes (size - replaced))
   with
   | () ->
       breaker_outcome t true;
@@ -575,7 +461,7 @@ let scrub ?(budget_s = 2.0) ?(now = Unix.gettimeofday) t =
           Array.iter
             (fun name ->
               let path = Filename.concat dir name in
-              if is_tmp name then begin
+              if Record.is_tmp name then begin
                 (try Sys.remove path with Sys_error _ -> ());
                 incr tmp_reaped
               end
@@ -590,12 +476,7 @@ let scrub ?(budget_s = 2.0) ?(now = Unix.gettimeofday) t =
           let scanned = ref 0 and corrupt = ref 0 and complete = ref true in
           let check name =
             let path = Filename.concat dir name in
-            match
-              let ic = open_in_bin path in
-              Fun.protect
-                ~finally:(fun () -> close_in_noerr ic)
-                (fun () -> really_input_string ic (in_channel_length ic))
-            with
+            match Record.read_file path with
             | exception Sys_error _ -> ()
             | exception End_of_file -> ()
             | raw -> (

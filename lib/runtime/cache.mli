@@ -9,43 +9,29 @@
     are atomics.
 
     An optional on-disk layer persists results across process runs:
-    misses fall through to [dir/<key>] (OCaml [Marshal] format with a
-    version header and a CRC-32 of the payload, validated on every
-    read) and fresh results are written back atomically, so a
+    misses fall through to [dir/<key>], a {!Record} file (format 4:
+    version magic, then one CRC-32 frame holding a codec byte and the
+    OCaml [Marshal] payload, validated on every read), and fresh
+    results are written back with {!Record.write_atomic}, so a
     repeated bench invocation skips already-simulated cases. Every disk
     read failure is still a miss — sweeps never die on a bad cache
-    entry — but failures are classified: corrupt or truncated entries
-    bump {!read_errors} and are unlinked so they cannot poison future
-    runs; I/O errors (permissions and the like) bump {!read_errors}
-    and leave the file in place.
+    entry — but failures are classified: corrupt or truncated entries,
+    and entries of older formats, bump {!read_errors} and are unlinked
+    so they cannot poison future runs; I/O errors (permissions and the
+    like) bump {!read_errors} and leave the file in place.
 
     The disk layer sits behind a {!Breaker}: after a run of consecutive
     disk failures the breaker opens and disk ops are short-circuited
     (the memory shards keep serving) until a cooldown elapses, at which
     point a single half-open probe either re-closes the breaker or
-    re-opens it. {!Disk_fault} injects deterministic, seeded disk-op
-    failures for chaos testing, mirroring [Spice.Transient.Fault]'s
-    spec grammar. *)
+    re-opens it. {!faults} injects deterministic, seeded disk-op
+    failures for chaos testing. *)
 
-(** Deterministic disk-layer fault injection. Armed process-globally
-    (the cache's disk ops all roll against one plan), indexed by a
-    global op counter so a given plan faults the same ops every run. *)
-module Disk_fault : sig
-  type plan = Nth of { n : int } | Fraction of { rate : float; seed : int }
-
-  val of_string : string -> (plan, string) result
-  (** Spec grammar: ["nth:"N | RATE["@"SEED]] — e.g. ["nth:3"],
-      ["0.5"], ["0.8@13"]. *)
-
-  val arm : plan -> unit
-  (** Arm [plan] and reset the op/injection counters. *)
-
-  val disarm : unit -> unit
-  val is_armed : unit -> bool
-
-  val injected : unit -> int
-  (** Disk ops failed by injection since the last {!arm}. *)
-end
+val faults : unit Faultplan.t
+(** Disk-layer fault injection (salt ["cache.fault"], no kind
+    prefixes): armed process-globally, so every disk read and write of
+    every cache takes the next op index, and a hit fails that op as an
+    I/O error. *)
 
 (** Circuit breaker for the disk layer: [Closed] (normal) opens after
     [threshold] consecutive failures; [Open] short-circuits every op
@@ -179,8 +165,8 @@ val write_errors : t -> int
     the entry stays memory-only. *)
 
 val bytes_written : t -> int
-(** Total bytes of completed disk-entry writes (header + payload)
-    since creation (or the last {!clear}). *)
+(** Total bytes of completed disk-entry writes (whole files) since
+    creation (or the last {!clear}). *)
 
 val disk_bytes : t -> int
 (** Resident bytes of the disk layer: seeded by a directory walk at

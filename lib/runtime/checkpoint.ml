@@ -1,42 +1,18 @@
 type t = { dir : string }
 
-(* Format 2 stamps a big-endian CRC-32 of the marshalled payload
-   between the magic and the payload, mirroring the cache's disk
-   layout: a bit-rotted entry that still carries a whole magic is
-   caught by the checksum instead of reaching [Marshal]. Format-1
-   journals fail the meta check below (the magic is part of the meta
-   content) and are wiped wholesale on open. *)
-let magic = "noisy_sta.ckpt.2\n"
-
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+(* Format 3 is one {!Record} file per entry: the magic, then a single
+   CRC-32 frame holding the marshalled payload, so a bit-rotted entry
+   that still carries a whole magic fails its checksum instead of
+   reaching [Marshal]. Journals of older formats fail the meta check
+   below (the magic is part of the meta content) and are wiped
+   wholesale on open. *)
+let magic = "noisy_sta.ckpt.3\n"
 
 let entry_name i = Printf.sprintf "case-%06d" i
 let entry_path t i = Filename.concat t.dir (entry_name i)
 
 let is_entry name =
   String.length name > 5 && String.sub name 0 5 = "case-"
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* tmp+rename, same pattern as the cache's disk layer: concurrent
-   writers (pool domains) each use a distinct tmp name and the rename
-   is atomic, so readers only ever see complete entries. *)
-let write_file path content =
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-      ((Domain.self () :> int))
-  in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc content);
-  Sys.rename tmp path
 
 let wipe_entries dir =
   Array.iter
@@ -54,58 +30,41 @@ let sanitize name =
     name
 
 let open_ ~dir ~name ~fingerprint =
-  ensure_dir dir;
+  Record.ensure_dir dir;
   let d = Filename.concat dir (sanitize name) in
-  ensure_dir d;
+  Record.ensure_dir d;
   let meta_path = Filename.concat d "meta" in
   let want = magic ^ fingerprint ^ "\n" in
-  let current = try Some (read_file meta_path) with _ -> None in
+  let current = try Some (Record.read_file meta_path) with _ -> None in
   if current <> Some want then begin
     (* Fresh journal, or one written for a different sweep/format:
        entries would be silently wrong, so drop them all. *)
     wipe_entries d;
-    write_file meta_path want
+    Record.write_atomic meta_path want
   end;
   { dir = d }
-
-let crc_bytes crc =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_be b 0 crc;
-  Bytes.to_string b
 
 let find t i =
   let path = entry_path t i in
   if not (Sys.file_exists path) then None
   else
     match
-      let raw = read_file path in
-      let mlen = String.length magic in
-      if
-        String.length raw < mlen + 4
-        || not (String.equal (String.sub raw 0 mlen) magic)
-      then None
-      else
-        let stored = String.get_int32_be raw mlen in
-        let pos = mlen + 4 in
-        if Crc32.update 0l raw pos (String.length raw - pos) <> stored then
-          None
-        else Some (Marshal.from_string raw pos)
+      Option.map
+        (fun body -> Marshal.from_string body 0)
+        (Record.single ~magic (Record.read_file path))
     with
     | Some v -> Some v
-    | None ->
+    | None | (exception _) ->
         (* Torn or corrupt entry (e.g. the process died mid-write on a
            filesystem without atomic rename, or the bytes rotted):
            recompute it. *)
         (try Sys.remove path with Sys_error _ -> ());
         None
-    | exception _ ->
-        (try Sys.remove path with Sys_error _ -> ());
-        None
 
 let record t i v =
   try
-    let payload = Marshal.to_string v [] in
-    write_file (entry_path t i) (magic ^ crc_bytes (Crc32.string payload) ^ payload)
+    Record.write_atomic (entry_path t i)
+      (Record.encode ~magic [ Marshal.to_string v [] ])
   with _ -> () (* a full disk degrades to recomputation, not a crash *)
 
 let completed t =

@@ -4,11 +4,12 @@
     journal keyed by a {e fingerprint} of everything that determines
     its per-case results — scenario, solver config, resilience policy,
     technique set, seed. Each finished case is recorded as its own
-    [case-NNNNNN] file (version magic + CRC-32 of the payload +
-    [Marshal] payload) via the cache's tmp+rename pattern, so a kill
-    at any instant leaves only complete entries, and a bit-rotted
-    entry fails its checksum on [find] (it is unlinked and
-    recomputed) instead of reaching [Marshal]. Re-running the same sweep replays recorded cases
+    [case-NNNNNN] {!Record} file (format 3: version magic, then one
+    CRC-32 frame holding the [Marshal] payload) via
+    {!Record.write_atomic}, so a kill at any instant leaves only
+    complete entries, and a bit-rotted entry fails its checksum on
+    [find] (it is unlinked and recomputed) instead of reaching
+    [Marshal]. Re-running the same sweep replays recorded cases
     from the journal and computes only the missing ones; since case
     evaluation is deterministic, the resumed output is byte-identical
     to an uninterrupted run.

@@ -22,8 +22,8 @@ type spec = {
   guard_tol_ps : float;
   solver : Spice.Transient.solver_kind option;
   jac_reuse : bool;
-  fault : Spice.Transient.Fault.plan option;
-  cache_fault : Cache.Disk_fault.plan option;
+  fault : Spice.Transient.Fault.kind Faultplan.plan option;
+  cache_fault : unit Faultplan.plan option;
   prune_tol_ps : float;
   sparse_cache : bool;
   sparse_eps : float option;
@@ -43,6 +43,12 @@ let engine_conv =
         | (_ : Engine.t) -> Ok s
         | exception Invalid_argument msg -> Error (`Msg msg)),
       Format.pp_print_string )
+
+let fault_conv injector =
+  Arg.conv
+    ( (fun s ->
+        Result.map_error (fun m -> `Msg m) (Faultplan.of_string injector s)),
+      fun ppf _ -> Format.pp_print_string ppf "<fault-plan>" )
 
 let spec_term ?(default_engine = "reference") ?default_cache_dir () =
   let engine =
@@ -211,14 +217,7 @@ let spec_term ?(default_engine = "reference") ?default_cache_dir () =
                    (disable modified-Newton reuse).")
   in
   let inject =
-    let c =
-      Arg.conv
-        ( (fun s ->
-            match Spice.Transient.Fault.of_string s with
-            | Ok plan -> Ok plan
-            | Error msg -> Error (`Msg msg)),
-          fun ppf _ -> Format.pp_print_string ppf "<fault-plan>" )
-    in
+    let c = fault_conv Spice.Transient.Fault.injector in
     Arg.(value & opt (some c) None
          & info [ "inject-faults" ] ~docv:"SPEC"
              ~doc:"Deterministic solver fault injection for resilience \
@@ -229,14 +228,7 @@ let spec_term ?(default_engine = "reference") ?default_cache_dir () =
                    Examples: 0.1@7, nth:3, nan:0.05, slow:nth:5.")
   in
   let inject_cache =
-    let c =
-      Arg.conv
-        ( (fun s ->
-            match Cache.Disk_fault.of_string s with
-            | Ok plan -> Ok plan
-            | Error msg -> Error (`Msg msg)),
-          fun ppf _ -> Format.pp_print_string ppf "<cache-fault-plan>" )
-    in
+    let c = fault_conv Cache.faults in
     Arg.(value & opt (some c) None
          & info [ "inject-cache-faults" ] ~docv:"SPEC"
              ~doc:"Deterministic disk-cache fault injection for chaos \
@@ -414,9 +406,5 @@ let engine_of_spec ?(sparse_levels = []) s =
   else e
 
 let arm_faults s =
-  (match s.fault with
-  | Some plan -> Spice.Transient.Fault.arm plan
-  | None -> ());
-  match s.cache_fault with
-  | Some plan -> Cache.Disk_fault.arm plan
-  | None -> ()
+  Option.iter (Faultplan.arm Spice.Transient.Fault.injector) s.fault;
+  Option.iter (Faultplan.arm Cache.faults) s.cache_fault

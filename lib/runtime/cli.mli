@@ -26,9 +26,9 @@ type spec = {
   guard_tol_ps : float;       (** [--guard-tol-ps] *)
   solver : Spice.Transient.solver_kind option; (** [--solver] *)
   jac_reuse : bool;           (** negated [--no-jac-reuse] *)
-  fault : Spice.Transient.Fault.plan option;   (** [--inject-faults] *)
-  cache_fault : Cache.Disk_fault.plan option;
-      (** [--inject-cache-faults] *)
+  fault : Spice.Transient.Fault.kind Faultplan.plan option;
+      (** [--inject-faults] *)
+  cache_fault : unit Faultplan.plan option;  (** [--inject-cache-faults] *)
   prune_tol_ps : float;
       (** [--prune-tol-ps], alignment branch-and-bound slack; 0 =
           exhaustive sweep *)
@@ -48,6 +48,11 @@ type sweep = {
 
 val engine_conv : string Cmdliner.Arg.conv
 (** Engine preset name, validated against {!Engine.of_name}. *)
+
+val fault_conv : 'k Faultplan.t -> 'k Faultplan.plan Cmdliner.Arg.conv
+(** A fault spec in the injector's vocabulary ({!Faultplan.of_string}):
+    the one parser behind [--inject-faults], [--inject-cache-faults]
+    and [--inject-net-faults]. *)
 
 val spec_term :
   ?default_engine:string -> ?default_cache_dir:string -> unit ->

@@ -1,6 +1,6 @@
 (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
-   Used as the integrity check on the server's request journal frames
-   and the cache's disk entries: unlike a truncation check alone it
+   Used as the integrity check on every Record frame (journal segments,
+   cache and checkpoint entries): unlike a truncation check alone it
    catches bit rot and partially overwritten blocks, and unlike
    Digest/MD5 it is 4 bytes and cheap enough to run on every frame. *)
 

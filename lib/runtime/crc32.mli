@@ -1,8 +1,9 @@
 (** CRC-32 (IEEE 802.3) checksums for on-disk integrity checks.
 
-    The server's request journal stamps every frame with one and the
-    cache's disk layer stamps every entry; both validate on read so a
-    torn or bit-rotted file is detected instead of deserialised. The
+    {!Record} stamps every frame with one — the server's request
+    journal, the cache's disk entries and checkpoint entries all share
+    that format — and validates it on read, so a torn or bit-rotted
+    file is detected instead of deserialised. The
     value is the standard reflected-polynomial CRC-32 (what [cksum -o 3],
     zlib and PNG compute), so hostile test fixtures can be produced with
     any external tool. *)

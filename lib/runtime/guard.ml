@@ -20,20 +20,13 @@ let tol_s t = t.tol_s
 let fingerprint t =
   Printf.sprintf "runtime.guard|%d|%d|%h" t.every t.seed t.tol_s
 
-(* Same digest trick as Spice.Transient.Fault.roll_float: hash the
-   (seed, index) pair so roughly 1/every of the cases are guarded,
-   spread uniformly rather than striding (a stride would always miss
-   workloads whose interesting cases share a residue). *)
+(* Hash the (seed, index) pair with the fault injectors' seeded draw so
+   roughly 1/every of the cases are guarded, spread uniformly rather
+   than striding (a stride would always miss workloads whose
+   interesting cases share a residue). *)
 let selects t i =
-  if t.every = 1 then true
-  else begin
-    let d = Digest.string (Printf.sprintf "runtime.guard:%d:%d" t.seed i) in
-    let x = ref 0 in
-    for k = 0 to 5 do
-      x := (!x lsl 8) lor Char.code d.[k]
-    done;
-    !x mod t.every = 0
-  end
+  t.every = 1
+  || Faultplan.bits ~salt:"runtime.guard" ~seed:t.seed i mod t.every = 0
 
 module Stats = struct
   type snapshot = {

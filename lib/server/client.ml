@@ -113,19 +113,12 @@ let retry_error_to_string { attempts; last } =
   Printf.sprintf "retry budget exhausted after %d attempts (last: %s)"
     attempts last
 
-let jitter_roll seed k =
-  let d = Digest.string (Printf.sprintf "client.retry:%d:%d" seed k) in
-  let x = ref 0 in
-  for i = 0 to 5 do
-    x := (!x lsl 8) lor Char.code d.[i]
-  done;
-  float_of_int !x /. float_of_int (1 lsl 48)
-
 let backoff_delay policy attempt =
   let expo = policy.base_delay_s *. (2.0 ** float_of_int (attempt - 1)) in
   let capped = Float.min policy.max_delay_s expo in
   (* Jitter in [0.5, 1.0] of the capped delay. *)
-  capped *. (0.5 +. (0.5 *. jitter_roll policy.seed attempt))
+  let u = Faultplan.uniform ~salt:"client.retry" ~seed:policy.seed attempt in
+  capped *. (0.5 +. (0.5 *. u))
 
 (* Does this (well-formed) response carry a recoverable typed error —
    an admission shed ([overloaded], [too_many_connections], ...) worth

@@ -1,8 +1,8 @@
 (* Write-ahead log of admitted requests.
 
    One journal directory holds numbered segment files
-   (wal-NNNNNN.seg). A segment is the versioned magic line followed by
-   length-prefixed, CRC-stamped records:
+   (wal-NNNNNN.seg). A segment is a Runtime.Record file: the versioned
+   magic line followed by length-prefixed, CRC-stamped frames:
 
      u32_be body_len | body | u32_be crc32(body)
      body := kind(1) ^ digest(32 hex) ^ payload    kind 'A' (admit)
@@ -16,23 +16,19 @@
 
    Open always compacts: every existing segment is decoded (tolerating
    a torn tail and CRC-corrupt records), the surviving pending set is
-   rewritten as one fresh segment via tmp+rename (the
-   Runtime.Checkpoint idiom — readers only ever see complete files),
-   and the old segments are unlinked. Appending after a torn tail is
-   thus impossible by construction. The same compaction runs as
-   rotation when the live segment outgrows its budget, dropping
-   retired records from disk.
+   rewritten as one fresh segment with Record.write_atomic (readers
+   only ever see complete files), and only then are the old segments
+   unlinked. Appending after a torn tail is thus impossible by
+   construction. The same compaction runs as rotation when the live
+   segment outgrows its budget, dropping retired records from disk.
 
-   Disk trouble degrades rather than kills: a failed journal write is
-   counted in [write_errors] and the daemon keeps serving — the
-   durability guarantee narrows, the service does not stop. *)
+   Disk trouble degrades rather than kills: a failed journal write,
+   rotation included, is counted in [write_errors] and the daemon keeps
+   serving — the durability guarantee narrows, the service does not
+   stop. *)
 
 let magic = "noisy_sta.wal.1\n"
 let digest_len = 32
-
-(* Record bodies are a fixed 33-byte header plus at most one protocol
-   frame (16 MiB); anything larger decodes as a torn tail. *)
-let max_body = (16 * 1024 * 1024) + 64
 
 type entry = { digest : string; payload : string }
 
@@ -74,85 +70,46 @@ let digest payload = Digest.to_hex (Digest.string payload)
 (* ------------------------------------------------------------------ *)
 (* Record codec *)
 
-let u32_be n =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_be b 0 (Int32.of_int n);
-  Bytes.to_string b
-
-let frame body =
-  u32_be (String.length body)
-  ^ body
-  ^ (let b = Bytes.create 4 in
-     Bytes.set_int32_be b 0 (Runtime.Crc32.string body);
-     Bytes.to_string b)
-
 let check_digest d =
   if String.length d <> digest_len then
     invalid_arg "Journal: digest must be 32 hex chars"
 
 let encode_admit ~digest ~payload =
   check_digest digest;
-  frame ("A" ^ digest ^ payload)
+  Runtime.Record.frame ("A" ^ digest ^ payload)
 
 let encode_retire digest =
   check_digest digest;
-  frame ("R" ^ digest)
+  Runtime.Record.frame ("R" ^ digest)
 
-(* Decode one segment's raw bytes into [tbl], returning recovery
-   counters. A record whose CRC fails is skipped (the length prefix
-   still locates the next record boundary); a record that does not fit
-   in the remaining bytes, or whose length is implausible, is a torn
-   tail and ends the segment. *)
+(* Apply one segment's raw bytes to [tbl], accumulating recovery
+   counters. A frame with a valid CRC but an unknown kind or a body
+   too short to hold a digest is a future format speaking through an
+   old reader: it is skipped like a CRC-corrupt one. *)
 let decode_segment t raw =
-  let n = String.length raw in
-  let mlen = String.length magic in
-  if n < mlen || not (String.equal (String.sub raw 0 mlen) magic) then
-    t.bad_segments <- t.bad_segments + 1
-  else begin
-    let pos = ref mlen in
-    let stop = ref false in
-    while not !stop do
-      if !pos = n then stop := true
-      else if !pos + 4 > n then begin
-        t.torn_tails <- t.torn_tails + 1;
-        stop := true
-      end
-      else
-        let body_len = Int32.to_int (String.get_int32_be raw !pos) in
-        if body_len < 1 + digest_len || body_len > max_body
-           || !pos + 4 + body_len + 4 > n
-        then begin
-          t.torn_tails <- t.torn_tails + 1;
-          stop := true
-        end
-        else begin
-          let body_pos = !pos + 4 in
-          let stored = String.get_int32_be raw (body_pos + body_len) in
-          (if Runtime.Crc32.update 0l raw body_pos body_len <> stored then
-             t.crc_skipped <- t.crc_skipped + 1
-           else
-             let kind = raw.[body_pos] in
-             let d = String.sub raw (body_pos + 1) digest_len in
-             match kind with
-             | 'A' ->
-                 if not (Hashtbl.mem t.tbl d) then begin
-                   let payload =
-                     String.sub raw
-                       (body_pos + 1 + digest_len)
-                       (body_len - 1 - digest_len)
-                   in
-                   Hashtbl.replace t.tbl d (t.seq, payload);
-                   t.seq <- t.seq + 1
-                 end
-             | 'R' -> Hashtbl.remove t.tbl d
-             | _ ->
-                 (* Valid CRC, unknown kind: a future format speaking
-                    through an old reader. Skip the record. *)
-                 t.crc_skipped <- t.crc_skipped + 1);
-          pos := !pos + 4 + body_len + 4
-        end
-    done
-  end
+  match Runtime.Record.scan ~magic raw with
+  | None -> t.bad_segments <- t.bad_segments + 1
+  | Some { bodies; crc_skipped; torn } ->
+      t.crc_skipped <- t.crc_skipped + crc_skipped;
+      if torn then t.torn_tails <- t.torn_tails + 1;
+      List.iter
+        (fun body ->
+          let len = String.length body in
+          if len < 1 + digest_len then t.crc_skipped <- t.crc_skipped + 1
+          else
+            let d = String.sub body 1 digest_len in
+            match body.[0] with
+            | 'A' ->
+                if not (Hashtbl.mem t.tbl d) then begin
+                  let payload =
+                    String.sub body (1 + digest_len) (len - 1 - digest_len)
+                  in
+                  Hashtbl.replace t.tbl d (t.seq, payload);
+                  t.seq <- t.seq + 1
+                end
+            | 'R' -> Hashtbl.remove t.tbl d
+            | _ -> t.crc_skipped <- t.crc_skipped + 1)
+        bodies
 
 (* ------------------------------------------------------------------ *)
 (* Segment files *)
@@ -167,16 +124,6 @@ let seg_index_of name =
   then int_of_string_opt (String.sub name 4 6)
   else None
 
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Pending entries in admit order. *)
 let pending_entries tbl =
   Hashtbl.fold (fun d (seq, payload) acc -> (seq, d, payload) :: acc) tbl []
@@ -184,32 +131,25 @@ let pending_entries tbl =
   |> List.map (fun (_, d, payload) -> { digest = d; payload })
 
 (* Write segment [index] containing exactly the pending set, via
-   tmp+rename, and unlink every older segment. Called with the lock
-   held (or before [t] escapes open_). *)
+   Record.write_atomic, then unlink [old_indices]. A failed write
+   raises before anything is unlinked. Called with the lock held (or
+   before [t] escapes open_). *)
 let write_compacted dir index entries old_indices =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  List.iter
-    (fun { digest = d; payload } ->
-      Buffer.add_string buf (encode_admit ~digest:d ~payload))
-    entries;
-  let path = Filename.concat dir (seg_name index) in
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-      ((Domain.self () :> int))
+  let contents =
+    String.concat ""
+      (magic
+      :: List.map (fun { digest; payload } -> encode_admit ~digest ~payload)
+           entries)
   in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Buffer.contents buf));
-  Sys.rename tmp path;
+  let path = Filename.concat dir (seg_name index) in
+  Runtime.Record.write_atomic path contents;
   List.iter
     (fun i ->
       if i <> index then
         try Sys.remove (Filename.concat dir (seg_name i))
         with Sys_error _ -> ())
     old_indices;
-  (path, Buffer.length buf)
+  (path, String.length contents)
 
 let open_append path =
   open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
@@ -217,7 +157,7 @@ let open_append path =
 (* ------------------------------------------------------------------ *)
 
 let open_ ?(max_segment_bytes = 4 * 1024 * 1024) dir =
-  ensure_dir dir;
+  Runtime.Record.ensure_dir dir;
   let indices =
     Sys.readdir dir |> Array.to_list
     |> List.filter_map seg_index_of
@@ -247,7 +187,7 @@ let open_ ?(max_segment_bytes = 4 * 1024 * 1024) dir =
   in
   List.iter
     (fun i ->
-      match read_file (Filename.concat dir (seg_name i)) with
+      match Runtime.Record.read_file (Filename.concat dir (seg_name i)) with
       | raw -> decode_segment t raw
       | exception Sys_error _ -> t.bad_segments <- t.bad_segments + 1)
     indices;
@@ -269,23 +209,27 @@ let locked t f =
 (* Rotation drops retired records from disk. Only worthwhile when the
    live segment has actually accumulated garbage beyond its last
    compacted size — without the 2x guard a pending set near the budget
-   would recompact on every append. *)
+   would recompact on every append. The compacted segment is written
+   before the live one is closed: if that write fails (a full disk),
+   the journal counts a write error and keeps appending to the live
+   segment, which still holds every record. *)
 let maybe_rotate t =
   if
     t.seg_bytes > t.max_segment_bytes
     && t.seg_bytes > 2 * Int.max 1 t.compact_bytes
-  then begin
-    close_out_noerr t.oc;
-    let path, bytes =
+  then
+    match
       write_compacted t.dir (t.seg_index + 1) (pending_entries t.tbl)
         [ t.seg_index ]
-    in
-    t.seg_index <- t.seg_index + 1;
-    t.seg_bytes <- bytes;
-    t.compact_bytes <- bytes;
-    t.oc <- open_append path;
-    t.rotations <- t.rotations + 1
-  end
+    with
+    | exception Sys_error _ -> t.write_errors <- t.write_errors + 1
+    | path, bytes ->
+        close_out_noerr t.oc;
+        t.seg_index <- t.seg_index + 1;
+        t.seg_bytes <- bytes;
+        t.compact_bytes <- bytes;
+        t.oc <- open_append path;
+        t.rotations <- t.rotations + 1
 
 let write_record t record =
   match

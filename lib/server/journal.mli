@@ -9,24 +9,26 @@
     have reached a client — the set the daemon must replay.
 
     On-disk format: numbered segment files ([wal-NNNNNN.seg]), each a
-    versioned magic line followed by length-prefixed CRC-32-stamped
-    records ([u32_be len | body | u32_be crc]; body is a one-byte
-    kind, a 32-char hex digest, and — for admits — the raw request
-    payload). Decoding tolerates hostility: a CRC-corrupt record is
-    skipped (the length prefix still locates the next boundary), a
-    truncated tail ends the segment, a duplicate retire is a no-op,
-    and a segment with the wrong magic is ignored whole. {!open_}
-    always compacts the surviving pending set into one fresh segment
-    via tmp+rename (the [Runtime.Checkpoint] idiom) and unlinks the
-    old files, so the journal never appends after a torn tail and
-    replay is idempotent: open → kill → open twice recovers the same
-    set as once.
+    [Runtime.Record] file — a versioned magic line followed by
+    length-prefixed CRC-32-stamped frames ([u32_be len | body | u32_be
+    crc]; body is a one-byte kind, a 32-char hex digest, and — for
+    admits — the raw request payload). Decoding tolerates hostility: a
+    CRC-corrupt record is skipped (the length prefix still locates the
+    next boundary), a truncated tail ends the segment, a valid frame of
+    an unknown kind is skipped, a duplicate retire is a no-op, and a
+    segment with the wrong magic is ignored whole. {!open_} always
+    compacts the surviving pending set into one fresh segment via
+    [Runtime.Record.write_atomic] and only then unlinks the old files,
+    so the journal never appends after a torn tail and replay is
+    idempotent: open → kill → open twice recovers the same set as
+    once.
 
     Durability is process-crash durability: records are flushed to the
     kernel on every write but not fsynced, so a SIGKILL/OOM-kill loses
     nothing while an OS-level power cut may lose the last instants.
     Disk-write failures degrade (counted in [write_errors]) rather
-    than stop the service.
+    than stop the service; a rotation that cannot write its compacted
+    segment keeps appending to the live one.
 
     All operations are thread-safe. *)
 
@@ -43,7 +45,9 @@ type stats = {
   rotations : int;  (** compactions after open *)
   replayed : int;  (** pending entries recovered by {!open_} *)
   torn_tails : int;  (** truncated segment tails dropped at decode *)
-  crc_skipped : int;  (** CRC-mismatched or unknown-kind records skipped *)
+  crc_skipped : int;
+      (** CRC-mismatched records, and valid ones of an unknown kind or
+          too short for a digest, skipped *)
   bad_segments : int;  (** unreadable or wrong-magic segments ignored *)
   write_errors : int;  (** failed journal writes (service kept going) *)
 }
@@ -54,7 +58,9 @@ val open_ : ?max_segment_bytes:int -> string -> t
     ones. Recovered entries are available via {!pending}; recovery
     counters via {!stats}. [max_segment_bytes] (default 4 MiB) bounds
     the live segment before rotation drops retired records from
-    disk. *)
+    disk. Raises [Sys_error] when the compacted segment cannot be
+    written (a full disk); the old segments are then left untouched,
+    so nothing pending is lost. *)
 
 val digest : string -> string
 (** Request digest: 32-char hex MD5 of the raw payload bytes. A

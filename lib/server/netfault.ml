@@ -1,131 +1,26 @@
-(* Deterministic network fault injection. The same idiom as
-   [Spice.Transient.Fault] and [Runtime.Cache.Disk_fault]: a
-   process-global armed plan, a global op counter, and a seeded digest
-   roll per op, so a given (plan, op sequence) always faults the same
-   ops. [read]/[write] are drop-in replacements for [Unix.read]/
-   [Unix.write] with a one-atomic-load fast path when disarmed; the
-   framing layer ([Protocol]) routes every fd op through them. *)
+(* Deterministic network fault injection: one {!Faultplan} injector
+   over every fd op. [read]/[write] are drop-in replacements for
+   [Unix.read]/[Unix.write] with a one-atomic-load fast path when
+   disarmed; the framing layer ([Protocol]) routes every fd op through
+   them. *)
 
 type kind = Torn | Stall | Drop | Corrupt
 
-let kind_to_string = function
-  | Torn -> "torn"
-  | Stall -> "stall"
-  | Drop -> "drop"
-  | Corrupt -> "corrupt"
-
-type sel = Nth of { n : int } | Fraction of { rate : float; seed : int }
-
-(* [kind = None] rotates through all four kinds by op index, so one
+(* A plan without a kind rotates through all four by op index, so one
    flag exercises every failure mode. *)
-type plan = { kind : kind option; sel : sel }
+let injector =
+  Faultplan.create ~salt:"net.fault"
+    ~kinds:
+      [ ("torn", Torn); ("stall", Stall); ("drop", Drop); ("corrupt", Corrupt) ]
+    ~default:(fun k ->
+      match k mod 4 with 0 -> Torn | 1 -> Stall | 2 -> Corrupt | _ -> Drop)
 
-type armed_state = { plan : plan; stall_s : float }
-
-let armed : armed_state option Atomic.t = Atomic.make None
-let op_index = Atomic.make 0
-let injected_ops = Atomic.make 0
+(* The [Stall] sleep, set by [arm]. *)
+let stall = Atomic.make 0.2
 
 let arm ?(stall_s = 0.2) plan =
-  Atomic.set op_index 0;
-  Atomic.set injected_ops 0;
-  Atomic.set armed (Some { plan; stall_s })
-
-let disarm () = Atomic.set armed None
-let is_armed () = Option.is_some (Atomic.get armed)
-let injected () = Atomic.get injected_ops
-
-let roll_float seed k =
-  let d = Digest.string (Printf.sprintf "net.fault:%d:%d" seed k) in
-  let x = ref 0 in
-  for i = 0 to 5 do
-    x := (!x lsl 8) lor Char.code d.[i]
-  done;
-  float_of_int !x /. float_of_int (1 lsl 48)
-
-(* Which fault (if any) hits this op? Returns the kind to apply plus
-   the stall duration, resolving [kind = None] by rotating on the op
-   index. *)
-let roll () =
-  match Atomic.get armed with
-  | None -> None
-  | Some { plan; stall_s } ->
-      let k = Atomic.fetch_and_add op_index 1 in
-      let hit =
-        match plan.sel with
-        | Nth { n } -> k = n
-        | Fraction { rate; seed } -> roll_float seed k < rate
-      in
-      if not hit then None
-      else begin
-        Atomic.incr injected_ops;
-        let kind =
-          match plan.kind with
-          | Some kind -> kind
-          | None -> (
-              match k mod 4 with
-              | 0 -> Torn
-              | 1 -> Stall
-              | 2 -> Corrupt
-              | _ -> Drop)
-        in
-        Some (kind, stall_s)
-      end
-
-(* Spec grammar mirrors Transient.Fault:
-   [KIND:]("nth:"N | RATE["@"SEED]) with KIND one of
-   torn|stall|drop|corrupt; no KIND rotates through all four. *)
-let of_string s =
-  let kind, rest =
-    let split prefix kind =
-      let pl = String.length prefix in
-      if String.length s > pl && String.sub s 0 pl = prefix then
-        Some (kind, String.sub s pl (String.length s - pl))
-      else None
-    in
-    match
-      List.find_map
-        (fun (p, k) -> split p k)
-        [
-          ("torn:", Torn);
-          ("stall:", Stall);
-          ("drop:", Drop);
-          ("corrupt:", Corrupt);
-        ]
-    with
-    | Some (k, rest) -> (Some k, rest)
-    | None -> (None, s)
-  in
-  let nth_prefix = "nth:" in
-  let has_nth =
-    String.length rest > String.length nth_prefix
-    && String.sub rest 0 (String.length nth_prefix) = nth_prefix
-  in
-  if has_nth then
-    let num =
-      String.sub rest (String.length nth_prefix)
-        (String.length rest - String.length nth_prefix)
-    in
-    match int_of_string_opt num with
-    | Some n when n >= 0 -> Ok { kind; sel = Nth { n } }
-    | _ -> Error (Printf.sprintf "bad net fault spec %S: nth:N needs N >= 0" s)
-  else
-    let rate_s, seed =
-      match String.index_opt rest '@' with
-      | Some i ->
-          ( String.sub rest 0 i,
-            String.sub rest (i + 1) (String.length rest - i - 1) )
-      | None -> (rest, "0")
-    in
-    match (float_of_string_opt rate_s, int_of_string_opt seed) with
-    | Some rate, Some seed when rate >= 0.0 && rate <= 1.0 ->
-        Ok { kind; sel = Fraction { rate; seed } }
-    | _ ->
-        Error
-          (Printf.sprintf
-             "bad net fault spec %S: want [torn:|stall:|drop:|corrupt:] then \
-              nth:N or RATE[@SEED] with RATE in [0,1]"
-             s)
+  Atomic.set stall stall_s;
+  Faultplan.arm injector plan
 
 (* ------------------------------------------------------------------ *)
 (* Faulted fd ops. Torn truncates the op to one byte (exercising the
@@ -144,27 +39,27 @@ let corrupt_byte buf ofs len =
     Bytes.set buf ofs (Char.chr (Char.code (Bytes.get buf ofs) lxor 0x20))
 
 let read fd buf ofs len =
-  match roll () with
+  match Faultplan.roll injector with
   | None -> Unix.read fd buf ofs len
-  | Some (Torn, _) -> Unix.read fd buf ofs (Int.min 1 len)
-  | Some (Stall, stall_s) ->
-      Thread.delay stall_s;
+  | Some Torn -> Unix.read fd buf ofs (Int.min 1 len)
+  | Some Stall ->
+      Thread.delay (Atomic.get stall);
       Unix.read fd buf ofs len
-  | Some (Drop, _) -> drop fd "read"
-  | Some (Corrupt, _) ->
+  | Some Drop -> drop fd "read"
+  | Some Corrupt ->
       let n = Unix.read fd buf ofs len in
       corrupt_byte buf ofs n;
       n
 
 let write fd buf ofs len =
-  match roll () with
+  match Faultplan.roll injector with
   | None -> Unix.write fd buf ofs len
-  | Some (Torn, _) -> Unix.write fd buf ofs (Int.min 1 len)
-  | Some (Stall, stall_s) ->
-      Thread.delay stall_s;
+  | Some Torn -> Unix.write fd buf ofs (Int.min 1 len)
+  | Some Stall ->
+      Thread.delay (Atomic.get stall);
       Unix.write fd buf ofs len
-  | Some (Drop, _) -> drop fd "write"
-  | Some (Corrupt, _) ->
+  | Some Drop -> drop fd "write"
+  | Some Corrupt ->
       let copy = Bytes.sub buf ofs len in
       corrupt_byte copy 0 len;
       Unix.write fd copy 0 len

@@ -1,9 +1,8 @@
 (** Deterministic network fault injection for chaos testing.
 
-    The I/O twin of [Spice.Transient.Fault]: a process-global armed
-    plan, a global fd-op counter, and a seeded digest roll per op, so
-    a given (plan, op sequence) always faults the same ops. {!read}
-    and {!write} are drop-in replacements for [Unix.read]/[Unix.write]
+    One {!Faultplan} injector ({!injector}) over every fd op, so a
+    given (plan, op sequence) always faults the same ops. {!read} and
+    {!write} are drop-in replacements for [Unix.read]/[Unix.write]
     with a one-atomic-load fast path when disarmed; [Protocol]'s
     framing routes every fd op through them, so arming a plan subjects
     both the daemon and any in-process clients to the same chaos.
@@ -21,28 +20,16 @@
 
 type kind = Torn | Stall | Drop | Corrupt
 
-val kind_to_string : kind -> string
+val injector : kind Faultplan.t
+(** The network injector: salt ["net.fault"], spec prefixes
+    [torn:|stall:|drop:|corrupt:] (e.g. ["0.05@7"], ["drop:nth:3"],
+    ["stall:0.1"]). A plan without a kind rotates through all four by
+    op index, so a single flag exercises every failure mode. Disarm and
+    read counters through [Faultplan]; arm through {!arm}. *)
 
-type sel = Nth of { n : int } | Fraction of { rate : float; seed : int }
-
-type plan = { kind : kind option; sel : sel }
-(** [kind = None] rotates through all four kinds by op index, so a
-    single flag exercises every failure mode. *)
-
-val of_string : string -> (plan, string) result
-(** Spec grammar: [[KIND:]("nth:"N | RATE["@"SEED])] with [KIND] one
-    of [torn|stall|drop|corrupt] — e.g. ["0.05@7"], ["drop:nth:3"],
-    ["stall:0.1"]. *)
-
-val arm : ?stall_s:float -> plan -> unit
-(** Arm [plan] process-globally and reset the op/injection counters.
-    [stall_s] (default 0.2) is the [Stall] sleep. *)
-
-val disarm : unit -> unit
-val is_armed : unit -> bool
-
-val injected : unit -> int
-(** Fd ops faulted since the last {!arm}. *)
+val arm : ?stall_s:float -> kind Faultplan.plan -> unit
+(** [Faultplan.arm injector], first setting the [Stall] sleep
+    ([stall_s], default 0.2 s). *)
 
 val read : Unix.file_descr -> Bytes.t -> int -> int -> int
 (** [Unix.read] through the fault plan. *)

@@ -47,11 +47,7 @@ let outcome_to_string = function
         consecutive restarts
 
 let write_pid_file path pid =
-  try
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> Printf.fprintf oc "%d\n" pid)
+  try Runtime.Record.write_atomic path (Printf.sprintf "%d\n" pid)
   with Sys_error _ -> ()
 
 let remove_pid_file = function

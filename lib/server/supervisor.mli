@@ -23,7 +23,8 @@
     crash-only path and the cold-start path are the same path.
 
     [pid_file], when set, receives the current child pid at every
-    spawn — crash drills and init systems read it to SIGKILL or
+    spawn, written atomically so a reader never sees a partial pid —
+    crash drills and init systems read it to SIGKILL or
     observe the serving process. [on_spawn] is the in-process hook
     with the same information. *)
 

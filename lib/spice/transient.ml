@@ -311,11 +311,12 @@ module Deadline = struct
         end
 end
 
-(* Deterministic fault injection: tests, bench, and CI arm a plan and
-   every subsequent [run] rolls against it. Decisions depend only on
-   the process-global solve index (and a seed), never on wall-clock or
-   scheduling, so a given (plan, workload) pair injects the same faults
-   on every run — including across a checkpoint resume. *)
+(* Deterministic fault injection: tests, bench, and CI arm a plan on
+   [injector] and every subsequent [run] rolls against it. Decisions
+   depend only on the process-global solve index (and a seed), never on
+   wall-clock or scheduling, so a given (plan, workload) pair injects
+   the same faults on every run — including across a checkpoint
+   resume. *)
 module Fault = struct
   type kind = Diverge | Corrupt | Slow
 
@@ -324,89 +325,10 @@ module Fault = struct
      that an unbounded faulted solve still finishes. *)
   let slow_step_s = 2e-4
 
-  type plan =
-    | Nth of { n : int; kind : kind }
-    | Fraction of { rate : float; seed : int; kind : kind }
-
-  let armed : plan option Atomic.t = Atomic.make None
-  let solve_index = Atomic.make 0
-
-  let arm plan =
-    Atomic.set solve_index 0;
-    Atomic.set armed (Some plan)
-
-  let disarm () = Atomic.set armed None
-  let is_armed () = Option.is_some (Atomic.get armed)
-  let injected () = Atomic.get Stats.injected_faults
-
-  (* Hash the (seed, index) pair to a uniform float in [0, 1). MD5 is
-     plenty fast next to a transient solve and identical everywhere. *)
-  let roll_float seed k =
-    let d = Digest.string (Printf.sprintf "tran.fault:%d:%d" seed k) in
-    let x = ref 0 in
-    for i = 0 to 5 do
-      x := (!x lsl 8) lor Char.code d.[i]
-    done;
-    float_of_int !x /. float_of_int (1 lsl 48)
-
-  let roll () =
-    match Atomic.get armed with
-    | None -> None
-    | Some plan ->
-        let k = Atomic.fetch_and_add solve_index 1 in
-        let hit, kind =
-          match plan with
-          | Nth { n; kind } -> (k = n, kind)
-          | Fraction { rate; seed; kind } -> (roll_float seed k < rate, kind)
-        in
-        if hit then begin
-          Atomic.incr Stats.injected_faults;
-          Some kind
-        end
-        else None
-
-  (* Spec grammar: ["nan:"|"slow:"]("nth:"N | RATE["@"SEED]). Examples:
-     "0.1" (10% of solves diverge, seed 0), "0.1@7", "nth:3",
-     "nan:0.05@2" (5% of solves return a NaN-corrupted waveform),
-     "slow:nth:1" (solve #1 stalls at every step boundary). *)
-  let of_string s =
-    let kind, rest =
-      match String.index_opt s ':' with
-      | Some i when String.sub s 0 i = "nan" ->
-          (Corrupt, String.sub s (i + 1) (String.length s - i - 1))
-      | Some i when String.sub s 0 i = "slow" ->
-          (Slow, String.sub s (i + 1) (String.length s - i - 1))
-      | _ -> (Diverge, s)
-    in
-    let nth_prefix = "nth:" in
-    let has_nth =
-      String.length rest > String.length nth_prefix
-      && String.sub rest 0 (String.length nth_prefix) = nth_prefix
-    in
-    if has_nth then
-      let num =
-        String.sub rest (String.length nth_prefix)
-          (String.length rest - String.length nth_prefix)
-      in
-      match int_of_string_opt num with
-      | Some n when n >= 0 -> Ok (Nth { n; kind })
-      | _ -> Error (Printf.sprintf "bad fault spec %S: nth:N needs N >= 0" s)
-    else
-      let rate_s, seed =
-        match String.index_opt rest '@' with
-        | Some i -> (
-            ( String.sub rest 0 i,
-              String.sub rest (i + 1) (String.length rest - i - 1) ))
-            |> fun (r, sd) -> (r, int_of_string_opt sd)
-        | None -> (rest, Some 0)
-      in
-      match (float_of_string_opt rate_s, seed) with
-      | Some rate, Some seed when rate >= 0.0 && rate <= 1.0 ->
-          Ok (Fraction { rate; seed; kind })
-      | _ ->
-          Error
-            (Printf.sprintf
-               "bad fault spec %S: want [nan:|slow:](nth:N | RATE[@SEED])" s)
+  let injector =
+    Faultplan.create ~salt:"tran.fault"
+      ~kinds:[ ("nan", Corrupt); ("slow", Slow) ]
+      ~default:(fun _ -> Diverge)
 end
 
 (* Compiled, array-based view of the circuit for fast stamping. *)
@@ -1457,7 +1379,8 @@ let validate_config cfg =
 let run ?(config = default_config) ?(ic = []) ckt =
   let cfg = config in
   Atomic.incr Stats.sims;
-  let fault = Fault.roll () in
+  let fault = Faultplan.roll Fault.injector in
+  if Option.is_some fault then Atomic.incr Stats.injected_faults;
   (match fault with
   | Some Fault.Diverge -> raise (No_convergence cfg.tstart)
   | _ -> ());

@@ -201,43 +201,25 @@ module Deadline : sig
 end
 
 (** Deterministic, seeded fault injection for exercising recovery
-    paths. Arm a plan and every subsequent {!run} (process-wide, all
-    domains) rolls against it: [Diverge] raises {!No_convergence}
-    before solving; [Corrupt] completes the solve but poisons one
-    mid-trace sample with NaN, which post-solve validation must catch.
-    Decisions depend only on the solve index since {!arm} (plus the
-    seed), so a fixed plan over a fixed workload reproduces exactly. *)
+    paths. Arm a plan on {!Fault.injector} (see [Faultplan]) and every
+    subsequent {!run} (process-wide, all domains) rolls against it:
+    [Diverge] raises {!No_convergence} before solving; [Corrupt]
+    completes the solve but poisons one mid-trace sample with NaN,
+    which post-solve validation must catch. Decisions depend only on
+    the solve index since the plan was armed (plus the seed), so a
+    fixed plan over a fixed workload reproduces exactly. Every injected
+    fault also counts in [Stats.injected_faults]. *)
 module Fault : sig
   type kind =
-    | Diverge  (** raise [No_convergence] at [tstart] *)
-    | Corrupt  (** return a waveform with a NaN sample *)
+    | Diverge  (** raise [No_convergence] at [tstart]; a plan's default *)
+    | Corrupt  (** return a waveform with a NaN sample; spec prefix [nan:] *)
     | Slow
         (** stall at every accepted step boundary — the solve still
-            completes (slowly) unless a {!Deadline} budget cancels it *)
+            completes (slowly) unless a {!Deadline} budget cancels it;
+            spec prefix [slow:] *)
 
-  type plan =
-    | Nth of { n : int; kind : kind }
-        (** fail solve number [n] (0-based, counted from {!arm}) *)
-    | Fraction of { rate : float; seed : int; kind : kind }
-        (** fail a seeded pseudo-random fraction of solves *)
-
-  val arm : plan -> unit
-  (** Install the plan and reset the solve index. *)
-
-  val disarm : unit -> unit
-
-  val is_armed : unit -> bool
-  (** Whether a plan is currently armed. Harnesses use this to skip
-      optimizations (e.g. batch cache warm-up) that would reorder the
-      solve-index sequence a deterministic plan assigns faults by. *)
-
-  val injected : unit -> int
-  (** Total faults injected — alias for [Stats.injected_faults]. *)
-
-  val of_string : string -> (plan, string) result
-  (** Parse a CLI spec: [["nan:"|"slow:"]("nth:"N | RATE["@"SEED])] —
-      e.g. ["0.1"], ["0.1@7"], ["nth:3"], ["nan:0.05@2"],
-      ["slow:nth:1"]. *)
+  val injector : kind Faultplan.t
+  (** The solver's injector: salt ["tran.fault"], one op per {!run}. *)
 end
 
 type result

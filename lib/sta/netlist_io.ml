@@ -76,14 +76,5 @@ let to_string netlist =
     (Netlist.outputs netlist);
   Buffer.contents buf
 
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
-
-let save path netlist =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string netlist))
+let load path = of_string (Runtime.Record.read_file path)
+let save path netlist = Runtime.Record.write_atomic path (to_string netlist)

@@ -27,3 +27,4 @@ val to_string : Netlist.t -> string
 
 val load : string -> Netlist.t
 val save : string -> Netlist.t -> unit
+(** Atomic ({!Runtime.Record.write_atomic}). *)

@@ -16,6 +16,74 @@ let check_true msg b = Alcotest.(check bool) msg true b
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 
+(* Arm / disarm the solver's fault injector. *)
+let arm_tran ?kind sel =
+  Faultplan.arm Spice.Transient.Fault.injector { kind; sel }
+
+let disarm_tran () = Faultplan.disarm Spice.Transient.Fault.injector
+
+(* The fault-plan grammar, one table for every injector. *)
+module Fault_grammar = struct
+  let solver = Spice.Transient.Fault.[ ("nan", Corrupt); ("slow", Slow) ]
+
+  let net =
+    Server.Netfault.
+      [ ("torn", Torn); ("stall", Stall); ("drop", Drop); ("corrupt", Corrupt) ]
+
+  (* The cache has no kinds, so it accepts only bare selectors. *)
+  let cache : (string * unit) list = []
+
+  let prefixes = List.map fst solver @ List.map fst net
+
+  (* Selectors every injector accepts, bare or behind any of its own
+     kind prefixes. *)
+  let selectors =
+    Faultplan.
+      [
+        ("nth:0", Nth { n = 0 });
+        ("nth:2", Nth { n = 2 });
+        ("nth:3", Nth { n = 3 });
+        ("nth:9", Nth { n = 9 });
+        ("0.05", Fraction { rate = 0.05; seed = 0 });
+        ("0.1", Fraction { rate = 0.1; seed = 0 });
+        ("1.0", Fraction { rate = 1.0; seed = 0 });
+        ("0.1@7", Fraction { rate = 0.1; seed = 7 });
+        ("0.25@7", Fraction { rate = 0.25; seed = 7 });
+        ("0.5@13", Fraction { rate = 0.5; seed = 13 });
+      ]
+
+  let bad_specs =
+    [ ""; "bogus"; "bogus:0.5"; "nth:-1"; "nth:x"; "2.0"; "1.5"; "-0.1";
+      "0.1@x"; "0.5@x" ]
+
+  (* [kinds] is the injector's expected vocabulary. Every selector must
+     parse bare and behind each of its prefixes; the bad specs, a bare
+     prefix and every other injector's prefix must be rejected. *)
+  let check (type k) name (inj : k Faultplan.t) (kinds : (string * k) list) =
+    let expect spec want =
+      match Faultplan.of_string inj spec with
+      | Ok p -> check_true (Printf.sprintf "%s: %S parsed" name spec) (p = want)
+      | Error msg -> Alcotest.failf "%s: spec %S rejected: %s" name spec msg
+    in
+    let reject spec =
+      match Faultplan.of_string inj spec with
+      | Ok _ -> Alcotest.failf "%s: spec %S accepted" name spec
+      | Error msg -> check_true "error message given" (String.length msg > 0)
+    in
+    let foreign = List.filter (fun p -> not (List.mem_assoc p kinds)) prefixes in
+    List.iter
+      (fun (spec, sel) ->
+        expect spec { kind = None; sel };
+        List.iter
+          (fun (prefix, k) ->
+            expect (prefix ^ ":" ^ spec) { kind = Some k; sel })
+          kinds;
+        List.iter (fun prefix -> reject (prefix ^ ":" ^ spec)) foreign)
+      selectors;
+    List.iter reject bad_specs;
+    List.iter (fun (prefix, _) -> reject (prefix ^ ":")) kinds
+end
+
 let qcase ?count name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ?count ~name gen prop)

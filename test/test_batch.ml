@@ -130,13 +130,13 @@ let ladder_config = { Transient.default_config with dt = 1e-12; tstop = 1e-9 }
 
 let test_batch_fault_assignment_matches_loop () =
   let circuits = Array.init 4 (fun _ -> ladder 8) in
-  Fun.protect ~finally:Transient.Fault.disarm (fun () ->
-      Transient.Fault.arm (Transient.Fault.Nth { n = 1; kind = Diverge });
+  Fun.protect ~finally:disarm_tran (fun () ->
+      arm_tran (Faultplan.Nth { n = 1 });
       let batch =
         Transient.run_batch_outcomes ~config:ladder_config circuits
       in
       (* Re-arm to reset the solve index, then replay sequentially. *)
-      Transient.Fault.arm (Transient.Fault.Nth { n = 1; kind = Diverge });
+      arm_tran (Faultplan.Nth { n = 1 });
       let scalar =
         Array.map
           (fun c ->
@@ -172,8 +172,8 @@ let test_batch_fault_assignment_matches_loop () =
 let test_batch_deadline_cancels_one_case () =
   let circuits = Array.init 3 (fun _ -> ladder 8) in
   let clean = Array.map (Transient.run ~config:ladder_config) circuits in
-  Fun.protect ~finally:Transient.Fault.disarm (fun () ->
-      Transient.Fault.arm (Transient.Fault.Nth { n = 1; kind = Slow });
+  Fun.protect ~finally:disarm_tran (fun () ->
+      arm_tran ~kind:Transient.Fault.Slow (Faultplan.Nth { n = 1 });
       let outcomes, s =
         stats_of (fun () ->
             Transient.Deadline.with_budget ~ms:60.0 (fun () ->
@@ -241,8 +241,8 @@ let test_prewarm_noisy () =
   in
   idle "second call" engine;
   idle "no cache" reference;
-  Fun.protect ~finally:Transient.Fault.disarm (fun () ->
-      Transient.Fault.arm (Transient.Fault.Nth { n = 0; kind = Diverge });
+  Fun.protect ~finally:disarm_tran (fun () ->
+      arm_tran (Faultplan.Nth { n = 0 });
       idle "fault plan armed" (cached ()))
 
 let suite =

@@ -1,4 +1,5 @@
-(* Crash-safety suite: CRC-32 vectors, write-ahead journal torture
+(* Crash-safety suite: CRC-32 vectors, the record format's scan
+   properties, writes on a full disk, write-ahead journal torture
    (torn tails, CRC corruption, duplicate retires, replay idempotence,
    the committed hostile-segment corpus), disk-cache scrub, daemon
    journal replay with retry dedup, drain retirement, health states,
@@ -107,6 +108,138 @@ let test_crc32_vector () =
     "substring update equals whole-string"
     (Runtime.Crc32.string s)
     (Runtime.Crc32.update 0l framed 2 (String.length s))
+
+(* ------------------------------------------------------------------ *)
+(* The record format *)
+
+let record_magic = "test.record.1\n"
+
+(* Frame boundaries of [bodies] encoded after [record_magic]. *)
+let boundaries bodies =
+  List.fold_left
+    (fun acc b -> (List.hd acc + 8 + String.length b) :: acc)
+    [ String.length record_magic ]
+    bodies
+  |> List.rev
+
+let rec is_subsequence sub l =
+  match (sub, l) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: sub', y :: l' ->
+      if String.equal x y then is_subsequence sub' l' else is_subsequence sub l'
+
+let qcheck_record_scan =
+  qcase ~count:100 "record: scan keeps exactly the intact frames"
+    QCheck2.Gen.(
+      pair
+        (list_size (int_bound 6) (string_size ~gen:char (int_range 0 40)))
+        (int_range 1 255))
+    (fun (bodies, mask) ->
+      let raw = Runtime.Record.encode ~magic:record_magic bodies in
+      let n = String.length raw and mlen = String.length record_magic in
+      let scan s = Runtime.Record.scan ~magic:record_magic s in
+      let whole =
+        scan raw = Some { Runtime.Record.bodies; crc_skipped = 0; torn = false }
+      in
+      (* Any single flipped byte after the magic loses at least one
+         body, and never yields a changed one. *)
+      let flips =
+        List.init (n - mlen) (fun i ->
+            let b = Bytes.of_string raw in
+            let at = mlen + i in
+            Bytes.set b at (Char.chr (Char.code raw.[at] lxor mask));
+            match scan (Bytes.to_string b) with
+            | Some r ->
+                List.length r.bodies < List.length bodies
+                && (r.crc_skipped >= 1 || r.torn)
+                && is_subsequence r.bodies bodies
+            | None -> false)
+      in
+      (* Truncation keeps the frames wholly before the cut, and is torn
+         unless it falls on a frame boundary. *)
+      let bounds = boundaries bodies in
+      let cuts =
+        List.init (n - mlen + 1) (fun i ->
+            let cut = mlen + i in
+            let whole_frames =
+              List.length (List.filter (fun b -> b <= cut) bounds) - 1
+            in
+            scan (String.sub raw 0 cut)
+            = Some
+                {
+                  Runtime.Record.bodies =
+                    List.filteri (fun i _ -> i < whole_frames) bodies;
+                  crc_skipped = 0;
+                  torn = not (List.mem cut bounds);
+                })
+      in
+      whole && List.for_all Fun.id flips && List.for_all Fun.id cuts
+      && scan (String.sub raw 0 (mlen - 1)) = None)
+
+(* A full disk must never publish a truncated file. Every atomic write
+   goes through a tmp name known in advance, so a symlink from it to
+   /dev/full makes exactly that write fail with ENOSPC when the file is
+   closed. *)
+let test_full_disk_publishes_nothing () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let full path =
+    Unix.symlink "/dev/full"
+      (Printf.sprintf "%s.tmp.%d.0" path (Unix.getpid ()))
+  in
+  let with_dir prefix f =
+    let dir = temp_dir prefix in
+    Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+  in
+  let pending dir =
+    let j = Server.Journal.open_ dir in
+    let st = Server.Journal.stats j in
+    Server.Journal.close j;
+    (st.Server.Journal.pending, st.Server.Journal.bad_segments)
+  in
+  (* Journal open: compacting the recovered set fails, so open refuses
+     and leaves the old segment in place. *)
+  with_dir "wal_full_open" (fun dir ->
+      let j = Server.Journal.open_ dir in
+      let p = "admitted before the disk filled" in
+      Server.Journal.admit j ~digest:(Server.Journal.digest p) ~payload:p;
+      Server.Journal.close j;
+      full (Filename.concat dir "wal-000001.seg");
+      (match Server.Journal.open_ dir with
+      | j ->
+          Server.Journal.close j;
+          Alcotest.fail "open on a full disk compacted nothing yet succeeded"
+      | exception Sys_error _ -> ());
+      Alcotest.(check (pair int int)) "open: pending kept, no bad segment"
+        (1, 0) (pending dir));
+  (* Journal rotation: the compacted segment cannot be written, so the
+     live segment stays and keeps every record. *)
+  with_dir "wal_full_rotate" (fun dir ->
+      let j = Server.Journal.open_ ~max_segment_bytes:256 dir in
+      full (Filename.concat dir "wal-000001.seg");
+      for i = 1 to 6 do
+        let p = Printf.sprintf "%03d:%s" i (String.make 80 'x') in
+        Server.Journal.admit j ~digest:(Server.Journal.digest p) ~payload:p
+      done;
+      let st = Server.Journal.stats j in
+      Server.Journal.close j;
+      check_true "rotate: failed rotation counted"
+        (st.Server.Journal.write_errors >= 1);
+      Alcotest.(check (pair int int)) "rotate: pending kept, no bad segment"
+        (6, 0) (pending dir));
+  (* Cache store: the entry stays memory-only and counts as a failure. *)
+  with_dir "cache_full" (fun dir ->
+      let c = Runtime.Cache.create ~disk_dir:dir () in
+      let key = Runtime.Cache.Key.make "full" [ Runtime.Cache.Key.int 1 ] in
+      full (Filename.concat dir key);
+      Runtime.Cache.store c key
+        [ Waveform.Wave.create [| 0.0; 1.0 |] [| 0.0; 1.0 |] ];
+      Alcotest.(check int) "store: write error" 1
+        (Runtime.Cache.write_errors c);
+      Alcotest.(check int) "store: nothing written" 0
+        (Runtime.Cache.bytes_written c);
+      Alcotest.(check (list string)) "store: no file published" []
+        (Array.to_list (Sys.readdir dir)))
 
 (* ------------------------------------------------------------------ *)
 (* Journal: happy path and torture *)
@@ -618,6 +751,8 @@ let suite =
   ( "crash",
     [
       case "crc32 known vector" test_crc32_vector;
+      qcheck_record_scan;
+      case "full disk publishes nothing" test_full_disk_publishes_nothing;
       case "journal roundtrip and compaction" test_journal_roundtrip;
       case "journal torn tail" test_journal_torn_tail;
       case "journal crc-corrupt record" test_journal_crc_corrupt_record;

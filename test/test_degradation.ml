@@ -380,8 +380,8 @@ let test_generous_budget_is_transparent () =
 let test_slow_fault_trips_deadline () =
   let ckt = rc_circuit () in
   let before = deadline_hits () in
-  Spice.Transient.Fault.(arm (Nth { n = 0; kind = Slow }));
-  Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
+  arm_tran ~kind:Spice.Transient.Fault.Slow (Faultplan.Nth { n = 0 });
+  Fun.protect ~finally:disarm_tran (fun () ->
       match
         Spice.Transient.Deadline.with_budget ~ms:2.0 (fun () ->
             Spice.Transient.run ~config:rc_config ckt)
@@ -399,9 +399,9 @@ let test_slow_fault_without_deadline_completes () =
   let ckt = rc_circuit () in
   let config = { rc_config with Spice.Transient.tstop = 4e-12 } in
   let clean = Spice.Transient.run ~config ckt in
-  Spice.Transient.Fault.(arm (Nth { n = 0; kind = Slow }));
+  arm_tran ~kind:Spice.Transient.Fault.Slow (Faultplan.Nth { n = 0 });
   let stalled =
-    Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
+    Fun.protect ~finally:disarm_tran (fun () ->
         Spice.Transient.run ~config ckt)
   in
   check_true "same waveform"
@@ -422,9 +422,9 @@ let test_sweep_deadline_cancellation () =
   (* Solve order without a cache: noiseless (#0), then per case noisy
      chain, receiver replay, one technique receiver — solve #4 is
      case 1's noisy chain run. *)
-  Spice.Transient.Fault.(arm (Nth { n = 4; kind = Slow }));
+  arm_tran ~kind:Spice.Transient.Fault.Slow (Faultplan.Nth { n = 4 });
   let faulted =
-    Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
+    Fun.protect ~finally:disarm_tran (fun () ->
         Noise.Eval.run_table ~techniques:sgdp_only
           ~engine:(Runtime.Engine.with_deadline Runtime.Engine.reference 100.0)
           scen)
@@ -452,8 +452,9 @@ let test_sweep_deadline_cancellation () =
    own task — each cancels cleanly with its own budget in the payload,
    nothing leaks to the caller, and the pool survives. *)
 let test_pool_deadline_concurrent_cancellation () =
-  Spice.Transient.Fault.(arm (Fraction { rate = 1.0; seed = 11; kind = Slow }));
-  Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
+  arm_tran ~kind:Spice.Transient.Fault.Slow
+    (Faultplan.Fraction { rate = 1.0; seed = 11 });
+  Fun.protect ~finally:disarm_tran (fun () ->
       Runtime.Pool.with_pool ~jobs:4 (fun pool ->
           let n = 12 in
           let outcomes =

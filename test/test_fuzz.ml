@@ -1,7 +1,7 @@
 (* Fuzzing and chaos-machinery tests: the committed regression corpus
    replayed through Frame -> Json -> Protocol.parse, seeded fuzz
-   sweeps (plain and under armed net faults), the fault-plan grammars,
-   and the cache circuit-breaker state machine. *)
+   sweeps (plain and under armed net faults), the fault-plan grammar
+   and its pinned draws, and the cache circuit-breaker state machine. *)
 
 open Helpers
 
@@ -82,76 +82,104 @@ let test_fuzz_sweep_seeds () =
 let test_fuzz_under_netfaults () =
   (* Arm net faults so the frame trips see torn/stalled/dropped/
      corrupted fd ops: outcomes must stay typed. *)
+  let net = Server.Netfault.injector in
   Server.Netfault.arm ~stall_s:0.002
-    { Server.Netfault.kind = None;
-      sel = Server.Netfault.Fraction { rate = 0.3; seed = 9 } };
-  Fun.protect ~finally:Server.Netfault.disarm (fun () ->
+    { kind = None; sel = Faultplan.Fraction { rate = 0.3; seed = 9 } };
+  Fun.protect ~finally:(fun () -> Faultplan.disarm net) (fun () ->
       let s = Server.Fuzz.run ~seed:5 ~count:600 ~frame_every:4 () in
       check_no_escapes "under net faults" s;
       check_true "net faults actually injected"
-        (Server.Netfault.injected () > 0))
+        (Faultplan.injected net > 0))
 
 (* ------------------------------------------------------------------ *)
-(* Fault-plan grammars *)
+(* The fault-plan grammar (the table is in [Helpers.Fault_grammar]) *)
 
 let test_netfault_grammar () =
-  let ok s =
-    match Server.Netfault.of_string s with
-    | Ok p -> p
-    | Error msg -> Alcotest.failf "spec %S rejected: %s" s msg
-  in
-  let err s =
-    match Server.Netfault.of_string s with
-    | Ok _ -> Alcotest.failf "spec %S accepted" s
-    | Error _ -> ()
-  in
-  (match ok "nth:3" with
-  | { Server.Netfault.kind = None; sel = Server.Netfault.Nth { n = 3 } } -> ()
-  | _ -> Alcotest.fail "nth:3 parsed wrong");
-  (match ok "drop:nth:0" with
-  | { Server.Netfault.kind = Some Server.Netfault.Drop;
-      sel = Server.Netfault.Nth { n = 0 } } -> ()
-  | _ -> Alcotest.fail "drop:nth:0 parsed wrong");
-  (match ok "0.25@7" with
-  | { Server.Netfault.kind = None;
-      sel = Server.Netfault.Fraction { rate; seed = 7 } } ->
-      approx "rate" 0.25 rate
-  | _ -> Alcotest.fail "0.25@7 parsed wrong");
-  (match ok "stall:0.1" with
-  | { Server.Netfault.kind = Some Server.Netfault.Stall;
-      sel = Server.Netfault.Fraction { rate; seed = 0 } } ->
-      approx "rate" 0.1 rate
-  | _ -> Alcotest.fail "stall:0.1 parsed wrong");
-  ignore (ok "torn:1.0");
-  ignore (ok "corrupt:nth:9");
-  err "nth:-1";
-  err "1.5";
-  err "-0.1";
-  err "bogus:0.5";
-  err "0.5@x";
-  err ""
+  Fault_grammar.(check "net" Server.Netfault.injector net)
 
 let test_cache_fault_grammar () =
-  let ok s =
-    match Runtime.Cache.Disk_fault.of_string s with
-    | Ok p -> p
-    | Error msg -> Alcotest.failf "spec %S rejected: %s" s msg
+  Fault_grammar.(check "cache" Runtime.Cache.faults cache)
+
+(* The first 16 draws of every salt in use, at seed 0 (the grammar's
+   default), computed with the draw each injector had before they
+   shared one: a change to the draw cannot silently move a committed
+   fault schedule. *)
+let pinned_draws =
+  [
+    ( "tran.fault",
+      [| 0x1.de99cf9cf098p-2; 0x1.805d5c41a33cp-1; 0x1.724e48aeb05ap-1;
+         0x1.de3a5add5ef4p-1; 0x1.a03f3b7ff3f4p-2; 0x1.d79b129a38e6p-1;
+         0x1.b1ef8e2a7296p-1; 0x1.063f6da11e68p-2; 0x1.312eb6671d7p-4;
+         0x1.ea07b8a4fff4p-1; 0x1.d981ea452cc4p-2; 0x1.a3c9c8810f36p-1;
+         0x1.2bedb1dd0a08p-1; 0x1.a74ab4936682p-1; 0x1.c1d98717ec18p-2;
+         0x1.64a9c56c6c98p-2 |] );
+    ( "cache.fault",
+      [| 0x1.ddb9a266c68cp-1; 0x1.060a89291dfp-3; 0x1.f59c0f965c48p-3;
+         0x1.6effedd21fdep-1; 0x1.1dc22f0a21aap-1; 0x1.d05b933ede2p-4;
+         0x1.cd2097c8a1ep-1; 0x1.4fce4c4dbb0cp-1; 0x1.8f7c0ae2d29p-1;
+         0x1.261c8b43d14cp-1; 0x1.741368c73decp-1; 0x1.60b72444ed5p-1;
+         0x1.e795e6ae8bbcp-1; 0x1.71505b1e0278p-2; 0x1.2cb719c0afe8p-2;
+         0x1.3d7a9d689678p-2 |] );
+    ( "net.fault",
+      [| 0x1.c2c3e158d868p-1; 0x1.1765d119f886p-1; 0x1.d8272ac55e8p-5;
+         0x1.ddcb69dbd39cp-2; 0x1.70c97857f848p-2; 0x1.01a181be9bcp-6;
+         0x1.edcac8b3a322p-1; 0x1.00e2e28a28fp-4; 0x1.342b574a6bfp-4;
+         0x1.d5ee4c2a7fc8p-3; 0x1.65918e9cb906p-1; 0x1.fa9e4955db52p-1;
+         0x1.a305d1609528p-3; 0x1.4bd73807dd7p-4; 0x1.301526b80d1p-4;
+         0x1.a3edb853c056p-1 |] );
+    ( "runtime.guard",
+      [| 0x1.9c68e3ef2dfap-1; 0x1.5260e24f7e48p-1; 0x1.69a00fdef3a8p-3;
+         0x1.80407f4db008p-2; 0x1.fd6bc5515b7ap-1; 0x1.6fadfc0679a8p-1;
+         0x1.a7387b260304p-1; 0x1.866e5b8be45cp-2; 0x1.8fbf2c250ff8p-1;
+         0x1.a19321186bf4p-2; 0x1.6d706c3808ap-5; 0x1.4e241c1555ap-4;
+         0x1.524009a0f0d2p-1; 0x1.02d4d184f86p-4; 0x1.8789deabe35p-4;
+         0x1.bc52479e2accp-1 |] );
+    ( "client.retry",
+      [| 0x1.8d26d8412914p-2; 0x1.fcabf4d66676p-1; 0x1.81a9577708f2p-1;
+         0x1.c16ffd3ce73p-4; 0x1.8f28e6a85d3ep-1; 0x1.23598ba39706p-1;
+         0x1.6e4c3de32b72p-1; 0x1.740b82ef4b22p-1; 0x1.6798ba51443p-3;
+         0x1.e0eb1b8f6182p-1; 0x1.a0cfd395588cp-1; 0x1.84606a196bb4p-1;
+         0x1.fa0e01aec4p-8; 0x1.fd7111559e8p-2; 0x1.39ef3eb2ce3p-4;
+         0x1.17ebb0ddf9fcp-1 |] );
+  ]
+
+(* Each injector rolls its own salt at its op index: a seed-0 plan at
+   rate 1/2 hits exactly the ops whose pinned draw is below 1/2. *)
+let check_schedule (type k) (inj : k Faultplan.t) pinned =
+  Faultplan.arm inj
+    { kind = None; sel = Faultplan.Fraction { rate = 0.5; seed = 0 } };
+  let hits =
+    Fun.protect
+      ~finally:(fun () -> Faultplan.disarm inj)
+      (fun () -> Array.map (fun _ -> Faultplan.roll inj <> None) pinned)
   in
-  let err s =
-    match Runtime.Cache.Disk_fault.of_string s with
-    | Ok _ -> Alcotest.failf "spec %S accepted" s
-    | Error _ -> ()
-  in
-  (match ok "nth:2" with
-  | Runtime.Cache.Disk_fault.Nth { n = 2 } -> ()
-  | _ -> Alcotest.fail "nth:2 parsed wrong");
-  (match ok "0.5@13" with
-  | Runtime.Cache.Disk_fault.Fraction { rate; seed = 13 } ->
-      approx "rate" 0.5 rate
-  | _ -> Alcotest.fail "0.5@13 parsed wrong");
-  err "nth:x";
-  err "2.0";
-  err ""
+  Alcotest.(check (array bool)) "schedule" (Array.map (fun u -> u < 0.5) pinned)
+    hits
+
+let test_pinned_draws () =
+  List.iter
+    (fun (salt, pinned) ->
+      Array.iteri
+        (fun k u ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%s draw %d" salt k)
+            u
+            (Faultplan.uniform ~salt ~seed:0 k))
+        pinned)
+    pinned_draws;
+  let pinned salt = List.assoc salt pinned_draws in
+  check_schedule Spice.Transient.Fault.injector (pinned "tran.fault");
+  check_schedule Runtime.Cache.faults (pinned "cache.fault");
+  check_schedule Server.Netfault.injector (pinned "net.fault");
+  (* The guard keeps a case when its 48 draw bits are even. *)
+  let g = Runtime.Guard.make ~every:2 () in
+  Array.iteri
+    (fun i u ->
+      Alcotest.(check bool)
+        (Printf.sprintf "guard selects %d" i)
+        (Float.rem (Float.ldexp u 48) 2.0 = 0.0)
+        (Runtime.Guard.selects g i))
+    (pinned "runtime.guard")
 
 (* ------------------------------------------------------------------ *)
 (* Circuit breaker state machine *)
@@ -299,9 +327,10 @@ let test_cache_breaker_under_injected_faults () =
       in
       let wave = Waveform.Wave.create [| 0.0; 1e-12 |] [| 0.0; 1.0 |] in
       (* Every disk op fails while armed. *)
-      Runtime.Cache.Disk_fault.arm
-        (Runtime.Cache.Disk_fault.Fraction { rate = 1.0; seed = 0 });
-      Fun.protect ~finally:Runtime.Cache.Disk_fault.disarm (fun () ->
+      let faults = Runtime.Cache.faults in
+      Faultplan.arm faults
+        { kind = None; sel = Faultplan.Fraction { rate = 1.0; seed = 0 } };
+      Fun.protect ~finally:(fun () -> Faultplan.disarm faults) (fun () ->
           for i = 0 to 7 do
             Runtime.Cache.store cache (Printf.sprintf "key%d" i) [ wave ]
           done;
@@ -329,16 +358,17 @@ let test_cache_breaker_under_injected_faults () =
         (Runtime.Cache.find cache2 "probe" <> None))
 
 let test_disk_fault_determinism () =
-  let plan = Runtime.Cache.Disk_fault.Fraction { rate = 0.5; seed = 3 } in
+  let faults = Runtime.Cache.faults in
   let record () =
-    Runtime.Cache.Disk_fault.arm plan;
-    Fun.protect ~finally:Runtime.Cache.Disk_fault.disarm (fun () ->
+    Faultplan.arm faults
+      { kind = None; sel = Faultplan.Fraction { rate = 0.5; seed = 3 } };
+    Fun.protect ~finally:(fun () -> Faultplan.disarm faults) (fun () ->
         with_tmp_dir (fun dir ->
             let cache = Runtime.Cache.create ~disk_dir:dir () in
             for i = 0 to 19 do
               ignore (Runtime.Cache.find cache (Printf.sprintf "k%d" i))
             done;
-            ( Runtime.Cache.Disk_fault.injected (),
+            ( Faultplan.injected faults,
               Runtime.Cache.read_errors cache )))
   in
   let i1, e1 = record () and i2, e2 = record () in
@@ -356,6 +386,7 @@ let suite =
       case "sweep under net faults stays typed" test_fuzz_under_netfaults;
       case "netfault grammar" test_netfault_grammar;
       case "cache fault grammar" test_cache_fault_grammar;
+      case "fault plan draws pinned" test_pinned_draws;
       case "breaker closed->open->half->closed" test_breaker_cycle;
       test_breaker_properties;
       case "breaker create validation" test_breaker_create_validation;

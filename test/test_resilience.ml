@@ -116,28 +116,29 @@ let test_fault_nth_fires_once () =
     | (_ : Spice.Transient.result) -> false
     | exception Spice.Transient.No_convergence _ -> true
   in
-  let before = Spice.Transient.Fault.injected () in
-  Spice.Transient.Fault.(arm (Nth { n = 1; kind = Diverge }));
-  Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
+  let injected () = (Spice.Transient.Stats.snapshot ()).injected_faults in
+  let before = injected () in
+  arm_tran (Faultplan.Nth { n = 1 });
+  Fun.protect ~finally:disarm_tran (fun () ->
       let hits = List.init 4 (fun _ -> run ()) in
       Alcotest.(check (list bool))
         "exactly solve #1 diverges"
         [ false; true; false; false ]
         hits;
-      Alcotest.(check int) "one injection counted" (before + 1)
-        (Spice.Transient.Fault.injected ()))
+      Alcotest.(check int) "one injection counted" (before + 1) (injected ());
+      Alcotest.(check int) "one injection since arm" 1
+        (Faultplan.injected Spice.Transient.Fault.injector))
 
 let test_fault_fraction_reproducible () =
   let ckt = rc_circuit () in
   let run_seq () =
-    Spice.Transient.Fault.(
-      arm (Fraction { rate = 0.5; seed = 9; kind = Diverge }));
+    arm_tran (Faultplan.Fraction { rate = 0.5; seed = 9 });
     List.init 12 (fun _ ->
         match Spice.Transient.run ~config:rc_config ckt with
         | (_ : Spice.Transient.result) -> false
         | exception Spice.Transient.No_convergence _ -> true)
   in
-  Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
+  Fun.protect ~finally:disarm_tran (fun () ->
       let a = run_seq () in
       let b = run_seq () in
       Alcotest.(check (list bool)) "same seed, same faults" a b;
@@ -145,26 +146,7 @@ let test_fault_fraction_reproducible () =
       check_true "some survived" (List.mem false a))
 
 let test_fault_of_string () =
-  let open Spice.Transient.Fault in
-  (match of_string "nth:3" with
-  | Ok (Nth { n = 3; kind = Diverge }) -> ()
-  | _ -> Alcotest.fail "nth:3");
-  (match of_string "nan:nth:0" with
-  | Ok (Nth { n = 0; kind = Corrupt }) -> ()
-  | _ -> Alcotest.fail "nan:nth:0");
-  (match of_string "0.1@7" with
-  | Ok (Fraction { rate; seed = 7; kind = Diverge }) ->
-      approx ~eps:1e-12 "rate" 0.1 rate
-  | _ -> Alcotest.fail "0.1@7");
-  (match of_string "nan:0.05" with
-  | Ok (Fraction { seed = 0; kind = Corrupt; _ }) -> ()
-  | _ -> Alcotest.fail "nan:0.05 defaults seed 0");
-  List.iter
-    (fun s ->
-      match of_string s with
-      | Ok _ -> Alcotest.failf "%S should not parse" s
-      | Error msg -> check_true "error mentions spec" (String.length msg > 0))
-    [ "bogus"; "nth:-1"; "nth:x"; "2.0"; "-0.1"; "0.1@x" ]
+  Fault_grammar.(check "solver" Spice.Transient.Fault.injector solver)
 
 (* ------------------------------------------------------------------ *)
 (* The ladder                                                          *)
@@ -418,10 +400,9 @@ let test_cache_remove () =
 let test_sweep_recovers_injected_divergence () =
   let scen = Noise.Scenario.with_cases fast_scenario 2 in
   let before = Resilience.Stats.snapshot () in
-  Spice.Transient.Fault.(
-    arm (Fraction { rate = 0.2; seed = 2; kind = Diverge }));
+  arm_tran (Faultplan.Fraction { rate = 0.2; seed = 2 });
   let table =
-    Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
+    Fun.protect ~finally:disarm_tran (fun () ->
         Noise.Eval.run_table ~techniques:sgdp_only scen)
   in
   let d = Resilience.Stats.(diff (snapshot ()) before) in
@@ -435,9 +416,9 @@ let test_sweep_recovers_injected_divergence () =
 
 let test_sweep_rejects_corrupt_waveform () =
   let before = Resilience.Stats.snapshot () in
-  Spice.Transient.Fault.(arm (Nth { n = 0; kind = Corrupt }));
+  arm_tran ~kind:Spice.Transient.Fault.Corrupt (Faultplan.Nth { n = 0 });
   let r =
-    Fun.protect ~finally:Spice.Transient.Fault.disarm (fun () ->
+    Fun.protect ~finally:disarm_tran (fun () ->
         Noise.Injection.noiseless fast_scenario)
   in
   let d = Resilience.Stats.(diff (snapshot ()) before) in

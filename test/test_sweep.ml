@@ -1,6 +1,6 @@
 (* Branch-and-bound alignment search and sparse waveform storage:
    tol=0 byte-identity, within-tol pruning, Sparse round-trip
-   properties, cache format-2 entries as misses, sparse disk layer,
+   properties, cache format-2 and -3 entries as misses, sparse disk layer,
    LRU eviction, checkpoint CRC recovery. *)
 
 open Helpers
@@ -186,41 +186,58 @@ let with_dir tag f =
     ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
     (fun () -> f dir)
 
-(* A format-2 entry is not read: an upgrade migrates it by missing on
-   it (a counted read error), reaping it, and storing the recomputed
-   value as format 3. *)
+(* Entries of older formats are not read: an upgrade migrates each by
+   missing on it (a counted read error), reaping it, and storing the
+   recomputed value as format 4. Both inputs are well-formed in their
+   own layout — format 2 (magic, CRC-32, payload) and format 3 (magic,
+   codec byte, CRC-32, payload) — so only the version retires them. *)
 let test_cache_v2_migration () =
-  with_dir "v2" @@ fun dir ->
-  Unix.mkdir dir 0o755;
   let times = [| 0.0; 1e-12; 2e-12 |] and values = [| 0.0; 0.6; 1.2 |] in
-  let key = Runtime.Cache.Key.make "v2-migration" [ Runtime.Cache.Key.int 1 ] in
-  let path = Filename.concat dir key in
-  (* Hand-build a well-formed format-2 entry: v2 magic, CRC-32,
-     payload — no codec byte. *)
   let payload = Marshal.to_string [ (times, values) ] [] in
-  let b = Bytes.create 4 in
-  Bytes.set_int32_be b 0 (Runtime.Crc32.string payload);
-  let oc = open_out_bin path in
-  output_string oc "noisy_sta.cache.2\n";
-  output_string oc (Bytes.to_string b);
-  output_string oc payload;
-  close_out oc;
-  let c = Runtime.Cache.create ~disk_dir:dir () in
-  check_true "v2 entry is a miss" (Runtime.Cache.find c key = None);
-  Alcotest.(check int) "counted as a read error" 1 (Runtime.Cache.read_errors c);
-  check_true "v2 entry reaped" (not (Sys.file_exists path));
-  Runtime.Cache.store c key [ Waveform.Wave.create times values ];
-  let ic = open_in_bin path in
-  let magic = really_input_string ic (String.length "noisy_sta.cache.3\n") in
-  close_in ic;
-  Alcotest.(check string) "recomputed entry is format 3" "noisy_sta.cache.3\n"
-    magic;
-  match Runtime.Cache.find (Runtime.Cache.create ~disk_dir:dir ()) key with
-  | Some [ w ] ->
-      Alcotest.(check (array (float 0.0))) "times" times (Waveform.Wave.times w);
-      Alcotest.(check (array (float 0.0)))
-        "values" values (Waveform.Wave.values w)
-  | _ -> Alcotest.fail "format-3 entry must decode"
+  let crc =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_be b 0 (Runtime.Crc32.string payload);
+    Bytes.to_string b
+  in
+  let layouts =
+    [
+      ("format 2", "noisy_sta.cache.2\n" ^ crc ^ payload);
+      ("format 3", "noisy_sta.cache.3\n" ^ "\000" ^ crc ^ payload);
+    ]
+  in
+  List.iter
+    (fun (label, bytes) ->
+      with_dir "migrate" @@ fun dir ->
+      Unix.mkdir dir 0o755;
+      let key =
+        Runtime.Cache.Key.make "migration" [ Runtime.Cache.Key.int 1 ]
+      in
+      let path = Filename.concat dir key in
+      let oc = open_out_bin path in
+      output_string oc bytes;
+      close_out oc;
+      let c = Runtime.Cache.create ~disk_dir:dir () in
+      check_true (label ^ " entry is a miss") (Runtime.Cache.find c key = None);
+      Alcotest.(check int)
+        (label ^ ": counted as a read error")
+        1
+        (Runtime.Cache.read_errors c);
+      check_true (label ^ " entry reaped") (not (Sys.file_exists path));
+      Runtime.Cache.store c key [ Waveform.Wave.create times values ];
+      let magic = "noisy_sta.cache.4\n" in
+      let ic = open_in_bin path in
+      let head = really_input_string ic (String.length magic) in
+      close_in ic;
+      Alcotest.(check string) (label ^ ": recomputed entry is format 4") magic
+        head;
+      match Runtime.Cache.find (Runtime.Cache.create ~disk_dir:dir ()) key with
+      | Some [ w ] ->
+          Alcotest.(check (array (float 0.0)))
+            "times" times (Waveform.Wave.times w);
+          Alcotest.(check (array (float 0.0)))
+            "values" values (Waveform.Wave.values w)
+      | _ -> Alcotest.fail "format-4 entry must decode")
+    layouts
 
 let test_cache_sparse_disk_roundtrip () =
   with_dir "sparse" @@ fun dir ->
