@@ -7,16 +7,8 @@
                 (Figure 2a and 2b)
      table1   — accuracy comparison across all techniques (Table 1)
      runtime  — per-technique extraction latency and the SGDP cost vs P
-                sweep (Section 4.2), measured with Bechamel
-     kernel   — solver hot-path A/B on a Config II sweep: dense LU with
-                per-iteration refactorization vs the auto-selected
-                bordered-banded kernel with Jacobian reuse (per-solve
-                wall time, factorization counts, delay drift)
-     batch    — batch-first A/B on the same sweep: the batch API
-                (run_table's pre-solve pass over
-                Transient.run_batch_outcomes, on the pool) vs the
-                one-at-a-time scalar loop (per-solve wall time, batched
-                count, exact-identity drift check)
+                sweep (Section 4.2), measured with Bechamel, plus the
+                fixed-vs-adaptive stepping comparison
      ablation — SGDP design-choice ablations (DESIGN.md)
      nonoverlap — the two-stage-buffer receiver extension (the paper's
                 non-overlapping-transition case)
@@ -78,15 +70,16 @@
                     re-checked against the reference preset
      --guard-every N  guard sampling stride (default 8; 1 = every case)
      --guard-tol-ps X guard delay tolerance in picoseconds (default 1)
-     --solver KIND  linear-kernel selection: dense | banded | auto
-     --no-jac-reuse refactor the Jacobian on every Newton iteration
      --batch N      batch width: group size of table1's pre-solve pass
                     and the pool chunk (default 16; 1 skips the
                     pre-solve pass)
-     --compare FILE regression gate for the kernel and batch sections:
-                    fail when the per-solve time regressed >25% or
-                    delays drifted >0.01 ps against FILE (a previous
-                    --json output) *)
+     --compare FILE regression gate for the sweep section: fail when
+                    the pruned solve count grew >25% or the sparse
+                    ratio fell below 80% of FILE (a previous --json
+                    output)
+
+   Performance is judged by the repository benchmark, bench/ledger
+   (see its README); this program regenerates the paper's results. *)
 
 (* The engine/runtime flags are the shared Runtime.Cli set; the parsed
    spec lands here before any section runs. *)
@@ -275,34 +268,16 @@ let table1 () =
           ])
     [ Noise.Scenario.config_i; Noise.Scenario.config_ii ]
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* --json fragments are Server.Json values: its printer renders a
+   non-finite number (the percentile of an empty sample) as null. *)
+let jint n = Server.Json.Num (float_of_int n)
 
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
-
-let json_obj fields =
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> json_str k ^ ":" ^ v) fields)
-  ^ "}"
-
-let json_list xs = "[" ^ String.concat "," xs ^ "]"
+(* Each section's --json fragment, in run order. *)
+let json_sections : (string * Server.Json.t) list ref = ref []
+let add_json name j = json_sections := !json_sections @ [ (name, j) ]
 
 (* ------------------------------------------------------------------ *)
 (* Runtime comparison (Section 4.2) via Bechamel                       *)
-
-(* JSON fragment from the fixed-vs-adaptive sweep, for --json. *)
-let adaptive_json : string option ref = ref None
 
 let bench_ctx =
   lazy
@@ -444,352 +419,20 @@ let runtime () =
       d_adapt d_par
   in
   Printf.printf "  parallel (2 jobs) identical to sequential: %b\n" deterministic;
-  adaptive_json :=
-    Some
-      (json_obj
-         [
-           ("n_cases", string_of_int n);
-           ("fixed_steps", string_of_int s_fixed.steps);
-           ("adaptive_steps", string_of_int s_adapt.steps);
-           ("adaptive_rejected", string_of_int s_adapt.rejected_steps);
-           ("step_ratio", Printf.sprintf "%.4f" ratio);
-           ("max_delay_delta_ps", Printf.sprintf "%.6f" max_delta);
-           ("avg_delay_delta_ps", Printf.sprintf "%.6f" avg_delta);
-           ("fixed_elapsed_s", Printf.sprintf "%.3f" t_fixed);
-           ("adaptive_elapsed_s", Printf.sprintf "%.3f" t_adapt);
-           ("parallel_deterministic", if deterministic then "true" else "false");
-         ])
-
-(* ------------------------------------------------------------------ *)
-(* Kernel: solver hot-path A/B (dense vs banded + Jacobian reuse)      *)
-
-(* JSON fragment from the kernel comparison, for --json and the
-   regression gate. *)
-let kernel_json : string option ref = ref None
-
-(* Minimal JSON scanning for --compare: pull one numeric scalar or one
-   numeric array out of a baseline file by key, without a JSON parser
-   dependency. Good enough because BENCH_baseline.json is produced by
-   this very program. *)
-let find_sub text pat =
-  let n = String.length text and m = String.length pat in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub text i m = pat then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
-
-let scan_number text key =
-  match find_sub text (Printf.sprintf "\"%s\":" key) with
-  | None -> None
-  | Some pos ->
-      let buf = Buffer.create 24 in
-      let n = String.length text in
-      let rec take i =
-        if i < n then
-          match text.[i] with
-          | ',' | '}' | ']' -> ()
-          | c ->
-              Buffer.add_char buf c;
-              take (i + 1)
-      in
-      take pos;
-      float_of_string_opt (String.trim (Buffer.contents buf))
-
-let scan_array text key =
-  match find_sub text (Printf.sprintf "\"%s\":[" key) with
-  | None -> None
-  | Some pos -> (
-      match String.index_from_opt text pos ']' with
-      | None -> None
-      | Some close ->
-          let body = String.sub text pos (close - pos) in
-          if String.trim body = "" then Some []
-          else
-            String.split_on_char ',' body
-            |> List.map (fun s -> float_of_string_opt (String.trim s))
-            |> List.fold_left
-                 (fun acc x ->
-                   match (acc, x) with
-                   | Some l, Some v -> Some (v :: l)
-                   | _ -> None)
-                 (Some [])
-            |> Option.map List.rev)
-
-let kernel_compare ~opt_per_solve_ms ~delays_ps path =
-  let text =
-    In_channel.with_open_text path In_channel.input_all
-  in
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.printf "  REGRESSION vs %s: %s\n" path msg;
-        exit_code := 1)
-      fmt
-  in
-  (match scan_number text "opt_per_solve_ms" with
-  | None -> fail "baseline has no opt_per_solve_ms"
-  | Some base ->
-      let limit = base *. 1.25 in
-      if opt_per_solve_ms > limit then
-        fail "per-solve %.3f ms exceeds baseline %.3f ms by >25%%"
-          opt_per_solve_ms base
-      else
-        Printf.printf "  per-solve %.3f ms vs baseline %.3f ms: ok\n"
-          opt_per_solve_ms base);
-  match scan_array text "delays_ps" with
-  | None -> fail "baseline has no delays_ps array"
-  | Some base ->
-      if List.length base <> List.length delays_ps then
-        Printf.printf
-          "  (baseline has %d delays, this run %d — skipping drift check; \
-           re-run with matching --cases)\n"
-          (List.length base) (List.length delays_ps)
-      else
-        let drift =
-          List.fold_left2
-            (fun acc a b -> Float.max acc (abs_float (a -. b)))
-            0.0 base delays_ps
-        in
-        if drift > 0.01 then
-          fail "delay drift %.4f ps vs baseline exceeds 0.01 ps" drift
-        else Printf.printf "  delay drift %.4f ps vs baseline: ok\n" drift
-
-let kernel () =
-  header "Kernel: solver hot path (dense vs banded + Jacobian reuse)";
-  let n = Int.min !cases 20 in
-  let scen = Noise.Scenario.with_cases Noise.Scenario.config_ii n in
-  (* Fresh engines with neither pool nor cache so elapsed time and the
-     Stats counters measure real solver work. Both sides share the
-     CLI preset's step control; only the linear kernel and reuse
-     policy differ. *)
-  let base =
-    let s = cli_spec () in
-    let e = Runtime.Engine.of_name s.Runtime.Cli.engine_name in
-    match s.Runtime.Cli.ltetol with
-    | Some tol ->
-        Runtime.Engine.map_solver e (fun c ->
-            Spice.Transient.with_adaptive ~lte_tol:tol c)
-    | None -> e
-  in
-  let dense_engine =
-    Runtime.Engine.with_jac_reuse
-      (Runtime.Engine.with_solver_kind base Spice.Transient.Dense)
-      false
-  in
-  let opt_engine =
-    Runtime.Engine.with_jac_reuse
-      (Runtime.Engine.with_solver_kind base Spice.Transient.Auto)
-      true
-  in
-  let sweep engine =
-    let before = Spice.Transient.Stats.snapshot () in
-    let t0 = Unix.gettimeofday () in
-    let table =
-      Noise.Eval.run_table ~techniques:[ Eqwave.Sgdp.sgdp ] ~engine scen
-    in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    let d = Spice.Transient.Stats.(diff (snapshot ()) before) in
-    ( List.map
-        (fun c -> c.Noise.Eval.delay_ref *. 1e12)
-        table.Noise.Eval.cases,
-      d,
-      elapsed )
-  in
-  let d_dense, s_dense, t_dense = sweep dense_engine in
-  let d_opt, s_opt, t_opt = sweep opt_engine in
-  let open Spice.Transient.Stats in
-  let per_solve_ms elapsed (s : snapshot) =
-    if s.sims = 0 then 0.0 else elapsed *. 1e3 /. float_of_int s.sims
-  in
-  let dense_ms = per_solve_ms t_dense s_dense in
-  let opt_ms = per_solve_ms t_opt s_opt in
-  let speedup = if opt_ms > 0.0 then dense_ms /. opt_ms else 0.0 in
-  let drift_ps =
-    List.fold_left2
-      (fun acc a b -> Float.max acc (abs_float (a -. b)))
-      0.0 d_dense d_opt
-  in
-  Printf.printf
-    "  %d-case Config II sweep, %d sims per side\n\
-    \  dense, no reuse   %8.3f ms/solve  (%d factorizations / %d iters)\n\
-    \  auto + reuse      %8.3f ms/solve  (%d factorizations / %d iters, \
-     %d reused, %d banded sims)\n\
-    \  speedup %.2fx; max delay drift %.4f ps\n"
-    n s_dense.sims dense_ms s_dense.factorizations s_dense.newton_iters
-    opt_ms s_opt.factorizations s_opt.newton_iters s_opt.jac_reuses
-    s_opt.banded_solves speedup drift_ps;
-  kernel_json :=
-    Some
-      (json_obj
-         [
-           ("n_cases", string_of_int n);
-           ("sims", string_of_int s_opt.sims);
-           ("dense_per_solve_ms", Printf.sprintf "%.6f" dense_ms);
-           ("opt_per_solve_ms", Printf.sprintf "%.6f" opt_ms);
-           ("speedup", Printf.sprintf "%.4f" speedup);
-           ("dense_factorizations", string_of_int s_dense.factorizations);
-           ("dense_newton_iters", string_of_int s_dense.newton_iters);
-           ("opt_factorizations", string_of_int s_opt.factorizations);
-           ("opt_newton_iters", string_of_int s_opt.newton_iters);
-           ("jac_reuses", string_of_int s_opt.jac_reuses);
-           ("banded_solves", string_of_int s_opt.banded_solves);
-           ("max_delay_delta_ps", Printf.sprintf "%.6f" drift_ps);
-           ( "delays_ps",
-             json_list (List.map (Printf.sprintf "%.6f") d_opt) );
-         ]);
-  match !compare_file with
-  | Some path -> kernel_compare ~opt_per_solve_ms:opt_ms ~delays_ps:d_opt path
-  | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Batch: the batch-first API vs the one-at-a-time scalar loop         *)
-
-(* JSON fragment from the batch-vs-scalar comparison, for --json and
-   the regression gate. *)
-let batch_json : string option ref = ref None
-
-let batch_compare ~batch_per_solve_ms ~delays_ps path =
-  let text = In_channel.with_open_text path In_channel.input_all in
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.printf "  REGRESSION vs %s: %s\n" path msg;
-        exit_code := 1)
-      fmt
-  in
-  (match scan_number text "batch_per_solve_ms" with
-  | None -> fail "baseline has no batch_per_solve_ms"
-  | Some base ->
-      let limit = base *. 1.25 in
-      if batch_per_solve_ms > limit then
-        fail "batch per-solve %.3f ms exceeds baseline %.3f ms by >25%%"
-          batch_per_solve_ms base
-      else
-        Printf.printf "  batch per-solve %.3f ms vs baseline %.3f ms: ok\n"
-          batch_per_solve_ms base);
-  match scan_array text "delays_ps" with
-  | None -> fail "baseline has no delays_ps array"
-  | Some base ->
-      if List.length base <> List.length delays_ps then
-        Printf.printf
-          "  (baseline has %d delays, this run %d — skipping drift check; \
-           re-run with matching --cases)\n"
-          (List.length base) (List.length delays_ps)
-      else
-        let drift =
-          List.fold_left2
-            (fun acc a b -> Float.max acc (abs_float (a -. b)))
-            0.0 base delays_ps
-        in
-        if drift > 0.01 then
-          fail "delay drift %.4f ps vs baseline exceeds 0.01 ps" drift
-        else Printf.printf "  delay drift %.4f ps vs baseline: ok\n" drift
-
-let batch_stage () =
-  header "Batch: batch-first API vs one-at-a-time scalar loop";
-  let n = Int.min !cases 20 in
-  let scen = Noise.Scenario.with_cases Noise.Scenario.config_ii n in
-  let s = cli_spec () in
-  (* Scalar side: the CLI preset exactly as the kernel section's
-     optimized engine runs it — sequential, uncached, one case at a
-     time. This is the BENCH_baseline.json configuration. *)
-  let scalar_engine =
-    let e = Runtime.Engine.of_name s.Runtime.Cli.engine_name in
-    match s.Runtime.Cli.ltetol with
-    | Some tol ->
-        Runtime.Engine.map_solver e (fun c ->
-            Spice.Transient.with_adaptive ~lte_tol:tol c)
-    | None -> e
-  in
-  (* Batch side: the same solver config behind the batch-first surface
-     — a batch width sized so the pre-solve groups fill the pool, a
-     fresh in-memory cache for them to publish into, and worker domains
-     for the fan-out. *)
-  let jobs =
-    if s.Runtime.Cli.jobs > 1 then s.Runtime.Cli.jobs
-    else Domain.recommended_domain_count ()
-  in
-  let bpool = if jobs > 1 then Some (Runtime.Pool.create ~jobs ()) else None in
-  let width =
-    match s.Runtime.Cli.batch with
-    | Some b -> b
-    | None -> Int.max 1 ((n + jobs - 1) / jobs)
-  in
-  let batch_engine =
-    let e = Runtime.Engine.with_batch scalar_engine width in
-    let e =
-      match bpool with Some p -> Runtime.Engine.with_pool e p | None -> e
-    in
-    Runtime.Engine.with_cache e (Runtime.Cache.create ())
-  in
-  let sweep engine =
-    let before = Spice.Transient.Stats.snapshot () in
-    let t0 = Unix.gettimeofday () in
-    let table =
-      Noise.Eval.run_table ~techniques:[ Eqwave.Sgdp.sgdp ] ~engine scen
-    in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    let d = Spice.Transient.Stats.(diff (snapshot ()) before) in
-    ( List.map
-        (fun c -> c.Noise.Eval.delay_ref *. 1e12)
-        table.Noise.Eval.cases,
-      d,
-      elapsed )
-  in
-  let d_scalar, s_scalar, t_scalar = sweep scalar_engine in
-  let d_batch, s_batch, t_batch = sweep batch_engine in
-  Option.iter Runtime.Pool.shutdown bpool;
-  let open Spice.Transient.Stats in
-  let per_solve_ms elapsed (st : snapshot) =
-    if st.sims = 0 then 0.0 else elapsed *. 1e3 /. float_of_int st.sims
-  in
-  let scalar_ms = per_solve_ms t_scalar s_scalar in
-  let batch_ms = per_solve_ms t_batch s_batch in
-  let speedup = if batch_ms > 0.0 then scalar_ms /. batch_ms else 0.0 in
-  let drift_ps =
-    List.fold_left2
-      (fun acc a b -> Float.max acc (abs_float (a -. b)))
-      0.0 d_scalar d_batch
-  in
-  Printf.printf
-    "  %d-case Config II sweep\n\
-    \  scalar loop       %8.3f ms/solve  (%d sims, jobs 1)\n\
-    \  batch-first       %8.3f ms/solve  (%d sims, jobs %d, width %d, \
-     %d batched)\n\
-    \  speedup %.2fx; max delay drift %.4f ps\n"
-    n scalar_ms s_scalar.sims batch_ms s_batch.sims jobs width
-    s_batch.batched_solves speedup drift_ps;
-  if s_batch.batched_solves = 0 then begin
-    Printf.printf "  FAIL: batch path never selected for the sweep\n";
-    exit_code := 1
-  end;
-  if drift_ps <> 0.0 then begin
-    Printf.printf
-      "  FAIL: batch API must be byte-identical to the scalar loop\n";
-    exit_code := 1
-  end;
-  batch_json :=
-    Some
-      (json_obj
-         [
-           ("n_cases", string_of_int n);
-           ("jobs", string_of_int jobs);
-           ("width", string_of_int width);
-           ("scalar_sims", string_of_int s_scalar.sims);
-           ("batch_sims", string_of_int s_batch.sims);
-           ("scalar_per_solve_ms", Printf.sprintf "%.6f" scalar_ms);
-           ("batch_per_solve_ms", Printf.sprintf "%.6f" batch_ms);
-           ("speedup", Printf.sprintf "%.4f" speedup);
-           ("batched_solves", string_of_int s_batch.batched_solves);
-           ("max_delay_delta_ps", Printf.sprintf "%.6f" drift_ps);
-           ( "delays_ps",
-             json_list (List.map (Printf.sprintf "%.6f") d_batch) );
-         ]);
-  match !compare_file with
-  | Some path -> batch_compare ~batch_per_solve_ms:batch_ms ~delays_ps:d_batch path
-  | None -> ()
+  add_json "adaptive"
+    Server.Json.(Obj
+       [
+         ("n_cases", jint n);
+         ("fixed_steps", jint s_fixed.steps);
+         ("adaptive_steps", jint s_adapt.steps);
+         ("adaptive_rejected", jint s_adapt.rejected_steps);
+         ("step_ratio", Num ratio);
+         ("max_delay_delta_ps", Num max_delta);
+         ("avg_delay_delta_ps", Num avg_delta);
+         ("fixed_elapsed_s", Num t_fixed);
+         ("adaptive_elapsed_s", Num t_adapt);
+         ("parallel_deterministic", Bool deterministic);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
@@ -859,12 +502,8 @@ let worstcase () =
 (* ------------------------------------------------------------------ *)
 (* Sweep: branch-and-bound alignment pruning + sparse waveform storage *)
 
-(* JSON fragment from the sweep section, for --json and the
-   regression gate. *)
-let sweep_json : string option ref = ref None
-
+(* Compare against the "sweep" object of a previous --json output. *)
 let sweep_compare ~pruned_solves ~sparse_ratio path =
-  let text = In_channel.with_open_text path In_channel.input_all in
   let fail fmt =
     Printf.ksprintf
       (fun msg ->
@@ -872,25 +511,35 @@ let sweep_compare ~pruned_solves ~sparse_ratio path =
         exit_code := 1)
       fmt
   in
-  (match scan_number text "pruned_solves" with
-  | None -> fail "baseline has no pruned_solves"
-  | Some base ->
-      let limit = int_of_float (Float.round (base *. 1.25)) in
-      if pruned_solves > limit then
-        fail "pruned sweep took %d solves, baseline %.0f (>25%% more)"
-          pruned_solves base
-      else
-        Printf.printf "  pruned solves %d vs baseline %.0f: ok\n"
-          pruned_solves base);
-  match scan_number text "sparse_ratio" with
-  | None -> fail "baseline has no sparse_ratio"
-  | Some base ->
-      if sparse_ratio < base *. 0.8 then
-        fail "sparse compression %.2fx fell below 80%% of baseline %.2fx"
-          sparse_ratio base
-      else
-        Printf.printf "  sparse ratio %.2fx vs baseline %.2fx: ok\n"
-          sparse_ratio base
+  match
+    Server.Json.parse (In_channel.with_open_text path In_channel.input_all)
+  with
+  | Error msg -> fail "unparseable baseline: %s" msg
+  | Ok doc -> (
+      let baseline key =
+        Option.bind
+          (Option.bind (Server.Json.member "sweep" doc) (Server.Json.member key))
+          Server.Json.to_float
+      in
+      (match baseline "pruned_solves" with
+      | None -> fail "baseline has no sweep.pruned_solves"
+      | Some base ->
+          let limit = int_of_float (Float.round (base *. 1.25)) in
+          if pruned_solves > limit then
+            fail "pruned sweep took %d solves, baseline %.0f (>25%% more)"
+              pruned_solves base
+          else
+            Printf.printf "  pruned solves %d vs baseline %.0f: ok\n"
+              pruned_solves base);
+      match baseline "sparse_ratio" with
+      | None -> fail "baseline has no sweep.sparse_ratio"
+      | Some base ->
+          if sparse_ratio < base *. 0.8 then
+            fail "sparse compression %.2fx fell below 80%% of baseline %.2fx"
+              sparse_ratio base
+          else
+            Printf.printf "  sparse ratio %.2fx vs baseline %.2fx: ok\n"
+              sparse_ratio base)
 
 let sweep_stage () =
   header "Sweep: branch-and-bound alignment search + sparse storage";
@@ -901,26 +550,16 @@ let sweep_stage () =
     if s.Runtime.Cli.prune_tol_ps > 0.0 then s.Runtime.Cli.prune_tol_ps
     else 2.0
   in
-  (* Each side gets the shared solver config and pool but a fresh
+  (* Each side gets the CLI engine and the shared pool but a fresh
      in-memory cache, so the second sweep cannot ride on the first
      one's published waveforms and the solve counts are honest. *)
   let mk_engine () =
-    let e = Runtime.Engine.of_name s.Runtime.Cli.engine_name in
     let e =
-      match s.Runtime.Cli.ltetol with
-      | Some tol ->
-          Runtime.Engine.map_solver e (fun c ->
-              Spice.Transient.with_adaptive ~lte_tol:tol c)
-      | None -> e
+      Runtime.Cli.engine_of_spec { s with jobs = 1; use_cache = false }
     in
     let e =
       match Lazy.force pool with
       | Some p -> Runtime.Engine.with_pool e p
-      | None -> e
-    in
-    let e =
-      match s.Runtime.Cli.batch with
-      | Some b -> Runtime.Engine.with_batch e b
       | None -> e
     in
     Runtime.Engine.with_cache e (Runtime.Cache.create ())
@@ -1052,33 +691,32 @@ let sweep_stage () =
       sparse_max_err Waveform.Sparse.default_eps;
     exit_code := 1
   end;
-  sweep_json :=
-    Some
-      (json_obj
-         [
-           ("n_cases", string_of_int n);
-           ("prune_tol_ps", Printf.sprintf "%.3f" tol);
-           ("exhaustive_solves", string_of_int solves_ex);
-           ("pruned_solves", string_of_int solves_pr);
-           ("pruned", string_of_int
-              pr.Noise.Alignment.stats.Noise.Alignment.pruned);
-           ("rounds", string_of_int
-              pr.Noise.Alignment.stats.Noise.Alignment.rounds);
-           ("solve_ratio", Printf.sprintf "%.4f" solve_ratio);
-           ("exhaustive_elapsed_s", Printf.sprintf "%.3f" t_ex);
-           ("pruned_elapsed_s", Printf.sprintf "%.3f" t_pr);
-           ( "best_tau_ps",
-             Printf.sprintf "%.6f" (pr.Noise.Alignment.best_tau *. 1e12) );
-           ( "best_delay_ps",
-             Printf.sprintf "%.6f" (pr.Noise.Alignment.best_delay *. 1e12) );
-           ("drift_ps", Printf.sprintf "%.6f" drift_ps);
-           ("guard_disagreements", string_of_int !guard_disagreements);
-           ("guard_drift_ps", Printf.sprintf "%.6f" guard_drift_ps);
-           ("bytes_dense", string_of_int bytes_dense);
-           ("bytes_sparse", string_of_int bytes_sparse);
-           ("sparse_ratio", Printf.sprintf "%.4f" sparse_ratio);
-           ("sparse_max_err_v", Printf.sprintf "%.6e" sparse_max_err);
-         ]);
+  add_json "sweep"
+    Server.Json.(Obj
+       [
+         ("n_cases", jint n);
+         ("prune_tol_ps", Num tol);
+         ("exhaustive_solves", jint solves_ex);
+         ("pruned_solves", jint solves_pr);
+         ("pruned", jint
+            pr.Noise.Alignment.stats.Noise.Alignment.pruned);
+         ("rounds", jint
+            pr.Noise.Alignment.stats.Noise.Alignment.rounds);
+         ("solve_ratio", Num solve_ratio);
+         ("exhaustive_elapsed_s", Num t_ex);
+         ("pruned_elapsed_s", Num t_pr);
+         ( "best_tau_ps",
+           Num (pr.Noise.Alignment.best_tau *. 1e12) );
+         ( "best_delay_ps",
+           Num (pr.Noise.Alignment.best_delay *. 1e12) );
+         ("drift_ps", Num drift_ps);
+         ("guard_disagreements", jint !guard_disagreements);
+         ("guard_drift_ps", Num guard_drift_ps);
+         ("bytes_dense", jint bytes_dense);
+         ("bytes_sparse", jint bytes_sparse);
+         ("sparse_ratio", Num sparse_ratio);
+         ("sparse_max_err_v", Num sparse_max_err);
+       ]);
   match !compare_file with
   | Some path ->
       sweep_compare ~pruned_solves:solves_pr ~sparse_ratio path
@@ -1175,7 +813,6 @@ let serve_clients = ref 1000
 let serve_reqs = ref 4
 let serve_connect : string option ref = ref None
 let serve_queue_depth = ref 64
-let serve_json : string option ref = ref None
 
 let serve_parse_connect s =
   match String.rindex_opt s ':' with
@@ -1441,36 +1078,35 @@ let serve_stage () =
     health_ok_before health_draining;
   if !mismatches > 0 || transport > 0 then exit_code := 1;
   if not (health_ok_before && health_draining) then exit_code := 1;
-  serve_json :=
-    Some
-      (json_obj
-         [
-           ("clients", string_of_int n_clients);
-           ("requests_per_client", string_of_int n_reqs);
-           ("distinct_cases", string_of_int n_distinct);
-           ("completed", string_of_int completed);
-           ("duration_s", Printf.sprintf "%.6f" duration_s);
-           ("requests_per_sec", Printf.sprintf "%.3f" rps);
-           ("p50_ms", Printf.sprintf "%.4f" p50);
-           ("p95_ms", Printf.sprintf "%.4f" p95);
-           ("p99_ms", Printf.sprintf "%.4f" p99);
-           ("shed", string_of_int shed_total);
-           ("shed_overloaded", string_of_int !shed);
-           ("shed_queue_timeout", string_of_int !queue_timeouts);
-           ("shed_rate", Printf.sprintf "%.6f" shed_rate);
-           ("ok_byte_identical", string_of_int !ok_identical);
-           ("mismatches", string_of_int !mismatches);
-           ("transport_errors", string_of_int transport);
-           ("protocol_errors", string_of_int protocol_errors);
-           ( "byte_identical",
-             if !mismatches = 0 then "true" else "false" );
-           ("cache_hit_rate", Printf.sprintf "%.6f" cache_hit_rate);
-           ("server_accepted", string_of_int (counter "server.accepted"));
-           ("server_shed", string_of_int (counter "server.shed"));
-           ("server_batches", string_of_int (counter "server.batches"));
-           ("health_ok_before", if health_ok_before then "true" else "false");
-           ("health_draining", if health_draining then "true" else "false");
-         ])
+  add_json "serve"
+    Server.Json.(Obj
+       [
+         ("clients", jint n_clients);
+         ("requests_per_client", jint n_reqs);
+         ("distinct_cases", jint n_distinct);
+         ("completed", jint completed);
+         ("duration_s", Num duration_s);
+         ("requests_per_sec", Num rps);
+         ("p50_ms", Num p50);
+         ("p95_ms", Num p95);
+         ("p99_ms", Num p99);
+         ("shed", jint shed_total);
+         ("shed_overloaded", jint !shed);
+         ("shed_queue_timeout", jint !queue_timeouts);
+         ("shed_rate", Num shed_rate);
+         ("ok_byte_identical", jint !ok_identical);
+         ("mismatches", jint !mismatches);
+         ("transport_errors", jint transport);
+         ("protocol_errors", jint protocol_errors);
+         ( "byte_identical",
+           Bool (!mismatches = 0) );
+         ("cache_hit_rate", Num cache_hit_rate);
+         ("server_accepted", jint (counter "server.accepted"));
+         ("server_shed", jint (counter "server.shed"));
+         ("server_batches", jint (counter "server.batches"));
+         ("health_ok_before", Bool health_ok_before);
+         ("health_draining", Bool health_draining);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* chaos — availability under injected faults.
@@ -1498,7 +1134,6 @@ let serve_stage () =
 let chaos_misbehave = ref 0.25
 let chaos_net : Server.Netfault.kind Faultplan.plan option ref = ref None
 let chaos_fuzz = ref 100_000
-let chaos_json : string option ref = ref None
 
 let chaos_stage () =
   header "service-boundary chaos";
@@ -1842,54 +1477,53 @@ let chaos_stage () =
     fuzz_escapes
     (if passed then "PASS" else "FAIL");
   if not passed then exit_code := 1;
-  chaos_json :=
-    Some
-      (json_obj
-         [
-           ("clients", string_of_int n_total);
-           ("misbehaving", string_of_int n_bad);
-           ("requests_per_client", string_of_int n_reqs);
-           ("max_conns", string_of_int max_conns);
-           ("duration_s", Printf.sprintf "%.6f" duration_s);
-           ("wb_total", string_of_int wb_total);
-           ("wb_byte_identical", string_of_int served_n);
-           ("wb_retried_typed", string_of_int typed_n);
-           ("wb_retried_corrupt", string_of_int corrupt_n);
-           ("wb_unserved", string_of_int unserved_n);
-           ("availability", Printf.sprintf "%.6f" availability);
-           ("p50_ms", Printf.sprintf "%.4f" p50);
-           ("p95_ms", Printf.sprintf "%.4f" p95);
-           ("p99_ms", Printf.sprintf "%.4f" p99);
-           ("conn_opened", string_of_int conn_opened);
-           ("conn_closed", string_of_int conn_closed);
-           ("conn_shed", string_of_int conn_shed);
-           ("conn_idle_timeouts", string_of_int idle_timeouts);
-           ("conn_read_timeouts", string_of_int read_timeouts);
-           ("conn_errors", string_of_int conn_errors);
-           ("queue_shed", string_of_int queue_shed);
-           ("conns_drained", if drained then "true" else "false");
-           ("net_faults_injected", string_of_int net_injected);
-           ("cache_faults_injected", string_of_int cache_injected);
-           ("breaker_opens", string_of_int breaker_opens);
-           ("breaker_recloses", string_of_int breaker_recloses);
-           ("breaker_short_circuits", string_of_int short_circuits);
-           ("breaker_reclosed", if breaker_reclosed then "true" else "false");
-           ("memory_served_while_open", if memory_serves then "true" else "false");
-           ("disk_resumed", if disk_resumed then "true" else "false");
-           ( "health_degraded_while_open",
-             if health_degraded_while_open then "true" else "false" );
-           ( "health_ok_after_reclose",
-             if health_ok_after_reclose then "true" else "false" );
-           ("recovery_ok", if recovery_ok then "true" else "false");
-           ("fuzz_inputs", string_of_int fz.Server.Fuzz.inputs);
-           ("fuzz_parsed", string_of_int fz.Server.Fuzz.parsed);
-           ("fuzz_bad_requests", string_of_int fz.Server.Fuzz.bad_requests);
-           ( "fuzz_version_mismatches",
-             string_of_int fz.Server.Fuzz.version_mismatches );
-           ("fuzz_frame_trips", string_of_int fz.Server.Fuzz.frame_trips);
-           ("fuzz_escapes", string_of_int fuzz_escapes);
-           ("passed", if passed then "true" else "false");
-         ])
+  add_json "chaos"
+    Server.Json.(Obj
+       [
+         ("clients", jint n_total);
+         ("misbehaving", jint n_bad);
+         ("requests_per_client", jint n_reqs);
+         ("max_conns", jint max_conns);
+         ("duration_s", Num duration_s);
+         ("wb_total", jint wb_total);
+         ("wb_byte_identical", jint served_n);
+         ("wb_retried_typed", jint typed_n);
+         ("wb_retried_corrupt", jint corrupt_n);
+         ("wb_unserved", jint unserved_n);
+         ("availability", Num availability);
+         ("p50_ms", Num p50);
+         ("p95_ms", Num p95);
+         ("p99_ms", Num p99);
+         ("conn_opened", jint conn_opened);
+         ("conn_closed", jint conn_closed);
+         ("conn_shed", jint conn_shed);
+         ("conn_idle_timeouts", jint idle_timeouts);
+         ("conn_read_timeouts", jint read_timeouts);
+         ("conn_errors", jint conn_errors);
+         ("queue_shed", jint queue_shed);
+         ("conns_drained", Bool drained);
+         ("net_faults_injected", jint net_injected);
+         ("cache_faults_injected", jint cache_injected);
+         ("breaker_opens", jint breaker_opens);
+         ("breaker_recloses", jint breaker_recloses);
+         ("breaker_short_circuits", jint short_circuits);
+         ("breaker_reclosed", Bool breaker_reclosed);
+         ("memory_served_while_open", Bool memory_serves);
+         ("disk_resumed", Bool disk_resumed);
+         ( "health_degraded_while_open",
+           Bool health_degraded_while_open );
+         ( "health_ok_after_reclose",
+           Bool health_ok_after_reclose );
+         ("recovery_ok", Bool recovery_ok);
+         ("fuzz_inputs", jint fz.Server.Fuzz.inputs);
+         ("fuzz_parsed", jint fz.Server.Fuzz.parsed);
+         ("fuzz_bad_requests", jint fz.Server.Fuzz.bad_requests);
+         ( "fuzz_version_mismatches",
+           jint fz.Server.Fuzz.version_mismatches );
+         ("fuzz_frame_trips", jint fz.Server.Fuzz.frame_trips);
+         ("fuzz_escapes", jint fuzz_escapes);
+         ("passed", Bool passed);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* crash — crash-safety drill against a real supervised daemon.
@@ -1917,7 +1551,6 @@ let crash_reqs = ref 8
 let crash_kills = ref 2
 let crash_seed = ref 42
 let crash_recovery_budget = ref 30.0
-let crash_json : string option ref = ref None
 
 (* Seeded roll in [0,1) — same digest trick as the client's retry
    jitter, so the kill schedule is reproducible from --kill-seed. *)
@@ -1982,10 +1615,9 @@ let crash_stage () =
   if not (Sys.file_exists exe) then begin
     Printf.printf "crash: sta_serve binary not found at %s — FAIL\n%!" exe;
     exit_code := 1;
-    crash_json :=
-      Some
-        (json_obj
-           [ ("passed", "false"); ("error", json_str "sta_serve not found") ])
+    add_json "crash"
+      Server.Json.(Obj
+         [ ("passed", Bool false); ("error", Str "sta_serve not found") ])
   end
   else begin
     let argv =
@@ -2257,36 +1889,33 @@ let crash_stage () =
       journal_pending_after
       (if passed then "PASS" else "FAIL");
     if not passed then exit_code := 1;
-    crash_json :=
-      Some
-        (json_obj
-           [
-             ("clients", string_of_int n_clients);
-             ("requests_per_client", string_of_int n_reqs);
-             ("distinct_cases", string_of_int n_distinct);
-             ("duration_s", Printf.sprintf "%.6f" duration_s);
-             ("startup_s", Printf.sprintf "%.6f" startup_s);
-             ("kills", string_of_int !kills_done);
-             ("kills_requested", string_of_int n_kills);
-             ("kill_seed", string_of_int !crash_seed);
-             ("acked", string_of_int !acked_total);
-             ("unserved", string_of_int unserved_n);
-             ("acked_byte_identical", string_of_int !acked_identical);
-             ("resend_identical", string_of_int !resend_identical);
-             ("acked_lost", string_of_int acked_lost);
-             ( "recovery_s",
-               json_list
-                 (List.map (Printf.sprintf "%.6f") recovery_times) );
-             ("recovery_budget_s", Printf.sprintf "%.3f" budget);
-             ("server_restarts", string_of_int restarts_metric);
-             ("server_replayed", string_of_int replayed);
-             ("journal_deduped", string_of_int deduped);
-             ("journal_pending_live", string_of_int journal_pending_live);
-             ( "journal_pending_after_drain",
-               string_of_int journal_pending_after );
-             ("clean_exit", if clean_exit then "true" else "false");
-             ("passed", if passed then "true" else "false");
-           ]);
+    add_json "crash"
+      Server.Json.(Obj
+         [
+           ("clients", jint n_clients);
+           ("requests_per_client", jint n_reqs);
+           ("distinct_cases", jint n_distinct);
+           ("duration_s", Num duration_s);
+           ("startup_s", Num startup_s);
+           ("kills", jint !kills_done);
+           ("kills_requested", jint n_kills);
+           ("kill_seed", jint !crash_seed);
+           ("acked", jint !acked_total);
+           ("unserved", jint unserved_n);
+           ("acked_byte_identical", jint !acked_identical);
+           ("resend_identical", jint !resend_identical);
+           ("acked_lost", jint acked_lost);
+           ("recovery_s", Arr (List.map (fun x -> Num x) recovery_times));
+           ("recovery_budget_s", Num budget);
+           ("server_restarts", jint restarts_metric);
+           ("server_replayed", jint replayed);
+           ("journal_deduped", jint deduped);
+           ("journal_pending_live", jint journal_pending_live);
+           ( "journal_pending_after_drain",
+             jint journal_pending_after );
+           ("clean_exit", Bool clean_exit);
+           ("passed", Bool passed);
+         ]);
     (* Best-effort scratch cleanup. *)
     List.iter
       (fun p -> try Sys.remove p with Sys_error _ -> ())
@@ -2306,14 +1935,15 @@ let crash_stage () =
 (* Machine-readable output (--json)                                    *)
 
 let json_row (r : Noise.Eval.row) =
-  json_obj
-    [
-      ("name", json_str r.Noise.Eval.name);
-      ("max_abs_ps", Printf.sprintf "%.6f" r.Noise.Eval.max_abs_ps);
-      ("avg_abs_ps", Printf.sprintf "%.6f" r.Noise.Eval.avg_abs_ps);
-      ("n_cases", string_of_int r.Noise.Eval.n_cases);
-      ("n_failed", string_of_int r.Noise.Eval.n_failed);
-    ]
+  Server.Json.(
+    Obj
+      [
+        ("name", Str r.Noise.Eval.name);
+        ("max_abs_ps", Num r.Noise.Eval.max_abs_ps);
+        ("avg_abs_ps", Num r.Noise.Eval.avg_abs_ps);
+        ("n_cases", jint r.Noise.Eval.n_cases);
+        ("n_failed", jint r.Noise.Eval.n_failed);
+      ])
 
 (* Resilience counters since program start, for the always-present
    `resilience` JSON section and the end-of-run summary line. *)
@@ -2344,26 +1974,23 @@ let degradation_json () =
     !table1_results;
   let total = !mapped + !exhausted + !unmapped in
   let sd = Spice.Transient.Stats.(diff (snapshot ()) !spice_before) in
-  json_obj
+  Server.Json.(Obj
     [
-      ( "ladder",
-        json_list (List.map json_str (Eqwave.Ladder.names l)) );
-      ( "rung_counts",
-        json_list
-          (Array.to_list (Array.map string_of_int rung_counts)) );
-      ("exhausted", string_of_int !exhausted);
-      ("unmapped", string_of_int !unmapped);
-      ("deadline_hits", string_of_int sd.Spice.Transient.Stats.deadline_hits);
+      ("ladder", Arr (List.map (fun n -> Str n) (Eqwave.Ladder.names l)));
+      ("rung_counts", Arr (Array.to_list (Array.map jint rung_counts)));
+      ("exhausted", jint !exhausted);
+      ("unmapped", jint !unmapped);
+      ("deadline_hits", jint sd.Spice.Transient.Stats.deadline_hits);
       ( "avg_score_v",
-        Printf.sprintf "%.6g"
-          (if !mapped = 0 then 0.0 else !score_sum /. float_of_int !mapped) );
+        Num (if !mapped = 0 then 0.0 else !score_sum /. float_of_int !mapped)
+      );
       ( "resolved_rung0_rate",
-        Printf.sprintf "%.4f"
+        Num
           (if total = 0 then 1.0
            else
              float_of_int (if Array.length rung_counts > 0 then rung_counts.(0) else 0)
              /. float_of_int total) );
-    ]
+    ])
 
 let guard_json () =
   let d = Runtime.Guard.Stats.(diff (snapshot ()) !guard_before) in
@@ -2372,18 +1999,18 @@ let guard_json () =
     if d.checked = 0 then 1.0
     else float_of_int d.agreements /. float_of_int d.checked
   in
-  json_obj
+  Server.Json.(Obj
     [
-      ("enabled", if (cli_spec ()).Runtime.Cli.guard then "true" else "false");
-      ("every", string_of_int (cli_spec ()).Runtime.Cli.guard_every);
-      ("tol_ps", Printf.sprintf "%.4f" (cli_spec ()).Runtime.Cli.guard_tol_ps);
-      ("checked", string_of_int d.checked);
-      ("agreements", string_of_int d.agreements);
-      ("disagreements", string_of_int d.disagreements);
-      ("errors", string_of_int d.errors);
-      ("agreement_rate", Printf.sprintf "%.4f" rate);
-      ("max_delta_ps", Printf.sprintf "%.6f" (d.max_delta_s *. 1e12));
-    ]
+      ("enabled", Bool (cli_spec ()).Runtime.Cli.guard);
+      ("every", jint (cli_spec ()).Runtime.Cli.guard_every);
+      ("tol_ps", Num (cli_spec ()).Runtime.Cli.guard_tol_ps);
+      ("checked", jint d.checked);
+      ("agreements", jint d.agreements);
+      ("disagreements", jint d.disagreements);
+      ("errors", jint d.errors);
+      ("agreement_rate", Num rate);
+      ("max_delta_ps", Num (d.max_delta_s *. 1e12));
+    ])
 
 let resilience_json () =
   let d = Runtime.Resilience.Stats.(diff (snapshot ()) !resil_before) in
@@ -2393,76 +2020,68 @@ let resilience_json () =
     if outcomes = 0 then 1.0
     else float_of_int d.recoveries /. float_of_int outcomes
   in
-  json_obj
+  Server.Json.(Obj
     [
-      ("policy", json_str (cli_spec ()).Runtime.Cli.fallback);
-      ("solves", string_of_int d.solves);
-      ("attempts", string_of_int d.attempts);
-      ("retries", string_of_int d.retries);
-      ("recoveries", string_of_int d.recoveries);
-      ("failures", string_of_int d.failures);
-      ("rejected_waveforms", string_of_int d.rejected_waveforms);
+      ("policy", Str (cli_spec ()).Runtime.Cli.fallback);
+      ("solves", jint d.solves);
+      ("attempts", jint d.attempts);
+      ("retries", jint d.retries);
+      ("recoveries", jint d.recoveries);
+      ("failures", jint d.failures);
+      ("rejected_waveforms", jint d.rejected_waveforms);
       ( "injected_faults",
-        string_of_int (Spice.Transient.Stats.snapshot ()).injected_faults );
-      ("recovery_rate", Printf.sprintf "%.4f" rate);
-    ]
+        jint (Spice.Transient.Stats.snapshot ()).injected_faults );
+      ("recovery_rate", Num rate);
+    ])
 
 let write_json path =
   let body =
-    json_obj
+    Server.Json.(Obj
       ([
-        ("schema", json_str "noisy-sta-bench/1");
-        ("cases", string_of_int !cases);
-        ("jobs", string_of_int (cli_spec ()).Runtime.Cli.jobs);
-        ("cache", if (cli_spec ()).Runtime.Cli.use_cache then "true" else "false");
+        ("schema", Str "noisy-sta-bench/1");
+        ("cases", jint !cases);
+        ("jobs", jint (cli_spec ()).Runtime.Cli.jobs);
+        ("cache", Bool (cli_spec ()).Runtime.Cli.use_cache);
         ("resilience", resilience_json ());
         ("degradation", degradation_json ());
         ("guard", guard_json ());
         ( "table1",
-          json_list
+          Arr
             (List.map
                (fun (scenario, elapsed, rows,
                      (d : Noise.Eval.degradation_summary)) ->
-                 json_obj
+                 Obj
                    [
-                     ("scenario", json_str scenario);
-                     ("elapsed_s", Printf.sprintf "%.3f" elapsed);
-                     ("rows", json_list (List.map json_row rows));
+                     ("scenario", Str scenario);
+                     ("elapsed_s", Num elapsed);
+                     ("rows", Arr (List.map json_row rows));
                      ( "rung_counts",
-                       json_list
+                       Arr
                          (Array.to_list
-                            (Array.map string_of_int d.Noise.Eval.rung_counts))
+                            (Array.map jint d.Noise.Eval.rung_counts))
                      );
-                     ("exhausted", string_of_int d.Noise.Eval.n_exhausted);
-                     ("unmapped", string_of_int d.Noise.Eval.n_unmapped);
+                     ("exhausted", jint d.Noise.Eval.n_exhausted);
+                     ("unmapped", jint d.Noise.Eval.n_unmapped);
                    ])
                !table1_results) );
-        ("metrics", Runtime.Metrics.to_json metrics);
+        ( "metrics",
+          Obj
+            [
+              ( "counters",
+                Obj
+                  (List.map
+                     (fun (k, v) -> (k, jint v))
+                     (Runtime.Metrics.counters metrics)) );
+              ( "timers_s",
+                Obj
+                  (List.map
+                     (fun (k, v) -> (k, Num v))
+                     (Runtime.Metrics.timers metrics)) );
+            ] );
       ]
-      @ (match !adaptive_json with
-        | Some j -> [ ("adaptive", j) ]
-        | None -> [])
-      @ (match !kernel_json with
-        | Some j -> [ ("kernel", j) ]
-        | None -> [])
-      @ (match !batch_json with
-        | Some j -> [ ("batch", j) ]
-        | None -> [])
-      @ (match !sweep_json with
-        | Some j -> [ ("sweep", j) ]
-        | None -> [])
-      @ (match !serve_json with
-        | Some j -> [ ("serve", j) ]
-        | None -> [])
-      @ (match !chaos_json with
-        | Some j -> [ ("chaos", j) ]
-        | None -> [])
-      @
-      match !crash_json with
-      | Some j -> [ ("crash", j) ]
-      | None -> [])
+      @ !json_sections))
   in
-  Runtime.Record.write_atomic path (body ^ "\n");
+  Runtime.Record.write_atomic path (Server.Json.to_string body ^ "\n");
   Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
@@ -2472,11 +2091,19 @@ let () =
   let open Cmdliner in
   let sections_arg =
     Arg.(
-      value & pos_all string []
+      value
+      & pos_all
+          (enum
+             (List.map
+                (fun n -> (n, n))
+                [ "figure1"; "figure2"; "table1"; "runtime"; "ablation";
+                  "nonoverlap"; "worstcase"; "sweep"; "corners";
+                  "montecarlo"; "awe"; "serve"; "chaos"; "crash" ]))
+          []
       & info [] ~docv:"SECTION"
           ~doc:
             "Sections to run (default: all): $(b,figure1) $(b,figure2) \
-             $(b,table1) $(b,runtime) $(b,kernel) $(b,ablation) \
+             $(b,table1) $(b,runtime) $(b,ablation) \
              $(b,nonoverlap) $(b,worstcase) $(b,sweep) $(b,corners) \
              $(b,montecarlo) \
              $(b,awe); $(b,serve) (explicit only) load-tests the \
@@ -2491,7 +2118,7 @@ let () =
   in
   let cases_arg =
     Arg.(
-      value & opt int 100
+      value & opt (Runtime.Cli.int_at_least 1) 100
       & info [ "cases" ] ~docv:"N"
           ~doc:
             "Per-configuration case count (the paper's full 200 is used \
@@ -2510,9 +2137,9 @@ let () =
       value & opt (some string) None
       & info [ "compare" ] ~docv:"FILE"
           ~doc:
-            "Regression gate for the kernel and batch sections: fail \
-             when the per-solve time regressed >25% or delays drifted \
-             >0.01 ps against $(docv) (a previous $(b,--json) output).")
+            "Regression gate for the sweep section: fail when the \
+             pruned solve count grew >25% or the sparse ratio fell \
+             below 80% of $(docv) (a previous $(b,--json) output).")
   in
   let clients_arg =
     Arg.(
@@ -2649,8 +2276,6 @@ let () =
     stage "figure2" figure2;
     stage "table1" table1;
     stage "runtime" runtime;
-    stage "kernel" kernel;
-    stage "batch" batch_stage;
     stage "ablation" ablation;
     stage "nonoverlap" nonoverlap;
     stage "worstcase" worstcase;

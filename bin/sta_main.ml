@@ -130,7 +130,8 @@ let characterize_cmd =
 
 let table1_cmd =
   let cases =
-    Arg.(value & opt int 200 & info [ "cases" ] ~doc:"Alignment cases per configuration.")
+    Arg.(value & opt (Runtime.Cli.int_at_least 1) 200
+         & info [ "cases" ] ~doc:"Alignment cases per configuration.")
   in
   let config =
     Arg.(value & opt_all scenario_conv
@@ -138,7 +139,8 @@ let table1_cmd =
          & info [ "config" ] ~doc:"Configuration (1 or 2); repeatable.")
   in
   let samples =
-    Arg.(value & opt int 35 & info [ "P"; "samples" ] ~doc:"Sampling points P.")
+    Arg.(value & opt (Runtime.Cli.int_at_least 4) 35
+         & info [ "P"; "samples" ] ~doc:"Sampling points P (at least 4).")
   in
   let run cases configs samples rt =
     with_rt rt (fun () ->
@@ -338,7 +340,8 @@ let sta_cmd =
 
 let montecarlo_cmd =
   let samples =
-    Arg.(value & opt int 50 & info [ "samples" ] ~doc:"Random cases to draw.")
+    Arg.(value & opt (Runtime.Cli.int_at_least 1) 50
+         & info [ "samples" ] ~doc:"Random cases to draw.")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
   let config =

@@ -34,38 +34,6 @@
    empirically. [prune_tol_ps = 0] bypasses the bounds entirely and
    reproduces the exhaustive sweep byte-for-byte. *)
 
-module Stats = struct
-  let solved = Atomic.make 0
-  let pruned = Atomic.make 0
-  let searches = Atomic.make 0
-
-  type snapshot = { solved : int; pruned : int; searches : int }
-
-  let snapshot () =
-    {
-      solved = Atomic.get solved;
-      pruned = Atomic.get pruned;
-      searches = Atomic.get searches;
-    }
-
-  let since (s : snapshot) =
-    {
-      solved = Atomic.get solved - s.solved;
-      pruned = Atomic.get pruned - s.pruned;
-      searches = Atomic.get searches - s.searches;
-    }
-
-  let record ~solved:ns ~pruned:np =
-    ignore (Atomic.fetch_and_add solved ns);
-    ignore (Atomic.fetch_and_add pruned np);
-    ignore (Atomic.fetch_and_add searches 1)
-
-  let reset () =
-    Atomic.set solved 0;
-    Atomic.set pruned 0;
-    Atomic.set searches 0
-end
-
 type config = { prune_tol_ps : float; coarse : int; safety : float }
 
 let default = { prune_tol_ps = 0.0; coarse = 9; safety = 1.5 }
@@ -352,7 +320,6 @@ let search ?(config = default) ?engine scenario ~noiseless =
   let stats =
     { total = n; solved; pruned = n - solved; rounds = !rounds }
   in
-  Stats.record ~solved ~pruned:stats.pruned;
   (match Runtime.Engine.metrics engine with
   | Some mtr ->
       Runtime.Metrics.incr ~n:solved mtr "noise.alignments_solved";

@@ -17,16 +17,6 @@
     [prune_tol_ps = 0] the search degenerates to the exhaustive
     sweep, byte-for-byte. *)
 
-(** Global lifetime counters, mirroring {!Spice.Transient.Stats}. *)
-module Stats : sig
-  type snapshot = { solved : int; pruned : int; searches : int }
-
-  val snapshot : unit -> snapshot
-  val since : snapshot -> snapshot
-  val record : solved:int -> pruned:int -> unit
-  val reset : unit -> unit
-end
-
 type config = {
   prune_tol_ps : float;
       (** coverage slack in ps: a bracket is pruned once its upper
@@ -104,8 +94,8 @@ val search :
 (** Run the search over [Scenario.taus scenario]. Solved rounds are
     warmed through {!Injection.prewarm_noisy} and fanned out with
     {!Runtime.Engine.submit_batch}; ties break toward the lowest grid
-    index (first maximum wins), matching the exhaustive sweep. Updates
-    {!Stats} and, when the engine carries a metrics registry, the
+    index (first maximum wins), matching the exhaustive sweep. When the
+    engine carries a metrics registry, adds to the
     [noise.alignments_solved] / [noise.alignments_pruned] counters. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -20,8 +20,6 @@ type spec = {
   guard : bool;
   guard_every : int;
   guard_tol_ps : float;
-  solver : Spice.Transient.solver_kind option;
-  jac_reuse : bool;
   fault : Spice.Transient.Fault.kind Faultplan.plan option;
   cache_fault : unit Faultplan.plan option;
   prune_tol_ps : float;
@@ -43,6 +41,18 @@ let engine_conv =
         | (_ : Engine.t) -> Ok s
         | exception Invalid_argument msg -> Error (`Msg msg)),
       Format.pp_print_string )
+
+let int_at_least lo =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= lo -> Ok n
+        | _ ->
+            Error
+              (`Msg
+                 (Printf.sprintf "invalid value %S, expected an integer >= %d"
+                    s lo))),
+      Format.pp_print_int )
 
 let fault_conv injector =
   Arg.conv
@@ -83,15 +93,7 @@ let spec_term ?(default_engine = "reference") ?default_cache_dir () =
                    identical to the sequential run.")
   in
   let batch =
-    let c =
-      Arg.conv
-        ( (fun s ->
-            match int_of_string_opt s with
-            | Some n when n >= 1 -> Ok n
-            | _ -> Error (`Msg "expected a batch width >= 1")),
-          Format.pp_print_int )
-    in
-    Arg.(value & opt (some c) None
+    Arg.(value & opt (some (int_at_least 1)) None
          & info [ "batch" ] ~docv:"N"
              ~doc:"Batch width: cases per group of the Table-1 \
                    sweep's pre-solve pass (and the pool chunk of a \
@@ -127,15 +129,7 @@ let spec_term ?(default_engine = "reference") ?default_cache_dir () =
                    $(b,none) disables supervision.")
   in
   let retries =
-    let c =
-      Arg.conv
-        ( (fun s ->
-            match int_of_string_opt s with
-            | Some n when n >= 1 -> Ok n
-            | _ -> Error (`Msg "expected a positive attempt budget")),
-          Format.pp_print_int )
-    in
-    Arg.(value & opt (some c) None
+    Arg.(value & opt (some (int_at_least 1)) None
          & info [ "retries" ] ~docv:"N"
              ~doc:"Resilience attempt budget: total solve attempts \
                    including the first (overrides the policy default).")
@@ -166,15 +160,7 @@ let spec_term ?(default_engine = "reference") ?default_cache_dir () =
                    the metrics report.")
   in
   let guard_every =
-    let c =
-      Arg.conv
-        ( (fun s ->
-            match int_of_string_opt s with
-            | Some n when n >= 1 -> Ok n
-            | _ -> Error (`Msg "expected a positive stride")),
-          Format.pp_print_int )
-    in
-    Arg.(value & opt c 8
+    Arg.(value & opt (int_at_least 1) 8
          & info [ "guard-every" ] ~docv:"N"
              ~doc:"Guard sampling stride (1 = every case).")
   in
@@ -190,31 +176,6 @@ let spec_term ?(default_engine = "reference") ?default_cache_dir () =
     Arg.(value & opt c 1.0
          & info [ "guard-tol-ps" ] ~docv:"PS"
              ~doc:"Guard delay tolerance in picoseconds.")
-  in
-  let solver =
-    let c =
-      Arg.conv
-        ( (fun s ->
-            match Spice.Transient.solver_kind_of_string s with
-            | Ok k -> Ok k
-            | Error msg -> Error (`Msg msg)),
-          fun ppf k ->
-            Format.pp_print_string ppf
-              (Spice.Transient.solver_kind_to_string k) )
-    in
-    Arg.(value & opt (some c) None
-         & info [ "solver" ] ~docv:"KIND"
-             ~doc:"Linear-kernel selection for the transient solver: \
-                   $(b,dense) (always dense LU), $(b,banded) (force \
-                   the reordered bordered-banded kernel), or \
-                   $(b,auto) (per-circuit sparsity analysis picks \
-                   whichever is cheaper; the default).")
-  in
-  let no_jac_reuse =
-    Arg.(value & flag
-         & info [ "no-jac-reuse" ]
-             ~doc:"Refactor the Jacobian on every Newton iteration \
-                   (disable modified-Newton reuse).")
   in
   let inject =
     let c = fault_conv Spice.Transient.Fault.injector in
@@ -280,23 +241,15 @@ let spec_term ?(default_engine = "reference") ?default_cache_dir () =
                    (default 1 mV). Implies $(b,--sparse-cache).")
   in
   let cache_max_mb =
-    let c =
-      Arg.conv
-        ( (fun s ->
-            match int_of_string_opt s with
-            | Some n when n >= 1 -> Ok n
-            | _ -> Error (`Msg "expected a positive size in MiB")),
-          Format.pp_print_int )
-    in
-    Arg.(value & opt (some c) None
+    Arg.(value & opt (some (int_at_least 1)) None
          & info [ "cache-max-mb" ] ~docv:"MB"
              ~doc:"Cap the on-disk cache at $(docv) MiB: when a write \
                    pushes the directory past the cap, entries are \
                    LRU-evicted (oldest first) down to 90% of it.")
   in
   let make engine_name ltetol jobs batch no_cache cache_dir fallback retries
-      deadline_ms guard guard_every guard_tol_ps solver no_jac_reuse fault
-      cache_fault prune_tol_ps sparse_cache sparse_eps cache_max_mb =
+      deadline_ms guard guard_every guard_tol_ps fault cache_fault
+      prune_tol_ps sparse_cache sparse_eps cache_max_mb =
     {
       engine_name;
       ltetol;
@@ -310,8 +263,6 @@ let spec_term ?(default_engine = "reference") ?default_cache_dir () =
       guard;
       guard_every;
       guard_tol_ps;
-      solver;
-      jac_reuse = not no_jac_reuse;
       fault;
       cache_fault;
       prune_tol_ps;
@@ -323,8 +274,8 @@ let spec_term ?(default_engine = "reference") ?default_cache_dir () =
   Term.(
     const make $ engine $ ltetol $ jobs $ batch $ no_cache $ cache_dir
     $ fallback $ retries $ deadline $ guard $ guard_every $ guard_tol_ps
-    $ solver $ no_jac_reuse $ inject $ inject_cache $ prune_tol
-    $ sparse_cache $ sparse_eps $ cache_max_mb)
+    $ inject $ inject_cache $ prune_tol $ sparse_cache $ sparse_eps
+    $ cache_max_mb)
 
 let sweep_term () =
   let metrics =
@@ -387,10 +338,6 @@ let engine_of_spec ?(sparse_levels = []) s =
         (Guard.make ~every:s.guard_every ~tol_s:(s.guard_tol_ps *. 1e-12) ())
     else e
   in
-  let e =
-    match s.solver with Some k -> Engine.with_solver_kind e k | None -> e
-  in
-  let e = if s.jac_reuse then e else Engine.with_jac_reuse e false in
   let e = match s.batch with Some b -> Engine.with_batch e b | None -> e in
   let e =
     if s.jobs > 1 then Engine.with_pool e (Pool.create ~jobs:s.jobs ()) else e

@@ -4,8 +4,8 @@
     same evaluation runtime; this module defines the cmdliner flags
     once — engine preset, adaptive tolerance, worker domains, batch
     width, cache, resilience policy, per-solve deadline, differential
-    guard, linear-kernel selection, fault injection — and folds the
-    parsed values into a {!Engine.t}.
+    guard, fault injection — and folds the parsed values into a
+    {!Engine.t}.
 
     The term yields a transparent {!spec} first (the raw flag values),
     so front-ends that echo their configuration (the bench [--json]
@@ -24,8 +24,6 @@ type spec = {
   guard : bool;               (** [--guard] *)
   guard_every : int;          (** [--guard-every] *)
   guard_tol_ps : float;       (** [--guard-tol-ps] *)
-  solver : Spice.Transient.solver_kind option; (** [--solver] *)
-  jac_reuse : bool;           (** negated [--no-jac-reuse] *)
   fault : Spice.Transient.Fault.kind Faultplan.plan option;
       (** [--inject-faults] *)
   cache_fault : unit Faultplan.plan option;  (** [--inject-cache-faults] *)
@@ -49,6 +47,11 @@ type sweep = {
 val engine_conv : string Cmdliner.Arg.conv
 (** Engine preset name, validated against {!Engine.of_name}. *)
 
+val int_at_least : int -> int Cmdliner.Arg.conv
+(** An integer flag value of at least the bound; anything else is a
+    usage error naming the flag (exit 124) instead of an exception deep
+    in the run. *)
+
 val fault_conv : 'k Faultplan.t -> 'k Faultplan.plan Cmdliner.Arg.conv
 (** A fault spec in the injector's vocabulary ({!Faultplan.of_string}):
     the one parser behind [--inject-faults], [--inject-cache-faults]
@@ -69,8 +72,7 @@ val sweep_term : unit -> sweep Cmdliner.Term.t
 
 val engine_of_spec : ?sparse_levels:float list -> spec -> Engine.t
 (** Assemble the engine: preset, then tolerance, resilience policy
-    (with the retry budget), deadline, guard, solver kind, Jacobian
-    reuse, batch width; a fresh {!Pool} when [jobs > 1] and a fresh
+    (with the retry budget), deadline, guard, batch width; a fresh {!Pool} when [jobs > 1] and a fresh
     {!Cache} unless disabled. [sparse_levels] are the threshold
     voltages handed to the cache when [--sparse-cache] is on — the
     runtime layer doesn't know the device thresholds, so front-ends

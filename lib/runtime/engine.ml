@@ -85,12 +85,6 @@ let with_batch t batch =
 
 let map_solver t f = { t with solver = f t.solver }
 
-let with_solver_kind t kind =
-  map_solver t (fun c -> Spice.Transient.with_solver_kind c kind)
-
-let with_jac_reuse t reuse =
-  map_solver t (fun c -> Spice.Transient.with_jac_reuse c reuse)
-
 let resolve = function Some e -> e | None -> reference
 
 (* The single fan-out point for every harness: split [n] work items

@@ -94,13 +94,6 @@ val map_solver : t -> (Spice.Transient.config -> Spice.Transient.config) -> t
 (** Apply a solver-config transform, e.g.
     [map_solver e (fun c -> Spice.Transient.with_adaptive ~lte_tol c)]. *)
 
-val with_solver_kind : t -> Spice.Transient.solver_kind -> t
-(** Select the linear kernel (the CLI [--solver dense|banded|auto]
-    knob); presets default to [Auto]. *)
-
-val with_jac_reuse : t -> bool -> t
-(** Toggle modified-Newton Jacobian reuse (on in every preset). *)
-
 val resolve : t option -> t
 (** Normalize a harness entry point's [?engine] argument: [None] means
     the {!reference} engine. *)

@@ -137,28 +137,6 @@ let pp_report ppf t =
   if cs = [] && ts = [] then Format.fprintf ppf "  (empty)@,";
   Format.fprintf ppf "@]"
 
-(* Tiny hand-rolled JSON: names are dotted identifiers, but escape
-   defensively anyway. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_obj fields =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) v) fields)
-  ^ "}"
-
 (* Prometheus text exposition. Registry names are dotted identifiers,
    optionally carrying a literal label suffix in braces
    ("server.latency_ms_bucket{le=\"5\"}"); the label part is emitted
@@ -215,13 +193,3 @@ let to_prometheus t =
       Buffer.add_string buf (Printf.sprintf "%s%s %.6f\n" base labels v))
     (timers t);
   Buffer.contents buf
-
-let to_json t =
-  json_obj
-    [
-      ( "counters",
-        json_obj (List.map (fun (k, v) -> (k, string_of_int v)) (counters t)) );
-      ( "timers_s",
-        json_obj
-          (List.map (fun (k, v) -> (k, Printf.sprintf "%.6f" v)) (timers t)) );
-    ]

@@ -54,10 +54,6 @@ val reset : t -> unit
 val pp_report : Format.formatter -> t -> unit
 (** Human-readable two-column report. *)
 
-val to_json : t -> string
-(** [{"counters": {...}, "timers_s": {...}}] — flat, machine-readable;
-    used by the bench [--json] output. *)
-
 val to_prometheus : t -> string
 (** Prometheus text exposition (version 0.0.4) of the registry, served
     by the daemon's [/metrics] endpoint. Every dotted counter name maps

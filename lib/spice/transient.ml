@@ -18,12 +18,6 @@ let solver_kind_to_string = function
   | Banded -> "banded"
   | Auto -> "auto"
 
-let solver_kind_of_string = function
-  | "dense" -> Ok Dense
-  | "banded" -> Ok Banded
-  | "auto" -> Ok Auto
-  | s -> Error (Printf.sprintf "bad solver %S: want dense|banded|auto" s)
-
 type config = {
   dt : float;
   tstop : float;

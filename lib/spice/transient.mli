@@ -49,9 +49,6 @@ type solver_kind =
 
 val solver_kind_to_string : solver_kind -> string
 
-val solver_kind_of_string : string -> (solver_kind, string) result
-(** Parses ["dense" | "banded" | "auto"] (the [--solver] CLI values). *)
-
 type config = {
   dt : float;            (** nominal step, seconds *)
   tstop : float;

@@ -214,6 +214,28 @@ let test_adaptive_matches_fixed_delays () =
         (abs_float (a.Eval.delay_ref -. b.Eval.delay_ref) < 0.1e-12))
     fixed.Eval.cases adaptive.Eval.cases
 
+(* The reference engine's receiver delays on the first 20 of Config
+   II's alignments, in ps, as measured when the banded kernel and
+   Jacobian reuse landed and unchanged since. A solver or measurement
+   change that moves any of them by more than 0.01 ps is an answer
+   change. *)
+let config_ii_delays_ps =
+  [ 50.404722; 50.404768; 50.404872; 50.404976; 50.405079; 50.404744;
+    50.404459; 50.404457; 50.404729; 50.405042; 50.405101; 50.404717;
+    50.404687; 50.404534; 50.404685; 50.405055; 50.404709; 50.404471;
+    50.404431; 31.134378 ]
+
+let test_config_ii_delays_golden () =
+  let scen = Scenario.with_cases Scenario.config_ii 20 in
+  let table = Eval.run_table ~techniques:[ Eqwave.Sgdp.sgdp ] scen in
+  List.iteri
+    (fun i ((c : Eval.case_eval), expected) ->
+      let got = c.Eval.delay_ref *. 1e12 in
+      if not (abs_float (got -. expected) <= 0.01) then
+        Alcotest.failf "case %d: delay %.6f ps, pinned %.6f ps" i got
+          expected)
+    (List.combine table.Eval.cases config_ii_delays_ps)
+
 let suite =
   ( "noise",
     [
@@ -235,4 +257,6 @@ let suite =
         test_run_table_survives_no_convergence;
       slow_case "eval: adaptive matches fixed delays"
         test_adaptive_matches_fixed_delays;
+      slow_case "eval: Config II reference delays golden"
+        test_config_ii_delays_golden;
     ] )

@@ -1,5 +1,10 @@
 open Helpers
 
+let contains needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
 
@@ -197,7 +202,7 @@ let test_cache_parallel_memo () =
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 
-let test_metrics_counters_and_json () =
+let test_metrics_counters_and_report () =
   let m = Runtime.Metrics.create () in
   Runtime.Metrics.incr m "a.count";
   Runtime.Metrics.incr ~n:4 m "a.count";
@@ -210,14 +215,6 @@ let test_metrics_counters_and_json () =
   (match Runtime.Metrics.timers m with
   | [ ("stage.x", t) ] -> approx "timer" 0.25 t
   | _ -> Alcotest.fail "timer list");
-  let json = Runtime.Metrics.to_json m in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  check_true "json counters" (contains "\"a.count\":5" json);
-  check_true "json timers" (contains "\"timers_s\"" json);
   let report = Format.asprintf "%a" Runtime.Metrics.pp_report m in
   check_true "report mentions counter" (contains "a.count" report)
 
@@ -363,12 +360,36 @@ let test_engine_setters () =
     (Runtime.Engine.metrics (Runtime.Engine.with_metrics e m) = Some m);
   let rendered = Format.asprintf "%a" Runtime.Engine.pp Runtime.Engine.fast in
   check_true "pp names the engine"
-    (let contains needle hay =
-       let nl = String.length needle and hl = String.length hay in
-       let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-       go 0
-     in
-     contains "fast" rendered && contains "adaptive" rendered)
+    (contains "fast" rendered && contains "adaptive" rendered)
+
+(* ------------------------------------------------------------------ *)
+(* Cli                                                                 *)
+
+let test_cli_int_at_least () =
+  let open Cmdliner in
+  let at_least_1 = Runtime.Cli.int_at_least 1 in
+  let parse = Arg.conv_parser at_least_1 in
+  check_true "bound accepted" (parse "1" = Ok 1);
+  check_true "above accepted" (parse "200" = Ok 200);
+  check_true "below rejected" (Result.is_error (parse "0"));
+  check_true "negative rejected" (Result.is_error (parse "-3"));
+  check_true "non-integer rejected" (Result.is_error (parse "x"));
+  (* Through a command, an out-of-range value is a usage error that
+     names the flag, not an exception from inside the run. *)
+  let ran = ref false in
+  let cmd =
+    Cmd.v (Cmd.info "t")
+      Term.(
+        const (fun (_ : int) -> ran := true)
+        $ Arg.(value & opt at_least_1 5 & info [ "cases" ]))
+  in
+  let buf = Buffer.create 64 in
+  let err = Format.formatter_of_buffer buf in
+  let code = Cmd.eval ~argv:[| "t"; "--cases"; "0" |] ~err cmd in
+  Format.pp_print_flush err ();
+  Alcotest.(check int) "usage exit" Cmd.Exit.cli_error code;
+  check_true "never ran" (not !ran);
+  check_true "names the flag" (contains "--cases" (Buffer.contents buf))
 
 (* ------------------------------------------------------------------ *)
 (* The acceptance property: pooled table sweep == sequential, exactly  *)
@@ -391,7 +412,12 @@ let test_parallel_run_table_identical () =
     Runtime.Engine.with_cache Runtime.Engine.reference (Runtime.Cache.create ())
   in
   let cache = Option.get (Runtime.Engine.cache engine) in
+  let before = Spice.Transient.Stats.snapshot () in
   let first = Noise.Eval.run_table ~engine scen in
+  (* A cached engine of batch width > 1 solves the sweep through the
+     batch API's pre-solve pass. *)
+  check_true "batch path taken"
+    Spice.Transient.Stats.((diff (snapshot ()) before).batched_solves > 0);
   let miss0 = Runtime.Cache.misses cache in
   let second = Noise.Eval.run_table ~engine scen in
   check_true "cached table identical" (compare first second = 0);
@@ -423,14 +449,7 @@ let test_all_failed_row_reports_zero () =
       check_true "avg is 0, not nan" (row.Noise.Eval.avg_abs_ps = 0.0);
       let rendered = Format.asprintf "%a" Noise.Eval.pp_table table in
       check_true "pp surfaces the failure count"
-        (let contains needle hay =
-           let nl = String.length needle and hl = String.length hay in
-           let rec go i =
-             i + nl <= hl && (String.sub hay i nl = needle || go (i + 1))
-           in
-           go 0
-         in
-         contains "failed" rendered && not (contains "nan" rendered))
+        (contains "failed" rendered && not (contains "nan" rendered))
   | _ -> Alcotest.fail "expected one row"
 
 let suite =
@@ -446,7 +465,7 @@ let suite =
       case "cache: hit/miss accounting" test_cache_hit_miss_accounting;
       case "cache: disk layer" test_cache_disk_layer;
       case "cache: parallel memoization" test_cache_parallel_memo;
-      case "metrics: counters and json" test_metrics_counters_and_json;
+      case "metrics: counters and report" test_metrics_counters_and_report;
       case "metrics: timing and spice capture" test_metrics_time_and_capture;
       case "fingerprint: every config field matters"
         test_config_fingerprint_exhaustive;
@@ -454,6 +473,7 @@ let suite =
       case "engine: resolve, batch width, submit_batch"
         test_engine_resolve_and_batch;
       case "engine: setters" test_engine_setters;
+      case "cli: int_at_least bounds a flag" test_cli_int_at_least;
       slow_case "eval: parallel table identical to sequential"
         test_parallel_run_table_identical;
       slow_case "eval: all-failed row reports zero counts"

@@ -410,23 +410,33 @@ let test_adaptive_validation () =
 
 (* One noisy Config II chain case — the solver-stress circuit of the
    paper's Table 1 sweeps: 38 unknowns, 24 FETs, stiff coupled RC
-   lines. [tau] centred on the victim transition maximizes overlap. *)
-let noisy_chain () =
+   lines. [tau] centred on the victim transition maximizes overlap.
+   [base] is the step control: the fixed reference grid, or the [fast]
+   engine's adaptive stepping with the 10/50/90 % crossing levels the
+   noise harness layers on. *)
+let noisy_chain base =
   let scen = Noise.Scenario.config_ii in
   let ckt, ic =
     Noise.Scenario.build scen ~aggressor_active:true
       ~tau:scen.Noise.Scenario.victim_t0
   in
+  let th = Device.Process.thresholds scen.Noise.Scenario.proc in
   let config =
-    {
-      Transient.default_config with
-      dt = scen.Noise.Scenario.dt;
-      tstop = scen.Noise.Scenario.tstop;
-    }
+    Transient.(
+      with_crossing_levels_if_empty
+        (with_tstop (with_dt base scen.Noise.Scenario.dt)
+           scen.Noise.Scenario.tstop)
+        Waveform.Thresholds.[ v_low th; v_mid th; v_high th ])
   in
-  (ckt, ic, config, Noise.Scenario.victim_rcv_node scen)
+  (ckt, ic, config, Noise.Scenario.victim_rcv_node scen, th)
 
-let run_noisy_chain (ckt, ic, config, node) kind reuse =
+let step_controls =
+  [
+    ("fixed", Transient.default_config);
+    ("fast", Runtime.Engine.solver Runtime.Engine.fast);
+  ]
+
+let run_noisy_chain (ckt, ic, config, node, _) kind reuse =
   let config =
     Transient.(with_jac_reuse (with_solver_kind config kind) reuse)
   in
@@ -447,38 +457,59 @@ let wave_max_diff tag wa wb =
     va;
   !worst
 
+(* Two runs of the chain agree: sample by sample on the fixed grid;
+   under adaptive stepping, whose grid depends on the kernel's
+   rounding, at the receiver's 0.5 Vdd arrival within 0.01 ps. *)
+let check_agree tag (_, _, config, _, th) wa wb =
+  if Transient.is_adaptive config then
+    match (Waveform.Wave.arrival wa th, Waveform.Wave.arrival wb th) with
+    | Some a, Some b ->
+        check_true (tag ^ ": arrival within 0.01 ps")
+          (abs_float (a -. b) <= 0.01e-12)
+    | _ -> Alcotest.failf "%s: no 0.5 Vdd arrival" tag
+  else check_true tag (wave_max_diff tag wa wb < 1e-5)
+
 let test_solver_kinds_agree () =
-  let case = noisy_chain () in
-  let w_dense, _ = run_noisy_chain case Transient.Dense false in
-  let w_banded, s_banded = run_noisy_chain case Transient.Banded false in
-  let w_auto, s_auto = run_noisy_chain case Transient.Auto false in
-  check_true "banded kernel selected"
-    (s_banded.Transient.Stats.banded_solves > 0);
-  check_true "auto picked banded" (s_auto.Transient.Stats.banded_solves > 0);
-  check_true "banded matches dense"
-    (wave_max_diff "banded" w_dense w_banded < 1e-5);
-  check_true "auto matches dense"
-    (wave_max_diff "auto" w_dense w_auto < 1e-5)
+  List.iter
+    (fun (name, base) ->
+      let case = noisy_chain base in
+      let tag what = name ^ ": " ^ what in
+      let w_dense, _ = run_noisy_chain case Transient.Dense false in
+      let w_banded, s_banded = run_noisy_chain case Transient.Banded false in
+      let w_auto, s_auto = run_noisy_chain case Transient.Auto false in
+      check_true (tag "banded kernel selected")
+        (s_banded.Transient.Stats.banded_solves > 0);
+      check_true (tag "auto picked banded")
+        (s_auto.Transient.Stats.banded_solves > 0);
+      check_agree (tag "banded matches dense") case w_dense w_banded;
+      check_agree (tag "auto matches dense") case w_dense w_auto)
+    step_controls
 
 let test_jac_reuse_agrees_and_wins () =
-  let case = noisy_chain () in
-  let w_full, s_full = run_noisy_chain case Transient.Auto false in
-  let w_reuse, s_reuse = run_noisy_chain case Transient.Auto true in
-  check_true "reuse matches full Newton"
-    (wave_max_diff "reuse" w_full w_reuse < 1e-5);
-  check_true "reuse happened" (s_reuse.Transient.Stats.jac_reuses > 0);
-  (* The modified-Newton win on the stiff chain: most iterations ride
-     a kept factorization (the CI perf-smoke criterion is 2x). *)
-  check_true "at least 2x fewer factorizations than iterations"
-    (2 * s_reuse.Transient.Stats.factorizations
-    <= s_reuse.Transient.Stats.newton_iters);
-  check_true "fewer factorizations than the full-Newton run"
-    (s_reuse.Transient.Stats.factorizations
-    < s_full.Transient.Stats.factorizations);
-  check_true "iteration accounting"
-    (s_reuse.Transient.Stats.factorizations
-     + s_reuse.Transient.Stats.jac_reuses
-    = s_reuse.Transient.Stats.newton_iters)
+  List.iter
+    (fun (name, base) ->
+      let case = noisy_chain base in
+      let tag what = name ^ ": " ^ what in
+      let w_full, s_full = run_noisy_chain case Transient.Auto false in
+      let w_reuse, s_reuse =
+        run_noisy_chain case Transient.Auto base.Transient.jac_reuse
+      in
+      check_agree (tag "reuse matches full Newton") case w_full w_reuse;
+      check_true (tag "reuse happened")
+        (s_reuse.Transient.Stats.jac_reuses > 0);
+      (* The modified-Newton win on the stiff chain: most iterations
+         ride a kept factorization, at least 2x. *)
+      check_true (tag "at least 2x fewer factorizations than iterations")
+        (2 * s_reuse.Transient.Stats.factorizations
+        <= s_reuse.Transient.Stats.newton_iters);
+      check_true (tag "fewer factorizations than the full-Newton run")
+        (s_reuse.Transient.Stats.factorizations
+        < s_full.Transient.Stats.factorizations);
+      check_true (tag "iteration accounting")
+        (s_reuse.Transient.Stats.factorizations
+         + s_reuse.Transient.Stats.jac_reuses
+        = s_reuse.Transient.Stats.newton_iters))
+    step_controls
 
 let test_forced_banded_tiny_circuit () =
   (* A 2-node RC is far below the auto threshold; forcing Banded must
