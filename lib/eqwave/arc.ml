@@ -38,16 +38,22 @@ type sensitivity = {
   drho_by_v : float array;
 }
 
-(* A quantity the arc computed once, or the exception computing it
-   raised, replayed on every read. Only the exceptions the noiseless
-   computations raise by design are captured; anything else escapes
-   the build and nothing is published. *)
+(* A quantity the arc computed once, or the [Unsupported] computing it
+   raised, replayed on every read. Anything else escapes the build and
+   nothing is published. *)
 type 'a outcome = ('a, exn) result
 
 let capture f =
   match f () with
   | v -> Ok v
-  | exception ((Invalid_argument _ | Unsupported _) as e) -> Error e
+  | exception (Unsupported _ as e) -> Error e
+
+(* A flat noiseless wave has no transition for an arc to characterize:
+   unsupported, like any other waveform a technique cannot map. *)
+let direction_of what wave =
+  match Wave.direction wave with
+  | d -> d
+  | exception Invalid_argument _ -> raise (Unsupported (what ^ " is flat: no transition"))
 
 let replay = function Ok v -> v | Error e -> raise e
 
@@ -72,7 +78,9 @@ type t = {
 let compute_overlap_shift th noiseless_in noiseless_out (a1, b1) =
   (* The receiver may be inverting or not (buffers); judge the output
      edge from the waveform itself. *)
-  match critical_region_opt noiseless_out th (Wave.direction noiseless_out) with
+  match
+    critical_region_opt noiseless_out th (direction_of "noiseless output" noiseless_out)
+  with
   | Some (a2, b2) ->
       if a2 <= b1 && a1 <= b2 then 0.0
       else begin
@@ -94,7 +102,7 @@ let compute_overlap_shift th noiseless_in noiseless_out (a1, b1) =
    when the output never settles after the input's mid crossing. *)
 let compute_commit_margin th noiseless_in noiseless_out =
   let settle_level =
-    match Wave.direction noiseless_out with
+    match direction_of "noiseless output" noiseless_out with
     | Wave.Rising -> Thresholds.v_high th
     | Wave.Falling -> Thresholds.v_low th
   in
@@ -107,7 +115,7 @@ let compute_commit_margin th noiseless_in noiseless_out =
   | _ -> None
 
 let build th noiseless_in noiseless_out =
-  let direction = capture (fun () -> Wave.direction noiseless_in) in
+  let direction = capture (fun () -> direction_of "noiseless input" noiseless_in) in
   let region = Result.map (critical_region_opt noiseless_in th) direction in
   let overlap_shift =
     capture (fun () ->

@@ -66,8 +66,8 @@ val find :
     raises. *)
 
 val direction : t -> Waveform.Wave.direction
-(** Direction of the noiseless input; raises [Invalid_argument] as
-    {!Waveform.Wave.direction} does on a flat input. *)
+(** Direction of the noiseless input; raises {!Unsupported} naming the
+    noiseless input when it is flat. *)
 
 val region_opt : t -> (float * float) option
 (** Noiseless critical region; raises as {!direction} on a flat input. *)
@@ -80,13 +80,14 @@ val slew : t -> float option
 
 val overlap_shift : t -> float
 (** SGDP's pre-processing delta (see {!Sensitivity.overlap_shift});
-    raises {!Unsupported} or [Invalid_argument] when it is undefined. *)
+    raises {!Unsupported} when it is undefined, including on a flat
+    noiseless input or output. *)
 
 val commit_margin : t -> float option
 (** Time from the noiseless input's last mid crossing to the noiseless
     output's last settle-threshold crossing, [None] when the output
-    never settles after it. Raises [Invalid_argument] on a flat
-    output. *)
+    never settles after it. Raises {!Unsupported} naming the noiseless
+    output when it is flat. *)
 
 val sensitivity : t -> output_shift:float -> points:int -> sensitivity
 (** The sensitivity tables sampled on [points] uniform times over the

@@ -104,7 +104,7 @@ let run t ctx =
           go (rung + 1) ({ technique; reason } :: skipped) rest
         in
         match tech.Technique.applicable ctx with
-        | Error reason -> skip reason
+        | Error reason | (exception Technique.Unsupported reason) -> skip reason
         | Ok () -> (
             (* The predicate is a prediction; the fit itself can still
                reject (Unsupported) or signal a numeric domain error

@@ -52,8 +52,9 @@ val score : Technique.ctx -> Waveform.Ramp.t -> float
     scoring ramps produced outside the ladder. *)
 
 val run : t -> Technique.ctx -> (outcome, skip list) result
-(** Try each rung in order: consult [applicable] first (an [Error]
-    records a skip without paying for the fit), then run the fit,
+(** Try each rung in order: consult [applicable] first (an [Error],
+    or an [Unsupported] it raises, records a skip without paying for
+    the fit), then run the fit,
     converting [Technique.Unsupported], [Stdlib.Failure] and non-finite
     ramps into skips. Returns [Error skips] when every rung was
     exhausted. Never raises for waveform-shaped reasons — a surviving

@@ -93,8 +93,3 @@ let polarity_of_trend ~what ctx trend =
      ^ ": polarity contradiction: the fitted slope would oppose the transition")
 
 let require cond reason = if cond then Ok () else Error reason
-
-let applicable_of_run run ctx =
-  match run ctx with
-  | (_ : Waveform.Ramp.t) -> Ok ()
-  | exception Unsupported reason -> Error reason

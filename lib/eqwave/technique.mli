@@ -36,9 +36,11 @@ type t = {
           would reject this context (missing crossing region, polarity
           contradiction, zero sensitivity, ...). Must not run the fit
           itself — a fallback ladder consults it to skip a rung without
-          paying for the fit. [Ok ()] is a prediction, not a guarantee:
-          [run] may still raise [Unsupported] for conditions only the
-          fit can detect. *)
+          paying for the fit. It may raise [Unsupported] where the
+          noiseless arc itself is unsupported (a flat noiseless wave),
+          which a ladder treats as [Error]. [Ok ()] is a prediction,
+          not a guarantee: [run] may still raise [Unsupported] for
+          conditions only the fit can detect. *)
   run : ctx -> Waveform.Ramp.t;
 }
 
@@ -95,8 +97,3 @@ val polarity_of_trend :
 
 val require : bool -> string -> (unit, string) result
 (** [require cond reason] is [Ok ()] or [Error reason]. *)
-
-val applicable_of_run : (ctx -> Waveform.Ramp.t) -> ctx -> (unit, string) result
-(** Conservative adapter for externally defined techniques: runs the fit
-    and converts [Unsupported] into [Error]. Accurate but pays the full
-    fit cost — prefer a purpose-built predicate. *)

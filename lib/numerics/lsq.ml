@@ -47,47 +47,36 @@ let fit_line_through t0 v0 ts vs =
   let slope = !num /. !den in
   { slope; intercept = v0 -. (slope *. t0) }
 
-let cost r =
-  Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 r
+type normal = { a00 : float; a01 : float; a11 : float; g0 : float; g1 : float }
 
-let gauss_newton ?(max_iter = 25) ?(tol = 1e-12) ~residual ~jacobian x0 =
-  let np = Array.length x0 in
-  let x = Array.copy x0 in
-  let best = ref (Array.copy x0) in
-  let best_cost = ref (cost (residual x0)) in
+let gauss_newton ?(max_iter = 25) ?(tol = 1e-12) ~cost ~normal (a0, b0) =
+  (* The current iterate is always the best one seen: a step is taken
+     only when it lowers the cost. *)
+  let a = ref a0 and b = ref b0 in
+  let best_cost = ref (cost a0 b0) in
   (try
      for _ = 1 to max_iter do
-       let r = residual x in
-       let j = jacobian x in
-       let m = Array.length r in
-       (* Normal equations J^T J dx = -J^T r. *)
-       let a = Matrix.create np np and b = Array.make np 0.0 in
-       for i = 0 to m - 1 do
-         for p = 0 to np - 1 do
-           b.(p) <- b.(p) -. (j.(i).(p) *. r.(i));
-           for q = 0 to np - 1 do
-             Matrix.add_to a p q (j.(i).(p) *. j.(i).(q))
-           done
-         done
-       done;
+       let { a00; a01; a11; g0; g1 } = normal !a !b in
        (* Levenberg damping on the diagonal guards rank deficiency. *)
-       for p = 0 to np - 1 do
-         Matrix.add_to a p p (1e-12 *. (1.0 +. abs_float (Matrix.get a p p)))
-       done;
-       let dx = Matrix.solve a b in
+       let damp x = x +. (1e-12 *. (1.0 +. abs_float x)) in
+       let dx =
+         Matrix.solve
+           (Matrix.of_arrays [| [| damp a00; a01 |]; [| a01; damp a11 |] |])
+           [| g0; g1 |]
+       in
        let step_norm =
-         Array.fold_left (fun acc d -> Float.max acc (abs_float d)) 0.0 dx
+         Float.max (Float.max 0.0 (abs_float dx.(0))) (abs_float dx.(1))
        in
        (* Backtracking line search. *)
        let lambda = ref 1.0 in
        let improved = ref false in
        let attempts = ref 0 in
        while (not !improved) && !attempts < 20 do
-         let trial = Array.mapi (fun p xi -> xi +. (!lambda *. dx.(p))) x in
-         let c = cost (residual trial) in
+         let ta = !a +. (!lambda *. dx.(0)) and tb = !b +. (!lambda *. dx.(1)) in
+         let c = cost ta tb in
          if c < !best_cost then begin
-           Array.blit trial 0 x 0 np;
-           best := Array.copy trial;
+           a := ta;
+           b := tb;
            best_cost := c;
            improved := true
          end
@@ -99,4 +88,4 @@ let gauss_newton ?(max_iter = 25) ?(tol = 1e-12) ~residual ~jacobian x0 =
        if (not !improved) || step_norm < tol then raise Exit
      done
    with Exit | Matrix.Singular _ -> ());
-  !best
+  (!a, !b)

@@ -21,16 +21,30 @@ val fit_line_through : float -> float -> float array -> float array -> line
 (** [fit_line_through t0 v0 ts vs] least-squares fit constrained to pass
     through the point (t0, v0); used by the E4-style constructions. *)
 
+type normal = {
+  a00 : float;
+  a01 : float;  (** also the (1, 0) entry: J^T J is symmetric *)
+  a11 : float;
+  g0 : float;
+  g1 : float;
+}
+(** The Gauss-Newton normal equations of a two-parameter fit at one
+    iterate: the entries of J^T J and the gradient -J^T r. *)
+
 val gauss_newton :
   ?max_iter:int ->
   ?tol:float ->
-  residual:(float array -> float array) ->
-  jacobian:(float array -> float array array) ->
-  float array ->
-  float array
-(** [gauss_newton ~residual ~jacobian x0] minimizes |r(x)|^2 starting
-    from [x0]. [jacobian x] returns rows dr_i/dx_j. Performs damped
-    steps (halving up to 20 times when the step does not decrease the
-    cost) and stops when the step max-norm falls below [tol] (default
-    1e-12) or after [max_iter] (default 25) iterations. Returns the best
-    iterate seen. *)
+  cost:(float -> float -> float) ->
+  normal:(float -> float -> normal) ->
+  float * float ->
+  float * float
+(** [gauss_newton ~cost ~normal (a0, b0)] minimizes a sum of squared
+    residuals over two parameters starting from [(a0, b0)]. [cost a b]
+    is the sum of squared residuals at [(a, b)] and [normal a b] the
+    normal equations there. Each iteration solves the normal equations
+    with 1e-12 * (1 + |a_pp|) added to each diagonal entry, then halves
+    the step up to 20 times until the cost falls below the best seen.
+    Stops when no step lowers the cost, when the step's max-norm falls
+    below [tol] (default 1e-12), when the damped system is singular, or
+    after [max_iter] (default 25) iterations. Returns the best iterate
+    seen. *)

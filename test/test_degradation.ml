@@ -266,7 +266,25 @@ let test_pathological_shapes () =
   (* Never crosses the low threshold at all. *)
   ladder_survives "never-crossing"
     (ctx_with_noisy
-       (Waveform.Edges.sample ~t0:0.0 ~t1:2.5e-9 (fun _ -> 0.2 *. vdd)))
+       (Waveform.Edges.sample ~t0:0.0 ~t1:2.5e-9 (fun _ -> 0.2 *. vdd)));
+  (* A flat noiseless input or output: the arc has no transition, and
+     SGDP's skip says which wave is flat. *)
+  let ramp = (ctx_with_noisy (glitchy ~peak:0.0 ~t0:1e-9)).noisy_in in
+  let flat = Waveform.Wave.create [| 0.0; 2.5e-9 |] [| 0.0; 0.0 |] in
+  List.iter
+    (fun (name, noiseless_in, noiseless_out, needle) ->
+      let ctx =
+        Eqwave.Technique.make_ctx ~th ~noisy_in:ramp ~noiseless_in ~noiseless_out ()
+      in
+      ladder_survives name ctx;
+      match Eqwave.Ladder.run Eqwave.Ladder.default ctx with
+      | Ok { skipped = s :: _; _ } | Error (s :: _) ->
+          check_true (name ^ ": SGDP's reason") (contains ~needle s.reason)
+      | _ -> Alcotest.failf "%s: SGDP was not skipped" name)
+    [
+      ("flat noiseless input", flat, ramp, "noiseless input is flat");
+      ("flat noiseless output", ramp, flat, "noiseless output is flat");
+    ]
 
 let qcheck_pathological =
   qcase ~count:60 "ladder: never raises on random glitched edges"

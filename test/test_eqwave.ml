@@ -310,21 +310,38 @@ let sens_bits (s : Sensitivity.t) =
 let region_bits ctx =
   Option.map (fun (a, b) -> (bits a, bits b)) (Technique.noiseless_critical_region_opt ctx)
 
-let ramp_bits (r : Waveform.Ramp.t) =
-  (bits r.Waveform.Ramp.slope, bits r.Waveform.Ramp.intercept)
+let pp_ramp buf (r : Waveform.Ramp.t) =
+  Printf.bprintf buf " %h %h" r.Waveform.Ramp.slope r.Waveform.Ramp.intercept
 
-(* Every technique's ramp (or its rejection reason) and the default
-   ladder's outcome, in comparable form. *)
+(* Every registry technique's verdict and ramp (or rejection) and the
+   default ladder's outcome, floats in %h so every bit shows. *)
 let mapping ctx =
-  ( List.map
-      (fun (t : Technique.t) ->
-        match t.Technique.run ctx with
-        | r -> Ok (ramp_bits r)
-        | exception Technique.Unsupported reason -> Error reason)
-      Registry.all,
-    match Ladder.run Ladder.default ctx with
-    | Ok o -> Ok (o.technique, o.rung, ramp_bits o.ramp, bits o.score_v)
-    | Error skipped -> Error (List.map (fun (s : Ladder.skip) -> s.reason) skipped) )
+  let buf = Buffer.create 512 in
+  List.iter
+    (fun (t : Technique.t) ->
+      Printf.bprintf buf "%s:" t.Technique.name;
+      (match t.Technique.applicable ctx with
+      | Ok () -> Buffer.add_string buf " ok"
+      | Error reason -> Printf.bprintf buf " veto %S" reason);
+      (match t.Technique.run ctx with
+      | r -> pp_ramp buf r
+      | exception Technique.Unsupported reason -> Printf.bprintf buf " unsupported %S" reason
+      | exception Failure reason -> Printf.bprintf buf " failure %S" reason);
+      Buffer.add_char buf '\n')
+    Registry.all;
+  let skips =
+    List.iter (fun (s : Ladder.skip) -> Printf.bprintf buf " [%s %S]" s.technique s.reason)
+  in
+  (match Ladder.run Ladder.default ctx with
+  | Ok o ->
+      Printf.bprintf buf "ladder %s rung %d score %h" o.technique o.rung o.score_v;
+      pp_ramp buf o.ramp;
+      skips o.skipped
+  | Error skipped ->
+      Buffer.add_string buf "ladder exhausted";
+      skips skipped);
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
 
 let test_memo_hit_matches_fresh () =
   let ctx = synth_ctx ~noise:dip_noise ~delay:500e-12 () in
@@ -457,6 +474,93 @@ let test_memo_pool_matches_sequential () =
   check_true "jobs 2 equals sequential" (pooled = sequential)
 
 (* ------------------------------------------------------------------ *)
+(* Golden mappings on piecewise-linear contexts                        *)
+
+(* Contexts built from piecewise-linear waves only (explicit samples,
+   linear edges, triangular glitches), so every bit of every answer
+   follows from IEEE arithmetic alone and not from a libm. The input is
+   a 150 ps linear edge at 1 ns; the noiseless output is an inverted
+   three-slope knee [delay] later (0 overlaps the input's critical
+   region, 500 ps does not); [glitch] is superposed on the noisy input
+   before clamping to the rails. *)
+let pwl_th = Waveform.Thresholds.make ~vdd:1.2 ()
+
+type pwl_glitch = Clean | Before of float | Inside of float | After of float
+
+let pwl_ctx ~dir ~delay ~glitch ~samples =
+  let open Waveform in
+  let vdd = pwl_th.Thresholds.vdd in
+  let rising = dir = Wave.Rising in
+  let v0, v1 = if rising then (0.0, vdd) else (vdd, 0.0) in
+  (* The glitch pulls toward the rail the input is not on. *)
+  let toward_v1 = if rising then vdd else -.vdd in
+  let edge = Edges.linear_edge ~t0:1e-9 ~trans:150e-12 ~v0 ~v1 in
+  let glitch =
+    match glitch with
+    | Clean -> []
+    | Before a -> [ Edges.triangular_glitch ~t0:0.6e-9 ~rise:60e-12 ~fall:90e-12 ~peak:(a *. toward_v1) ]
+    | Inside a -> [ Edges.triangular_glitch ~t0:1.02e-9 ~rise:40e-12 ~fall:60e-12 ~peak:(-.a *. toward_v1) ]
+    | After a -> [ Edges.triangular_glitch ~t0:1.3e-9 ~rise:50e-12 ~fall:120e-12 ~peak:(-.a *. toward_v1) ]
+  in
+  let noiseless_in = Edges.sample ~t0:0.0 ~t1:3e-9 edge in
+  let noisy_in = Edges.sample ~t0:0.0 ~t1:3e-9 (Edges.clamp ~vdd (Edges.superpose (edge :: glitch))) in
+  let knee = [| 1.0; 1.0; 0.85; 0.2; 0.0; 0.0 |] in
+  let noiseless_out =
+    Wave.create
+      (Array.map (fun t -> if t = 0.0 || t = 3.5e-9 then t else t +. delay)
+         [| 0.0; 1.0e-9; 1.04e-9; 1.1e-9; 1.2e-9; 3.5e-9 |])
+      (Array.map (fun k -> if rising then k *. vdd else (1.0 -. k) *. vdd) knee)
+  in
+  Technique.make_ctx ~samples ~th:pwl_th ~noisy_in ~noiseless_in ~noiseless_out ()
+
+let test_pwl_golden () =
+  let sgdp_ramp ctx =
+    let buf = Buffer.create 64 in
+    pp_ramp buf (Sgdp.sgdp.Technique.run ctx);
+    Buffer.contents buf
+  in
+  let open Waveform.Wave in
+  Alcotest.(check string) "SGDP rising, overlapping, deep inner dip, P=35"
+    " 0x1.53743c03175e5p+34 -0x1.893bed15d46e7p+4"
+    (sgdp_ramp (pwl_ctx ~dir:Rising ~delay:0.0 ~glitch:(Inside 0.8) ~samples:35));
+  Alcotest.(check string) "SGDP falling, overlapping, shallow inner dip, P=10"
+    " -0x1.7a604bda7947cp+33 0x1.d00d070aefb7dp+3"
+    (sgdp_ramp (pwl_ctx ~dir:Falling ~delay:0.0 ~glitch:(Inside 0.3) ~samples:10));
+  Alcotest.(check string) "SGDP falling, separated, deep late dip, P=140"
+    " -0x1.b52d97824eb8dp+31 0x1.6ca5a88e9137ap+2"
+    (sgdp_ramp (pwl_ctx ~dir:Falling ~delay:500e-12 ~glitch:(After 0.8) ~samples:140));
+  let contexts =
+    List.concat_map
+      (fun dir ->
+        List.concat_map
+          (fun delay ->
+            List.concat_map
+              (fun glitch ->
+                List.map (fun samples -> pwl_ctx ~dir ~delay ~glitch ~samples) [ 4; 10; 35; 140 ])
+              [ Clean; Before 0.3; Before 0.8; Inside 0.3; Inside 0.8; After 0.3; After 0.8 ])
+          [ 0.0; 500e-12 ])
+      [ Rising; Falling ]
+  in
+  Alcotest.(check int) "contexts" 112 (List.length contexts);
+  let all = String.concat "" (List.map mapping contexts) in
+  Alcotest.(check string) "MD5 of every mapping" "f4f187da29d281202f3c0d5527fac457"
+    (Digest.to_hex (Digest.string all))
+
+(* The fit allocates nothing per sample or per line-search trial: one
+   SGDP run at P = 140 on a characterized arc allocates ~14,800 minor
+   words, nearly all in sampling the noisy wave and remapping rho. A fit
+   that builds a residual array per trial and Jacobian rows per
+   iteration allocates 165,793 here, far above the bound. *)
+let test_sgdp_allocation_budget () =
+  let ctx = pwl_ctx ~dir:Waveform.Wave.Rising ~delay:0.0 ~glitch:(Inside 0.3) ~samples:140 in
+  let run () = ignore (Sys.opaque_identity (Sgdp.sgdp.Technique.run ctx)) in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  check_true (Printf.sprintf "%.0f minor words under 40000" words) (words < 40_000.0)
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck_tests =
   [
@@ -570,5 +674,7 @@ let suite =
       case "arc memo: beyond the bound" test_memo_beyond_bound;
       case "arc memo: keeps no wave alive" test_memo_keeps_no_wave_alive;
       case "arc memo: pool equals sequential" test_memo_pool_matches_sequential;
+      case "golden: piecewise-linear mappings" test_pwl_golden;
+      case "SGDP: allocation budget" test_sgdp_allocation_budget;
     ]
     @ exactness_cases @ qcheck_tests )

@@ -448,34 +448,78 @@ let test_fit_degenerate () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected degenerate failure"
 
+(* A line a*x + b through (xs, ys) as [Lsq.gauss_newton] sees it: residuals
+   (a*x + b) - y with Jacobian rows (x, 1). *)
+let line_problem xs ys =
+  let residual a b i = ((a *. xs.(i)) +. b) -. ys.(i) in
+  let cost a b =
+    let c = ref 0.0 in
+    Array.iteri
+      (fun i _ ->
+        let r = residual a b i in
+        c := !c +. (r *. r))
+      xs;
+    !c
+  in
+  let normal a b =
+    let sxx = ref 0.0 and sx = ref 0.0 and sxr = ref 0.0 and sr = ref 0.0 in
+    Array.iteri
+      (fun i x ->
+        let r = residual a b i in
+        sxx := !sxx +. (x *. x);
+        sx := !sx +. x;
+        sxr := !sxr +. (x *. r);
+        sr := !sr +. r)
+      xs;
+    Lsq.
+      {
+        a00 = !sxx;
+        a01 = !sx;
+        a11 = float_of_int (Array.length xs);
+        g0 = -. !sxr;
+        g1 = -. !sr;
+      }
+  in
+  (cost, normal)
+
 let test_gauss_newton_quadratic () =
   (* Fit y = a*x + b to exact data by minimizing the residual directly:
      GN should land on the analytic answer in a couple of steps. *)
   let xs = Array.init 10 (fun i -> float_of_int i /. 3.0) in
   let ys = Array.map (fun x -> (1.7 *. x) +. 0.3) xs in
-  let residual p = Array.mapi (fun i x -> ((p.(0) *. x) +. p.(1)) -. ys.(i)) xs in
-  let jacobian _ = Array.map (fun x -> [| x; 1.0 |]) xs in
-  let p = Lsq.gauss_newton ~residual ~jacobian [| 0.0; 0.0 |] in
-  approx ~eps:1e-6 "a" 1.7 p.(0);
-  approx ~eps:1e-6 "b" 0.3 p.(1)
+  let cost, normal = line_problem xs ys in
+  let a, b = Lsq.gauss_newton ~cost ~normal (0.0, 0.0) in
+  approx ~eps:1e-6 "a" 1.7 a;
+  approx ~eps:1e-6 "b" 0.3 b
 
 let test_gauss_newton_nonlinear () =
-  (* Minimize (x^2 - 4)^2: minima at +-2; starting at 1 converges to 2. *)
-  let residual p = [| (p.(0) *. p.(0)) -. 4.0 |] in
-  let jacobian p = [| [| 2.0 *. p.(0) |] |] in
-  let p = Lsq.gauss_newton ~residual ~jacobian [| 1.0 |] in
-  approx ~eps:1e-5 "root" 2.0 p.(0)
+  (* Minimize (a^2 - 4)^2 + (b - 1)^2: minima at a = +-2; starting at
+     a = 1 converges to 2. *)
+  let cost a b =
+    let r0 = (a *. a) -. 4.0 and r1 = b -. 1.0 in
+    (r0 *. r0) +. (r1 *. r1)
+  in
+  let normal a b =
+    Lsq.
+      {
+        a00 = 4.0 *. a *. a;
+        a01 = 0.0;
+        a11 = 1.0;
+        g0 = -2.0 *. a *. ((a *. a) -. 4.0);
+        g1 = -.(b -. 1.0);
+      }
+  in
+  let a, b = Lsq.gauss_newton ~cost ~normal (1.0, 0.0) in
+  approx ~eps:1e-5 "root" 2.0 a;
+  approx ~eps:1e-5 "linear part" 1.0 b
 
 let test_gauss_newton_never_worse () =
   (* Even from a bad start the returned cost never exceeds the seed's. *)
   let xs = lcg_array 5 15 0.0 1.0 in
   let ys = lcg_array 6 15 (-1.0) 1.0 in
-  let residual p = Array.mapi (fun i x -> ((p.(0) *. x) +. p.(1)) -. ys.(i)) xs in
-  let jacobian _ = Array.map (fun x -> [| x; 1.0 |]) xs in
-  let cost p = Array.fold_left (fun a r -> a +. (r *. r)) 0.0 (residual p) in
-  let p0 = [| 100.0; -50.0 |] in
-  let p = Lsq.gauss_newton ~residual ~jacobian p0 in
-  check_true "improved" (cost p <= cost p0)
+  let cost, normal = line_problem xs ys in
+  let a, b = Lsq.gauss_newton ~cost ~normal (100.0, -50.0) in
+  check_true "improved" (cost a b <= cost 100.0 (-50.0))
 
 (* ------------------------------------------------------------------ *)
 (* Roots                                                               *)
