@@ -12,11 +12,10 @@
 #     branch-and-bound search vs the exhaustive sweep, compared
 #     against BENCH_sweep.json. The stage self-gates (solved points
 #     byte-identical to the exhaustive sweep, worst-case drift within
-#     the coverage slack, >=4x fewer solves and <=40 total, sparse
-#     entries >=5x smaller) and the --compare limb additionally fails
-#     when the pruned solve count grew >25% over the baseline or the
-#     sparse compression ratio fell below 80% of it. Skip with
-#     SWEEP_GATE=0; SWEEP_BASELINE=path overrides the baseline file.
+#     the coverage slack, >=4x fewer solves and <=40 total) and the
+#     --compare limb additionally fails when the pruned solve count
+#     grew >25% over the baseline. Skip with SWEEP_GATE=0;
+#     SWEEP_BASELINE=path overrides the baseline file.
 #
 # Timing is not gated here: end-to-end performance is the repository
 # benchmark's job (bench/ledger). Refresh the sweep baseline with:

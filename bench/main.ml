@@ -15,8 +15,7 @@
      worstcase — worst-aggressor-alignment search (noise-aware STA)
      sweep    — branch-and-bound pruned alignment search on the Config
                 II grid vs the exhaustive sweep (solve counts, worst-case
-                drift within the coverage slack) and sparse cache-entry
-                compression
+                drift within the coverage slack)
      corners  — technique accuracy across process corners
      montecarlo — randomized alignment/polarity error percentiles
      awe      — moment-matched interconnect model vs transient sim
@@ -74,9 +73,8 @@
                     and the pool chunk (default 16; 1 skips the
                     pre-solve pass)
      --compare FILE regression gate for the sweep section: fail when
-                    the pruned solve count grew >25% or the sparse
-                    ratio fell below 80% of FILE (a previous --json
-                    output)
+                    the pruned solve count grew >25% over FILE (a
+                    previous --json output)
 
    Performance is judged by the repository benchmark, bench/ledger
    (see its README); this program regenerates the paper's results. *)
@@ -500,10 +498,10 @@ let worstcase () =
     [ Noise.Scenario.config_i; Noise.Scenario.config_ii ]
 
 (* ------------------------------------------------------------------ *)
-(* Sweep: branch-and-bound alignment pruning + sparse waveform storage *)
+(* Sweep: branch-and-bound alignment pruning                           *)
 
 (* Compare against the "sweep" object of a previous --json output. *)
-let sweep_compare ~pruned_solves ~sparse_ratio path =
+let sweep_compare ~pruned_solves path =
   let fail fmt =
     Printf.ksprintf
       (fun msg ->
@@ -521,7 +519,7 @@ let sweep_compare ~pruned_solves ~sparse_ratio path =
           (Option.bind (Server.Json.member "sweep" doc) (Server.Json.member key))
           Server.Json.to_float
       in
-      (match baseline "pruned_solves" with
+      match baseline "pruned_solves" with
       | None -> fail "baseline has no sweep.pruned_solves"
       | Some base ->
           let limit = int_of_float (Float.round (base *. 1.25)) in
@@ -530,19 +528,10 @@ let sweep_compare ~pruned_solves ~sparse_ratio path =
               pruned_solves base
           else
             Printf.printf "  pruned solves %d vs baseline %.0f: ok\n"
-              pruned_solves base);
-      match baseline "sparse_ratio" with
-      | None -> fail "baseline has no sweep.sparse_ratio"
-      | Some base ->
-          if sparse_ratio < base *. 0.8 then
-            fail "sparse compression %.2fx fell below 80%% of baseline %.2fx"
-              sparse_ratio base
-          else
-            Printf.printf "  sparse ratio %.2fx vs baseline %.2fx: ok\n"
-              sparse_ratio base)
+              pruned_solves base)
 
 let sweep_stage () =
-  header "Sweep: branch-and-bound alignment search + sparse storage";
+  header "Sweep: branch-and-bound alignment search";
   let n = !cases in
   let scen = Noise.Scenario.with_cases Noise.Scenario.config_ii n in
   let s = cli_spec () in
@@ -569,12 +558,12 @@ let sweep_stage () =
     let noiseless = Noise.Injection.noiseless ~engine scen in
     let t0 = Unix.gettimeofday () in
     let r = Noise.Alignment.search ~config ~engine scen ~noiseless in
-    (r, Unix.gettimeofday () -. t0, engine, noiseless)
+    (r, Unix.gettimeofday () -. t0)
   in
-  let ex, t_ex, _, _ =
+  let ex, t_ex =
     run { Noise.Alignment.default with Noise.Alignment.prune_tol_ps = 0.0 }
   in
-  let pr, t_pr, engine_pr, noiseless_pr =
+  let pr, t_pr =
     run { Noise.Alignment.default with Noise.Alignment.prune_tol_ps = tol }
   in
   (* Guard sample: every alignment the pruned search did solve must
@@ -605,60 +594,19 @@ let sweep_stage () =
     if solves_pr > 0 then float_of_int solves_ex /. float_of_int solves_pr
     else 0.0
   in
-  (* Sparse storage on the worst-case waveforms: serialize the probed
-     traces the way the disk cache does (time/value array pairs) with
-     and without threshold-windowed compression. *)
-  let th = Device.Process.thresholds scen.Noise.Scenario.proc in
-  let levels = Waveform.Thresholds.[ v_low th; v_mid th; v_high th ] in
-  let noisy =
-    Noise.Injection.noisy ~engine:engine_pr scen
-      ~tau:pr.Noise.Alignment.best_tau
-  in
-  let waves =
-    [
-      noisy.Noise.Injection.far;
-      noisy.Noise.Injection.rcv;
-      noiseless_pr.Noise.Injection.far;
-      noiseless_pr.Noise.Injection.rcv;
-    ]
-  in
-  let entry_bytes ws =
-    String.length
-      (Marshal.to_string
-         (List.map
-            (fun w -> (Waveform.Wave.times w, Waveform.Wave.values w))
-            ws)
-         [])
-  in
-  let compressed = List.map (Waveform.Sparse.compress ~levels) waves in
-  let bytes_dense = entry_bytes waves in
-  let bytes_sparse = entry_bytes compressed in
-  let sparse_ratio =
-    if bytes_sparse > 0 then
-      float_of_int bytes_dense /. float_of_int bytes_sparse
-    else 0.0
-  in
-  let sparse_max_err =
-    List.fold_left2
-      (fun acc original decoded ->
-        Float.max acc (Waveform.Sparse.max_error ~original ~decoded))
-      0.0 waves compressed
-  in
   Printf.printf
     "  %d-point Config II alignment grid, tol %.1f ps\n\
     \  exhaustive    %4d solves  [%.1f s]\n\
     \  pruned        %4d solves  [%.1f s]  (%d pruned, %d rounds)\n\
     \  %.1fx fewer transient solves; worst case tau %.1f ps, delay %.2f ps\n\
     \  best-delay drift %.6f ps (slack %.1f ps); guard sample: %d \
-     disagreements, drift %.3f ps\n\
-    \  sparse storage: %d -> %d bytes (%.1fx), max err %.2e V\n"
+     disagreements, drift %.3f ps\n"
     n tol solves_ex t_ex solves_pr t_pr
     pr.Noise.Alignment.stats.Noise.Alignment.pruned
     pr.Noise.Alignment.stats.Noise.Alignment.rounds solve_ratio
     (pr.Noise.Alignment.best_tau *. 1e12)
     (pr.Noise.Alignment.best_delay *. 1e12)
-    drift_ps tol !guard_disagreements guard_drift_ps bytes_dense bytes_sparse
-    sparse_ratio sparse_max_err;
+    drift_ps tol !guard_disagreements guard_drift_ps;
   if drift_ps > tol then begin
     Printf.printf
       "  FAIL: worst-case delay drifted %.6f ps, beyond the %.1f ps slack\n"
@@ -679,16 +627,6 @@ let sweep_stage () =
   if n >= 200 && solves_pr > 40 then begin
     Printf.printf "  FAIL: pruned sweep took %d solves (budget 40)\n"
       solves_pr;
-    exit_code := 1
-  end;
-  if sparse_ratio < 5.0 then begin
-    Printf.printf "  FAIL: expected >= 5x smaller entries, got %.1fx\n"
-      sparse_ratio;
-    exit_code := 1
-  end;
-  if sparse_max_err > Waveform.Sparse.default_eps then begin
-    Printf.printf "  FAIL: sparse reconstruction error %.2e V above %.0e V\n"
-      sparse_max_err Waveform.Sparse.default_eps;
     exit_code := 1
   end;
   add_json "sweep"
@@ -712,14 +650,9 @@ let sweep_stage () =
          ("drift_ps", Num drift_ps);
          ("guard_disagreements", jint !guard_disagreements);
          ("guard_drift_ps", Num guard_drift_ps);
-         ("bytes_dense", jint bytes_dense);
-         ("bytes_sparse", jint bytes_sparse);
-         ("sparse_ratio", Num sparse_ratio);
-         ("sparse_max_err_v", Num sparse_max_err);
        ]);
   match !compare_file with
-  | Some path ->
-      sweep_compare ~pruned_solves:solves_pr ~sparse_ratio path
+  | Some path -> sweep_compare ~pruned_solves:solves_pr path
   | None -> ()
 
 let corners () =
@@ -2138,8 +2071,8 @@ let () =
       & info [ "compare" ] ~docv:"FILE"
           ~doc:
             "Regression gate for the sweep section: fail when the \
-             pruned solve count grew >25% or the sparse ratio fell \
-             below 80% of $(docv) (a previous $(b,--json) output).")
+             pruned solve count grew >25% over $(docv) (a previous \
+             $(b,--json) output).")
   in
   let clients_arg =
     Arg.(

@@ -48,12 +48,6 @@ type rt = {
   prune_tol_ps : float;
 }
 
-(* The cache's sparse codec keeps crossings at these levels exact, so
-   they must be the levels timing is measured at. *)
-let sparse_levels =
-  let th = Device.Process.thresholds proc in
-  Waveform.Thresholds.[ v_low th; v_mid th; v_high th ]
-
 let rt_term =
   let make spec (sweep : Runtime.Cli.sweep) =
     (* The ladder names are validated here rather than in Runtime.Cli:
@@ -66,7 +60,7 @@ let rt_term =
         Runtime.Cli.arm_faults spec;
         `Ok
           {
-            engine = Runtime.Cli.engine_of_spec ~sparse_levels spec;
+            engine = Runtime.Cli.engine_of_spec spec;
             metrics = sweep.Runtime.Cli.metrics;
             checkpoint_dir = sweep.Runtime.Cli.checkpoint_dir;
             ladder;

@@ -163,13 +163,7 @@ let serve_opts_term =
 let run_serve ~restarts (o : serve_opts) =
   Runtime.Cli.arm_faults o.spec;
   Option.iter Server.Netfault.arm o.inject_net;
-  (* Threshold levels the sparse disk codec must preserve exactly —
-     the same levels every timing measurement reads. *)
-  let sparse_levels =
-    let th = Device.Process.thresholds Device.Process.c13 in
-    Waveform.Thresholds.[ v_low th; v_mid th; v_high th ]
-  in
-  let engine = Runtime.Cli.engine_of_spec ~sparse_levels o.spec in
+  let engine = Runtime.Cli.engine_of_spec o.spec in
   let addr = addr_of o.socket o.port in
   let config =
     {

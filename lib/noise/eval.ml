@@ -1,5 +1,3 @@
-type reference = Replay | Chain
-
 (* How the Gamma_eff ladder resolved a case: which rung accepted the
    waveform, what the degradation cost (RMS deviation of the accepted
    ramp from the sampled noisy waveform), and why earlier rungs
@@ -111,7 +109,7 @@ let run_ladder ?metrics ladder ctx =
         (Runtime.Failure.Mapping_exhausted
            { tried = List.length skips; last })
 
-let evaluate_case ?(reference = Replay) ?techniques ?samples
+let evaluate_case ?techniques ?samples
     ?(ladder = Eqwave.Ladder.default) ?engine ?noisy scenario ~noiseless ~tau =
   let engine = Runtime.Engine.resolve engine in
   let techniques =
@@ -135,11 +133,8 @@ let evaluate_case ?(reference = Replay) ?techniques ?samples
       ~input:(Spice.Source.of_wave noisy.Injection.far)
       ~tstop
   in
-  let t_out_replay = mid_crossing th replay_out "replayed output" in
+  let t_out_ref = mid_crossing th replay_out "replayed output" in
   let t_out_chain = mid_crossing th noisy.Injection.rcv "chain output" in
-  let t_out_ref =
-    match reference with Replay -> t_out_replay | Chain -> t_out_chain
-  in
   let delay_ref = t_out_ref -. t_in in
   let ref_out_slew = Waveform.Wave.slew replay_out th in
   let eval_technique (tech : Eqwave.Technique.t) =
@@ -192,7 +187,7 @@ let evaluate_case ?(reference = Replay) ?techniques ?samples
     tau;
     delay_ref;
     ref_out_arrival = t_out_ref;
-    chain_vs_replay = t_out_chain -. t_out_replay;
+    chain_vs_replay = t_out_chain -. t_out_ref;
     mapping;
     metrics = List.map eval_technique techniques;
   }
@@ -294,7 +289,7 @@ let summarize_degradation ladder cases =
    deadline decides which solves get cancelled, and a guard replays
    extra reference solves (shifting fault-injection indices) — so
    resumed journals must not mix any of them. *)
-let sweep_fingerprint ~tag ~schema ?reference ?samples
+let sweep_fingerprint ~tag ~schema ?samples
     ?(ladder = Eqwave.Ladder.default) ~techs ~engine scenario extra =
   String.concat "|"
     ([
@@ -306,9 +301,9 @@ let sweep_fingerprint ~tag ~schema ?reference ?samples
        string_of_int scenario.Scenario.cases;
        Spice.Transient.config_fingerprint (Runtime.Engine.solver engine);
        Runtime.Resilience.fingerprint (Runtime.Engine.resilience engine);
-       (match reference with
-       | Some Chain -> "chain"
-       | Some Replay | None -> "replay");
+       (* the receiver-replay reference: a constant part, kept so
+          existing journals keep their fingerprint *)
+       "replay";
        (match samples with Some n -> string_of_int n | None -> "default");
        Eqwave.Ladder.fingerprint ladder;
        (match Runtime.Engine.deadline_ms engine with
@@ -322,28 +317,21 @@ let sweep_fingerprint ~tag ~schema ?reference ?samples
     @ extra)
 
 (* Reference delay of one case for the differential guard: re-simulate
-   the noisy run and (for Replay mode) the receiver replay under the
-   reference engine and measure the same mid-to-mid delay
-   [evaluate_case] reports. Kept deliberately light — none of the
-   per-technique work. *)
-let guard_reference_delay ?(reference = Replay) ~engine scenario ~tau =
+   the noisy run and the receiver replay under the reference engine and
+   measure the same mid-to-mid delay [evaluate_case] reports. Kept
+   deliberately light — none of the per-technique work. *)
+let guard_reference_delay ~engine scenario ~tau =
   let th = Device.Process.thresholds scenario.Scenario.proc in
   let noisy = Injection.noisy ~engine scenario ~tau in
   let t_in = mid_crossing th noisy.Injection.far "noisy input (guard)" in
-  let t_out =
-    match reference with
-    | Chain -> mid_crossing th noisy.Injection.rcv "chain output (guard)"
-    | Replay ->
-        let replay_out =
-          Injection.receiver_response ~engine scenario
-            ~input:(Spice.Source.of_wave noisy.Injection.far)
-            ~tstop:scenario.Scenario.tstop
-        in
-        mid_crossing th replay_out "replayed output (guard)"
+  let replay_out =
+    Injection.receiver_response ~engine scenario
+      ~input:(Spice.Source.of_wave noisy.Injection.far)
+      ~tstop:scenario.Scenario.tstop
   in
-  t_out -. t_in
+  mid_crossing th replay_out "replayed output (guard)" -. t_in
 
-let run_table ?reference ?techniques ?samples ?ladder ?progress
+let run_table ?techniques ?samples ?ladder ?progress
     ?checkpoint_dir ?engine ?(prune_tol_ps = 0.0) scenario =
   let engine = Runtime.Engine.resolve engine in
   let techs =
@@ -401,7 +389,7 @@ let run_table ?reference ?techniques ?samples ?ladder ?progress
              ~name:("table1-" ^ scenario.Scenario.name)
              ~fingerprint:
                (sweep_fingerprint ~tag:"eval.run_table" ~schema:"case_eval/2"
-                  ?reference ?samples ~ladder:the_ladder ~techs ~engine
+                  ?samples ~ladder:the_ladder ~techs ~engine
                   scenario
                   (if pruning then
                      [ Printf.sprintf "prune:%h" prune_tol_ps ]
@@ -460,7 +448,7 @@ let run_table ?reference ?techniques ?samples ?ladder ?progress
     match guard with
     | Some g when Runtime.Guard.selects g i && Float.is_finite c.delay_ref -> (
         match
-          guard_reference_delay ?reference
+          guard_reference_delay
             ~engine:(Lazy.force guard_engine)
             scenario ~tau:taus.(i)
         with
@@ -477,7 +465,7 @@ let run_table ?reference ?techniques ?samples ?ladder ?progress
     | Error f -> failed_case techs ~tau:taus.(i) f
     | Ok noiseless -> (
         match
-          evaluate_case ?reference ~techniques:techs ?samples
+          evaluate_case ~techniques:techs ?samples
             ~ladder:the_ladder ~engine scenario ~noiseless ~tau:taus.(i)
         with
         | c ->

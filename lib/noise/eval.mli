@@ -12,8 +12,6 @@
     paper's Table 1 measures. The full-chain receiver output is also
     carried through so tests can confirm the replay is faithful. *)
 
-type reference = Replay | Chain
-
 type degradation = {
   technique : string;  (** the technique whose rung accepted the case *)
   rung : int;          (** its 0-based position in the ladder *)
@@ -64,7 +62,6 @@ val failure_of_exn : exn -> Runtime.Failure.t option
 val sweep_fingerprint :
   tag:string ->
   schema:string ->
-  ?reference:reference ->
   ?samples:int ->
   ?ladder:Eqwave.Ladder.t ->
   techs:Eqwave.Technique.t list ->
@@ -74,15 +71,14 @@ val sweep_fingerprint :
   string
 (** Checkpoint fingerprint covering everything that determines a
     per-case result: scenario (including window and case count),
-    solver config, resilience policy, reference mode, sample count,
-    technique set, degradation-ladder order ([ladder], defaulting to
+    solver config, resilience policy, sample count, technique set,
+    degradation-ladder order ([ladder], defaulting to
     {!Eqwave.Ladder.default}), the engine's deadline and guard
     settings, plus caller-specific [extra] parts. [schema] tags the
     marshalled payload layout. Shared by the Table-1 and Monte-Carlo
     sweep drivers. *)
 
 val evaluate_case :
-  ?reference:reference ->
   ?techniques:Eqwave.Technique.t list ->
   ?samples:int ->
   ?ladder:Eqwave.Ladder.t ->
@@ -135,17 +131,15 @@ type table = {
 val summarize_degradation : Eqwave.Ladder.t -> case_eval list -> degradation_summary
 
 val guard_reference_delay :
-  ?reference:reference ->
   engine:Runtime.Engine.t ->
   Scenario.t -> tau:float -> float
 (** The reference-engine delay the differential guard compares
-    against: one noisy chain simulation (plus the receiver replay in
-    [Replay] mode), measured mid-to-mid exactly as [evaluate_case]
-    measures [delay_ref]. Raises on solve failure — callers classify
+    against: one noisy chain simulation plus the receiver replay,
+    measured mid-to-mid exactly as [evaluate_case] measures
+    [delay_ref]. Raises on solve failure — callers classify
     with {!failure_of_exn}. *)
 
 val run_table :
-  ?reference:reference ->
   ?techniques:Eqwave.Technique.t list ->
   ?samples:int ->
   ?ladder:Eqwave.Ladder.t ->

@@ -145,7 +145,6 @@ type t = {
   shards : shard array;
   disk_dir : string option;
   breaker : Breaker.t option;
-  sparse : (float list * float) option;  (* (levels, eps) for disk writes *)
   max_disk_bytes : int option;
   hits : int Atomic.t;
   disk_hits : int Atomic.t;
@@ -175,8 +174,7 @@ let scan_disk_bytes dir =
         0 names
 
 let create ?(shards = 16) ?disk_dir ?breaker_threshold ?breaker_cooldown_s
-    ?now ?(sparse_levels = []) ?(sparse_eps = Waveform.Sparse.default_eps)
-    ?max_disk_bytes () =
+    ?now ?max_disk_bytes () =
   if shards < 1 then invalid_arg "Cache.create: shards < 1";
   (match max_disk_bytes with
   | Some b when b < 1 -> invalid_arg "Cache.create: max_disk_bytes < 1"
@@ -192,10 +190,6 @@ let create ?(shards = 16) ?disk_dir ?breaker_threshold ?breaker_cooldown_s
           Breaker.create ?threshold:breaker_threshold
             ?cooldown_s:breaker_cooldown_s ?now ())
         disk_dir;
-    sparse =
-      (match sparse_levels with
-      | [] -> None
-      | levels -> Some (levels, sparse_eps));
     max_disk_bytes;
     hits = Atomic.make 0;
     disk_hits = Atomic.make 0;
@@ -222,16 +216,14 @@ let locked s f =
 (* ------------------------------------------------------------------ *)
 (* Disk layer. Waves are flattened to plain float arrays before
    marshalling so the format does not depend on Wave's representation.
-   Format 4 is one {!Record} frame whose body is a codec byte (dense or
-   threshold-sparsified, see {!Waveform.Sparse}) followed by the
-   marshalled payload, so a torn or bit-rotted entry fails its CRC
-   before [Marshal] ever sees it. Entries of older formats fail the
-   magic check and are reaped like any other corrupt entry: it is a
-   cache, so the miss just recomputes. *)
+   Format 5 is one {!Record} frame whose body is the marshalled payload,
+   so a torn or bit-rotted entry fails its CRC before [Marshal] ever
+   sees it. The disk copy is the exact wave: every cached sample is
+   read back, not only threshold crossings. Entries of older formats
+   fail the magic check and are reaped like any other corrupt entry: it
+   is a cache, so the miss just recomputes. *)
 
-let disk_magic = "noisy_sta.cache.4\n"
-let codec_dense = '\000'
-let codec_sparse = '\001'
+let disk_magic = "noisy_sta.cache.5\n"
 
 let disk_path dir key = Filename.concat dir key
 
@@ -239,10 +231,8 @@ let disk_path dir key = Filename.concat dir key
    [Error `Corrupt]; shared by the read path and the startup scrub. *)
 let decode_entry raw =
   match Record.single ~magic:disk_magic raw with
-  | Some body
-    when String.length body >= 1
-         && (body.[0] = codec_dense || body.[0] = codec_sparse) -> (
-      match (Marshal.from_string body 1 : (float array * float array) list) with
+  | Some body -> (
+      match (Marshal.from_string body 0 : (float array * float array) list) with
       | raw_waves
         when List.for_all
                (fun (ts, vs) -> Array.length ts = Array.length vs)
@@ -250,7 +240,7 @@ let decode_entry raw =
           Ok (List.map (fun (ts, vs) -> Waveform.Wave.create ts vs) raw_waves)
       | _ -> Error `Corrupt
       | exception _ -> Error `Corrupt)
-  | _ -> Error `Corrupt
+  | None -> Error `Corrupt
 
 (* Report a disk op's outcome to the breaker (when the cache has one).
    An absent file is a successful disk interaction: only genuine
@@ -343,27 +333,14 @@ let disk_write t dir key waves =
     roll_fault ();
     Record.ensure_dir dir;
     let path = disk_path dir key in
-    (* Sparsification applies to the disk copy only; the memory shards
-       keep the dense wave, so in-process replay is byte-identical and
-       only a cross-process disk round-trip sees the (crossing-exact,
-       eps-bounded) sparse reconstruction. *)
-    let waves_out, codec =
-      match t.sparse with
-      | None -> (waves, codec_dense)
-      | Some (levels, eps) ->
-          ( List.map (Waveform.Sparse.compress ~eps ~levels) waves,
-            codec_sparse )
-    in
     let payload =
       Marshal.to_string
         (List.map
            (fun w -> (Waveform.Wave.times w, Waveform.Wave.values w))
-           waves_out)
+           waves)
         []
     in
-    let entry =
-      Record.encode ~magic:disk_magic [ String.make 1 codec ^ payload ]
-    in
+    let entry = Record.encode ~magic:disk_magic [ payload ] in
     let replaced = file_size path in
     Record.write_atomic path entry;
     let size = String.length entry in
@@ -508,7 +485,6 @@ let write_errors t = Atomic.get t.write_errors
 let bytes_written t = Atomic.get t.bytes_written
 let disk_bytes t = Atomic.get t.disk_bytes
 let evictions t = Atomic.get t.evictions
-let sparse_enabled t = Option.is_some t.sparse
 let breaker t = t.breaker
 
 let breaker_state t =

@@ -9,16 +9,18 @@
     are atomics.
 
     An optional on-disk layer persists results across process runs:
-    misses fall through to [dir/<key>], a {!Record} file (format 4:
-    version magic, then one CRC-32 frame holding a codec byte and the
-    OCaml [Marshal] payload, validated on every read), and fresh
-    results are written back with {!Record.write_atomic}, so a
-    repeated bench invocation skips already-simulated cases. Every disk
-    read failure is still a miss — sweeps never die on a bad cache
-    entry — but failures are classified: corrupt or truncated entries,
-    and entries of older formats, bump {!read_errors} and are unlinked
-    so they cannot poison future runs; I/O errors (permissions and the
-    like) bump {!read_errors} and leave the file in place.
+    misses fall through to [dir/<key>], a {!Record} file (format 5:
+    version magic, then one CRC-32 frame holding the OCaml [Marshal]
+    payload, validated on every read), and fresh results are written
+    back with {!Record.write_atomic}, so a repeated bench invocation
+    skips already-simulated cases. The disk copy is lossless: a wave
+    read back from disk is bit-identical to the one stored, so answers
+    do not depend on which tier served them. Every disk read failure
+    is still a miss — sweeps never die on a bad cache entry — but
+    failures are classified: corrupt or truncated entries, and entries
+    of older formats, bump {!read_errors} and are unlinked so they
+    cannot poison future runs; I/O errors (permissions and the like)
+    bump {!read_errors} and leave the file in place.
 
     The disk layer sits behind a {!Breaker}: after a run of consecutive
     disk failures the breaker opens and disk ops are short-circuited
@@ -75,25 +77,15 @@ val create :
   ?breaker_threshold:int ->
   ?breaker_cooldown_s:float ->
   ?now:(unit -> float) ->
-  ?sparse_levels:float list ->
-  ?sparse_eps:float ->
   ?max_disk_bytes:int ->
   unit ->
   t
 (** [shards] defaults to 16. When [disk_dir] is given the directory is
     created on demand and a {!Breaker} guards the disk layer
     ([breaker_threshold], [breaker_cooldown_s] and [now] configure it);
-    without [disk_dir] there is no breaker.
-
-    A non-empty [sparse_levels] turns on threshold-windowed
-    sparsification ({!Waveform.Sparse.compress} with [sparse_eps],
-    default {!Waveform.Sparse.default_eps}) of the *disk* copies:
-    memory shards keep the dense waves, so in-process replay stays
-    byte-identical, while cross-process round-trips reproduce every
-    listed crossing level exactly and everything else within
-    [sparse_eps]. [max_disk_bytes] caps the disk layer: when a write
-    pushes {!disk_bytes} past the cap, entries are LRU-evicted
-    (oldest mtime first) down to 90% of it. *)
+    without [disk_dir] there is no breaker. [max_disk_bytes] caps the
+    disk layer: when a write pushes {!disk_bytes} past the cap,
+    entries are LRU-evicted (oldest mtime first) down to 90% of it. *)
 
 val disk_dir : t -> string option
 
@@ -174,9 +166,6 @@ val disk_bytes : t -> int
 
 val evictions : t -> int
 (** Disk entries unlinked by the [max_disk_bytes] LRU cap. *)
-
-val sparse_enabled : t -> bool
-(** Whether disk writes go through {!Waveform.Sparse.compress}. *)
 
 val breaker : t -> Breaker.t option
 (** The breaker guarding the disk layer, when one exists. *)

@@ -23,8 +23,6 @@ type spec = {
   fault : Spice.Transient.Fault.kind Faultplan.plan option;
   cache_fault : unit Faultplan.plan option;
   prune_tol_ps : float;
-  sparse_cache : bool;
-  sparse_eps : float option;
   cache_max_mb : int option;
 }
 
@@ -216,30 +214,6 @@ let spec_term ?(default_engine = "reference") ?default_cache_dir () =
                    0 (the default) keeps the exhaustive, \
                    byte-identical sweep.")
   in
-  let sparse_cache =
-    Arg.(value & flag
-         & info [ "sparse-cache" ]
-             ~doc:"Store disk-cache waveforms threshold-sparsified: \
-                   dense samples only around threshold crossings, \
-                   linear segments elsewhere. Crossing times \
-                   round-trip exactly; everything else within the \
-                   sparsification tolerance. Memory-resident waves \
-                   stay dense.")
-  in
-  let sparse_eps =
-    let c =
-      Arg.conv
-        ( (fun s ->
-            match float_of_string_opt s with
-            | Some x when x >= 0.0 && Float.is_finite x -> Ok x
-            | _ -> Error (`Msg "expected a non-negative float (volts)")),
-          fun ppf x -> Format.fprintf ppf "%g" x )
-    in
-    Arg.(value & opt (some c) None
-         & info [ "sparse-eps" ] ~docv:"VOLTS"
-             ~doc:"Reconstruction-error bound for $(b,--sparse-cache) \
-                   (default 1 mV). Implies $(b,--sparse-cache).")
-  in
   let cache_max_mb =
     Arg.(value & opt (some (int_at_least 1)) None
          & info [ "cache-max-mb" ] ~docv:"MB"
@@ -249,7 +223,7 @@ let spec_term ?(default_engine = "reference") ?default_cache_dir () =
   in
   let make engine_name ltetol jobs batch no_cache cache_dir fallback retries
       deadline_ms guard guard_every guard_tol_ps fault cache_fault
-      prune_tol_ps sparse_cache sparse_eps cache_max_mb =
+      prune_tol_ps cache_max_mb =
     {
       engine_name;
       ltetol;
@@ -266,16 +240,13 @@ let spec_term ?(default_engine = "reference") ?default_cache_dir () =
       fault;
       cache_fault;
       prune_tol_ps;
-      sparse_cache = sparse_cache || Option.is_some sparse_eps;
-      sparse_eps;
       cache_max_mb;
     }
   in
   Term.(
     const make $ engine $ ltetol $ jobs $ batch $ no_cache $ cache_dir
     $ fallback $ retries $ deadline $ guard $ guard_every $ guard_tol_ps
-    $ inject $ inject_cache $ prune_tol $ sparse_cache $ sparse_eps
-    $ cache_max_mb)
+    $ inject $ inject_cache $ prune_tol $ cache_max_mb)
 
 let sweep_term () =
   let metrics =
@@ -320,7 +291,7 @@ let policy_of_spec s =
   | Some n -> Resilience.with_max_attempts p n
   | None -> p
 
-let engine_of_spec ?(sparse_levels = []) s =
+let engine_of_spec s =
   let e = Engine.of_name s.engine_name in
   let e =
     match s.ltetol with
@@ -345,8 +316,6 @@ let engine_of_spec ?(sparse_levels = []) s =
   if s.use_cache then
     Engine.with_cache e
       (Cache.create ?disk_dir:s.cache_dir
-         ~sparse_levels:(if s.sparse_cache then sparse_levels else [])
-         ?sparse_eps:s.sparse_eps
          ?max_disk_bytes:
            (Option.map (fun mb -> mb * 1024 * 1024) s.cache_max_mb)
          ())

@@ -3,9 +3,10 @@
     [bin/sta_main], [bin/sta_serve], and [bench/main] all configure the
     same evaluation runtime; this module defines the cmdliner flags
     once — engine preset, adaptive tolerance, worker domains, batch
-    width, cache, resilience policy, per-solve deadline, differential
-    guard, fault injection — and folds the parsed values into a
-    {!Engine.t}.
+    width, cache directory and disk cap, resilience policy, per-solve
+    deadline, differential guard, fault injection — and folds the
+    parsed values into a {!Engine.t}. The spec alone determines the
+    engine, so the three front-ends assemble it the same way.
 
     The term yields a transparent {!spec} first (the raw flag values),
     so front-ends that echo their configuration (the bench [--json]
@@ -30,8 +31,6 @@ type spec = {
   prune_tol_ps : float;
       (** [--prune-tol-ps], alignment branch-and-bound slack; 0 =
           exhaustive sweep *)
-  sparse_cache : bool;        (** [--sparse-cache] (or [--sparse-eps]) *)
-  sparse_eps : float option;  (** [--sparse-eps], volts *)
   cache_max_mb : int option;  (** [--cache-max-mb], LRU disk cap *)
 }
 
@@ -70,16 +69,13 @@ val sweep_term : unit -> sweep Cmdliner.Term.t
     separate from {!spec_term} so a front-end without sweeps (the
     daemon) doesn't advertise them. *)
 
-val engine_of_spec : ?sparse_levels:float list -> spec -> Engine.t
+val engine_of_spec : spec -> Engine.t
 (** Assemble the engine: preset, then tolerance, resilience policy
-    (with the retry budget), deadline, guard, batch width; a fresh {!Pool} when [jobs > 1] and a fresh
-    {!Cache} unless disabled. [sparse_levels] are the threshold
-    voltages handed to the cache when [--sparse-cache] is on — the
-    runtime layer doesn't know the device thresholds, so front-ends
-    supply them (default: empty, which disables sparsification even
-    with the flag). The caller owns the pool ({!Engine.pool}) and must
-    shut it down. Does NOT arm fault injection — call {!arm_faults}
-    exactly once per process. *)
+    (with the retry budget), deadline, guard, batch width; a fresh
+    {!Pool} when [jobs > 1] and a fresh {!Cache} unless disabled. The
+    caller owns the pool ({!Engine.pool}) and must shut it down. Does
+    NOT arm fault injection — call {!arm_faults} exactly once per
+    process. *)
 
 val policy_of_spec : spec -> Resilience.policy
 (** Just the resilience policy ([--fallback]/[--retries]). *)

@@ -1,9 +1,10 @@
 (* Crash-safety suite: CRC-32 vectors, the record format's scan
    properties, writes on a full disk, write-ahead journal torture
    (torn tails, CRC corruption, duplicate retires, replay idempotence,
-   the committed hostile-segment corpus), disk-cache scrub, daemon
-   journal replay with retry dedup, drain retirement, health states,
-   the heartbeat watchdog, and the restarting supervisor. *)
+   the committed hostile-segment corpus), disk-cache scrub, answers
+   across a restart on the same cache dir, daemon journal replay with
+   retry dedup, drain retirement, health states, the heartbeat
+   watchdog, and the restarting supervisor. *)
 
 open Helpers
 
@@ -493,6 +494,45 @@ let test_cache_scrub () =
       check_true "good entry survives"
         (Sys.file_exists (Filename.concat dir k1)))
 
+(* A restarted daemon re-opens its cache dir with a fresh [Cache]: the
+   answers it renders from disk must be the bytes the first process
+   rendered from its own solves. *)
+let test_restart_answers_from_disk () =
+  let dir = temp_dir "restart" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let queries =
+        Server.Protocol.
+          [
+            Gamma { config = "i"; tau = 1200e-12; ladder = None };
+            Delay { config = "i"; tau = 1250e-12; technique = "SGDP" };
+            Delay { config = "ii"; tau = 1300e-12; technique = "WLS5" };
+          ]
+      in
+      let pass () =
+        let cache = Runtime.Cache.create ~disk_dir:dir () in
+        let engine = Runtime.Engine.with_cache Runtime.Engine.fast cache in
+        let bytes =
+          List.mapi
+            (fun id q ->
+              Server.Json.to_string
+                (Server.Protocol.response ~id
+                   (Server.Protocol.execute ~engine q)))
+            queries
+        in
+        (bytes, cache)
+      in
+      let cold, _ = pass () in
+      let warm, cache = pass () in
+      List.iter2
+        (fun a b ->
+          Alcotest.(check string) "restart answers byte-identical" a b)
+        cold warm;
+      check_true "answered from disk" (Runtime.Cache.disk_hits cache > 0);
+      Alcotest.(check int) "no misses after restart" 0
+        (Runtime.Cache.misses cache))
+
 (* ------------------------------------------------------------------ *)
 (* Daemon: replay, dedup, drain retirement, health *)
 
@@ -760,6 +800,8 @@ let suite =
       qcheck_replay_idempotent;
       case "hostile wal corpus" test_wal_corpus;
       case "cache scrub" test_cache_scrub;
+      case "restart answers from the disk cache"
+        test_restart_answers_from_disk;
       slow_case "daemon replays unretired journal" test_daemon_replays_journal;
       slow_case "drain retires before shutdown"
         test_drain_retires_before_shutdown;

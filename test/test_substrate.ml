@@ -1,6 +1,5 @@
 (* Tests for the deeper substrate additions: AWE moment matching, the
-   Devgan noise bound, PWL compression, netlist file IO, and the
-   Monte-Carlo driver. *)
+   Devgan noise bound, netlist file IO, and the Monte-Carlo driver. *)
 
 open Helpers
 open Interconnect
@@ -185,49 +184,6 @@ let test_devgan_validation () =
   | _ -> Alcotest.fail "expected unknown-node rejection"
 
 (* ------------------------------------------------------------------ *)
-(* PWL compression                                                     *)
-
-let noisy_wave () =
-  let th = Waveform.Thresholds.default in
-  Waveform.Edges.noisy_edge ~th ~arrival:1e-9 ~slew:150e-12
-    ~dir:Waveform.Wave.Rising
-    ~glitches:
-      [ Waveform.Edges.triangular_glitch ~t0:1.1e-9 ~rise:40e-12 ~fall:60e-12
-          ~peak:(-0.25) ]
-    ()
-
-let test_pwl_error_bound () =
-  let w = noisy_wave () in
-  let eps = 5e-3 in
-  let c = Waveform.Pwl.compress ~eps w in
-  check_true "within bound" (Waveform.Pwl.max_deviation w c <= eps +. 1e-12)
-
-let test_pwl_compresses () =
-  let w = noisy_wave () in
-  let c = Waveform.Pwl.compress ~eps:5e-3 w in
-  check_true "at least 5x smaller" (Waveform.Pwl.compression_ratio w c > 5.0)
-
-let test_pwl_preserves_timing () =
-  let th = Waveform.Thresholds.default in
-  let w = noisy_wave () in
-  let c = Waveform.Pwl.compress ~eps:2e-3 w in
-  match (Waveform.Wave.arrival w th, Waveform.Wave.arrival c th) with
-  | Some a, Some b -> check_true "arrival within 2 ps" (abs_float (a -. b) < 2e-12)
-  | _ -> Alcotest.fail "missing arrival"
-
-let test_pwl_line_is_two_points () =
-  let w = Waveform.Wave.create
-      (Array.init 100 (fun i -> float_of_int i))
-      (Array.init 100 (fun i -> 2.0 *. float_of_int i))
-  in
-  let c = Waveform.Pwl.compress ~eps:1e-9 w in
-  Alcotest.(check int) "just the ends" 2 (Waveform.Wave.length c)
-
-let test_pwl_points () =
-  let w = Waveform.Wave.create [| 0.0; 1.0 |] [| 2.0; 3.0 |] in
-  Alcotest.(check int) "pairs" 2 (List.length (Waveform.Pwl.points w))
-
-(* ------------------------------------------------------------------ *)
 (* Netlist IO                                                          *)
 
 let netlist_text =
@@ -312,12 +268,6 @@ let test_montecarlo_summary_shape () =
 
 let qcheck_tests =
   [
-    qcase ~count:20 "pwl: compression respects any eps"
-      QCheck2.Gen.(float_range 1e-3 0.2)
-      (fun eps ->
-        let w = noisy_wave () in
-        let c = Waveform.Pwl.compress ~eps w in
-        Waveform.Pwl.max_deviation w c <= eps +. 1e-12);
     qcase ~count:15 "awe: single-RC delay matches RC ln2 for random R, C"
       QCheck2.Gen.(pair (float_range 10.0 10e3) (float_range 1e-15 10e-12))
       (fun (r, c) ->
@@ -343,11 +293,6 @@ let suite =
       case "devgan: monotone" test_devgan_monotone_along_path;
       case "devgan: dominates simulation" test_devgan_bounds_simulation;
       case "devgan: validation" test_devgan_validation;
-      case "pwl: error bound" test_pwl_error_bound;
-      case "pwl: compresses" test_pwl_compresses;
-      case "pwl: preserves timing" test_pwl_preserves_timing;
-      case "pwl: line is two points" test_pwl_line_is_two_points;
-      case "pwl: points" test_pwl_points;
       case "netlist io: parse" test_netlist_parse;
       case "netlist io: roundtrip" test_netlist_roundtrip;
       case "netlist io: errors" test_netlist_errors;

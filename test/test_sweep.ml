@@ -1,75 +1,8 @@
-(* Branch-and-bound alignment search and sparse waveform storage:
-   tol=0 byte-identity, within-tol pruning, Sparse round-trip
-   properties, cache format-2 and -3 entries as misses, sparse disk layer,
-   LRU eviction, checkpoint CRC recovery. *)
+(* Branch-and-bound alignment search and the disk cache: tol=0
+   byte-identity, within-tol pruning, cache entries of older formats
+   as misses, LRU eviction, checkpoint CRC recovery. *)
 
 open Helpers
-
-let th = Device.Process.thresholds Device.Process.c13
-
-let levels =
-  Waveform.Thresholds.[ v_low th; v_mid th; v_high th ]
-
-(* ------------------------------------------------------------------ *)
-(* Waveform.Sparse properties                                          *)
-
-(* Deterministic pseudo-random wave: a rail-to-rail ramp with seeded
-   wobble, so every QCheck draw crosses all three thresholds. *)
-let wobbly_wave seed n =
-  let vdd = th.Waveform.Thresholds.vdd in
-  let times = Array.init n (fun i -> float_of_int i *. 1e-12) in
-  let noise = lcg_array seed n (-0.04) 0.04 in
-  let values =
-    Array.init n (fun i ->
-        let ramp = vdd *. float_of_int i /. float_of_int (n - 1) in
-        Float.max 0.0 (Float.min vdd (ramp +. noise.(i))))
-  in
-  Waveform.Wave.create times values
-
-let test_sparse_roundtrip_props =
-  qcase ~count:50 "sparse: round-trip within eps, crossings exact"
-    QCheck2.Gen.(pair (int_range 1 1_000_000) (int_range 16 400))
-    (fun (seed, n) ->
-      let w = wobbly_wave seed n in
-      let c = Waveform.Sparse.compress ~levels w in
-      let err = Waveform.Sparse.max_error ~original:w ~decoded:c in
-      if err > Waveform.Sparse.default_eps then
-        QCheck2.Test.fail_reportf "max error %.2e above eps" err;
-      List.iter
-        (fun level ->
-          let orig = Waveform.Wave.crossings w level in
-          let dec = Waveform.Wave.crossings c level in
-          if
-            List.length orig <> List.length dec
-            || not (List.for_all2 (fun a b -> a = b) orig dec)
-          then
-            QCheck2.Test.fail_reportf
-              "crossings at %.3f V did not round-trip exactly" level)
-        levels;
-      true)
-
-let test_sparse_shrinks () =
-  (* A long, smooth edge must actually compress. *)
-  let n = 2000 in
-  let vdd = th.Waveform.Thresholds.vdd in
-  let times = Array.init n (fun i -> float_of_int i *. 1e-12) in
-  let values =
-    Array.init n (fun i ->
-        vdd /. (1.0 +. exp (-0.01 *. float_of_int (i - (n / 2)))))
-  in
-  let w = Waveform.Wave.create times values in
-  let c = Waveform.Sparse.compress ~levels w in
-  check_true "at least 10x fewer samples"
-    (Waveform.Sparse.ratio ~original:w ~compressed:c >= 10.0);
-  check_true "error within eps"
-    (Waveform.Sparse.max_error ~original:w ~decoded:c
-    <= Waveform.Sparse.default_eps)
-
-let test_sparse_rejects_bad_eps () =
-  let w = wobbly_wave 7 32 in
-  match Waveform.Sparse.compress ~eps:(-1.0) ~levels w with
-  | _ -> Alcotest.fail "negative eps must raise"
-  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Branch-and-bound alignment search (simulation-backed; slow)         *)
@@ -158,7 +91,7 @@ let test_bnb_pruned_within_tol () =
     (true_max -. r.Noise.Alignment.best_delay <= tol_ps *. 1e-12)
 
 (* ------------------------------------------------------------------ *)
-(* Cache: format migration, sparse disk layer, LRU eviction            *)
+(* Cache: format migration, LRU eviction                              *)
 
 let temp_dir tag =
   Filename.concat (Filename.get_temp_dir_name ())
@@ -180,9 +113,12 @@ let with_dir tag f =
 
 (* Entries of older formats are not read: an upgrade migrates each by
    missing on it (a counted read error), reaping it, and storing the
-   recomputed value as format 4. Both inputs are well-formed in their
-   own layout — format 2 (magic, CRC-32, payload) and format 3 (magic,
-   codec byte, CRC-32, payload) — so only the version retires them. *)
+   recomputed value as format 5. Every input is well-formed in its own
+   layout — format 2 (magic, CRC-32, payload), format 3 (magic, codec
+   byte, CRC-32, payload) and format 4 (magic, one frame holding a
+   dense or sparse codec byte and the payload) — so only the version
+   retires them. A format-4 sparse entry holds a lossy wave, so serving
+   it would change answers. *)
 let test_cache_v2_migration () =
   let times = [| 0.0; 1e-12; 2e-12 |] and values = [| 0.0; 0.6; 1.2 |] in
   let payload = Marshal.to_string [ (times, values) ] [] in
@@ -191,10 +127,15 @@ let test_cache_v2_migration () =
     Bytes.set_int32_be b 0 (Runtime.Crc32.string payload);
     Bytes.to_string b
   in
+  let format4 codec =
+    Runtime.Record.encode ~magic:"noisy_sta.cache.4\n" [ codec ^ payload ]
+  in
   let layouts =
     [
       ("format 2", "noisy_sta.cache.2\n" ^ crc ^ payload);
       ("format 3", "noisy_sta.cache.3\n" ^ "\000" ^ crc ^ payload);
+      ("format 4 dense", format4 "\000");
+      ("format 4 sparse", format4 "\001");
     ]
   in
   List.iter
@@ -216,11 +157,11 @@ let test_cache_v2_migration () =
         (Runtime.Cache.read_errors c);
       check_true (label ^ " entry reaped") (not (Sys.file_exists path));
       Runtime.Cache.store c key [ Waveform.Wave.create times values ];
-      let magic = "noisy_sta.cache.4\n" in
+      let magic = "noisy_sta.cache.5\n" in
       let ic = open_in_bin path in
       let head = really_input_string ic (String.length magic) in
       close_in ic;
-      Alcotest.(check string) (label ^ ": recomputed entry is format 4") magic
+      Alcotest.(check string) (label ^ ": recomputed entry is format 5") magic
         head;
       match Runtime.Cache.find (Runtime.Cache.create ~disk_dir:dir ()) key with
       | Some [ w ] ->
@@ -228,46 +169,8 @@ let test_cache_v2_migration () =
             "times" times (Waveform.Wave.times w);
           Alcotest.(check (array (float 0.0)))
             "values" values (Waveform.Wave.values w)
-      | _ -> Alcotest.fail "format-4 entry must decode")
+      | _ -> Alcotest.fail "format-5 entry must decode")
     layouts
-
-let test_cache_sparse_disk_roundtrip () =
-  with_dir "sparse" @@ fun dir ->
-  let w = wobbly_wave 42 600 in
-  let key = Runtime.Cache.Key.make "sparse-rt" [ Runtime.Cache.Key.int 3 ] in
-  let c1 = Runtime.Cache.create ~disk_dir:dir ~sparse_levels:levels () in
-  check_true "sparsification on" (Runtime.Cache.sparse_enabled c1);
-  Runtime.Cache.store c1 key [ w ];
-  check_true "bytes written counted" (Runtime.Cache.bytes_written c1 > 0);
-  (* The in-memory copy stays dense. *)
-  (match Runtime.Cache.find c1 key with
-  | Some [ m ] ->
-      Alcotest.(check int)
-        "memory copy dense"
-        (Array.length (Waveform.Wave.times w))
-        (Array.length (Waveform.Wave.times m))
-  | _ -> Alcotest.fail "memory layer lost the entry");
-  (* A fresh process sees the sparse copy: smaller, crossing-exact,
-     within eps everywhere. *)
-  let c2 = Runtime.Cache.create ~disk_dir:dir ~sparse_levels:levels () in
-  (match Runtime.Cache.find c2 key with
-  | Some [ d ] ->
-      check_true "disk copy is smaller"
-        (Array.length (Waveform.Wave.times d)
-        < Array.length (Waveform.Wave.times w));
-      check_true "within eps"
-        (Waveform.Sparse.max_error ~original:w ~decoded:d
-        <= Waveform.Sparse.default_eps);
-      List.iter
-        (fun level ->
-          check_true "crossing round-trips"
-            (Waveform.Wave.crossings w level = Waveform.Wave.crossings d level))
-        levels
-  | _ -> Alcotest.fail "disk round-trip failed");
-  (* A plain cache on the same dir decodes format 3 sparse entries. *)
-  let c3 = Runtime.Cache.create ~disk_dir:dir () in
-  check_true "codec is self-describing"
-    (Option.is_some (Runtime.Cache.find c3 key))
 
 let test_cache_lru_eviction () =
   with_dir "lru" @@ fun dir ->
@@ -339,13 +242,9 @@ let test_checkpoint_crc_recovery () =
 let suite =
   ( "sweep",
     [
-      test_sparse_roundtrip_props;
-      case "sparse: long edge compresses 10x" test_sparse_shrinks;
-      case "sparse: negative eps rejected" test_sparse_rejects_bad_eps;
       test_bnb_tol0_byte_identical;
       slow_case "alignment: pruned search within tol" test_bnb_pruned_within_tol;
       case "cache: format-2 entries migrate" test_cache_v2_migration;
-      case "cache: sparse disk round-trip" test_cache_sparse_disk_roundtrip;
       case "cache: LRU eviction under cap" test_cache_lru_eviction;
       case "checkpoint: CRC catches bit rot" test_checkpoint_crc_recovery;
     ] )
