@@ -40,7 +40,9 @@
      --jobs N       worker domains for the simulation sweeps (default 1;
                     results are byte-identical to the sequential run)
      --engine NAME  solver engine preset: reference | accurate | fast
-                    (default reference, the fixed 1 ps grid)
+                    (default reference, the fixed-step grid; the Noise
+                    harnesses set the step per solve: 2 ps for full
+                    chains, 1 ps for receiver replays)
      --ltetol X     adaptive LTE tolerance in volts; implies adaptive
                     stepping on top of the selected engine
      --no-cache     disable the simulation memo cache
@@ -1163,7 +1165,7 @@ let chaos_stage () =
     for r = 0 to n_reqs - 1 do
       let idx = ((k * n_reqs) + r) mod n_distinct in
       let t0 = Unix.gettimeofday () in
-      (* Outer loop: call_with_retry absorbs transport errors and
+      (* Outer loop: call_raw_with_retry absorbs transport errors and
          recoverable typed sheds; anything else (transit corruption, a
          request corrupted into bad_request) is retried here. Only an
          exhausted budget counts as unserved. *)

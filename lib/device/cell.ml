@@ -79,16 +79,6 @@ let input_cap (proc : Process.t) cell =
       let d1 = float_of_int (first_stage_drive cell divisor) in
       per_width *. ((unit_wn +. unit_wp) *. d1)
 
-let output_cap (proc : Process.t) cell =
-  match cell.kind with
-  | Inverter | Buffer _ ->
-      proc.Process.cd_per_width *. (cell.wn +. cell.wp)
-  | Nand2 ->
-      (* Output sees one NMOS drain and both PMOS drains. *)
-      proc.Process.cd_per_width *. (cell.wn +. (2.0 *. cell.wp))
-  | Nor2 -> proc.Process.cd_per_width *. ((2.0 *. cell.wn) +. cell.wp)
-
-(* Inverter stage expansion shared by Inverter and Buffer. *)
 let stamp_inverter proc ~ckt ~input ~output ~vdd_node ~name ~wn ~wp =
   let open Spice in
   Circuit.mosfet ckt ~name:(name ^ ".mn") ~g:input ~d:output

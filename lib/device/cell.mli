@@ -54,9 +54,6 @@ val inverting : t -> bool
 val input_cap : Process.t -> t -> float
 (** Input (gate) capacitance of the cell's timed pin, farads. *)
 
-val output_cap : Process.t -> t -> float
-(** Parasitic drain capacitance the cell adds to its output net. *)
-
 val instantiate :
   Process.t -> t -> ckt:Spice.Circuit.t ->
   input:Spice.Circuit.node -> output:Spice.Circuit.node ->

@@ -73,16 +73,3 @@ let pmos (proc : Process.t) ~width =
       nmos_terminal p ~width ~vg:(-.vg) ~vd:(-.vd) ~vs:(-.vs)
     in
     (-.ids, dg, dd, ds)
-
-let nmos_id (proc : Process.t) ~width ~vgs ~vds =
-  let ids, _, _, _ =
-    nmos_terminal proc.Process.nmos ~width ~vg:vgs ~vd:vds ~vs:0.0
-  in
-  ids
-
-let pmos_id (proc : Process.t) ~width ~vsg ~vsd =
-  let eval = pmos proc ~width in
-  let vdd = proc.Process.vdd in
-  (* Source pinned at vdd: vsg = vdd - vg, vsd = vdd - vd. *)
-  let ids, _, _, _ = eval ~vg:(vdd -. vsg) ~vd:(vdd -. vsd) ~vs:vdd in
-  abs_float ids

@@ -11,11 +11,3 @@ val nmos : Process.t -> width:float -> Spice.Circuit.mosfet_eval
     non-positive width. *)
 
 val pmos : Process.t -> width:float -> Spice.Circuit.mosfet_eval
-
-val nmos_id : Process.t -> width:float -> vgs:float -> vds:float -> float
-(** Channel current only (vds >= 0 expected; symmetric otherwise);
-    convenience for characterization tests and I-V plotting. *)
-
-val pmos_id : Process.t -> width:float -> vsg:float -> vsd:float -> float
-(** Magnitude of PMOS current for positive source-gate / source-drain
-    overdrives. *)

@@ -54,8 +54,6 @@ let prepend (tech : Technique.t) t =
   in
   { name = tech.Technique.name ^ ">" ^ t.name; order = tech :: rest }
 
-let name t = t.name
-let order t = t.order
 let names t = List.map (fun (o : Technique.t) -> o.Technique.name) t.order
 let length t = List.length t.order
 

@@ -37,8 +37,6 @@ val prepend : Technique.t -> t -> t
 (** [prepend tech t] puts [tech] at rung 0, dropping any later
     occurrence of the same technique. *)
 
-val name : t -> string
-val order : t -> Technique.t list
 val names : t -> string list
 val length : t -> int
 
@@ -46,10 +44,6 @@ val fingerprint : t -> string
 (** Stable digest input covering the rung order, for checkpoint/cache
     keys — two ladders with the same technique sequence fingerprint
     identically. *)
-
-val score : Technique.ctx -> Waveform.Ramp.t -> float
-(** The RMS deviation reported in {!outcome.score_v}, exposed for
-    scoring ramps produced outside the ladder. *)
 
 val run : t -> Technique.ctx -> (outcome, skip list) result
 (** Try each rung in order: consult [applicable] first (an [Error],

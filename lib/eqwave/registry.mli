@@ -3,9 +3,6 @@
 val all : Technique.t list
 (** P1, P2, LSF3, E4, WLS5, SGDP. *)
 
-val conventional : Technique.t list
-(** Everything except SGDP. *)
-
 val find : string -> Technique.t
 (** Case-insensitive lookup by name; raises [Not_found]. *)
 

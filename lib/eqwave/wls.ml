@@ -1,5 +1,10 @@
 open Technique
 
+(* Relative floor added to the squared weights so the normal equations
+   stay solvable when the noise pushes the transition entirely outside
+   the noiseless critical region (WLS5 then degrades gracefully instead
+   of crashing — matching the paper's observation that it
+   underestimates in exactly those cases). *)
 let weights_floor = 1e-6
 
 let wls5 =

@@ -7,10 +7,3 @@
     away — the weakness SGDP fixes. *)
 
 val wls5 : Technique.t
-
-val weights_floor : float
-(** Relative floor added to the squared weights so the normal equations
-    stay solvable when the noise pushes the transition entirely outside
-    the noiseless critical region (WLS5 then degrades gracefully
-    instead of crashing — matching the paper's observation that it
-    underestimates in exactly those cases). *)

@@ -142,7 +142,3 @@ let delay ?(frac = 0.5) m =
   match Numerics.Roots.find_bracket f ~lo:0.0 ~hi:(30.0 *. tau) ~steps:3000 with
   | Some (a, b) -> Numerics.Roots.brent ~tol:(tau *. 1e-9) f a b
   | None -> failwith "Awe.delay: response never reaches the target"
-
-let elmore_of_moments ms =
-  if Array.length ms < 2 then invalid_arg "Awe.elmore_of_moments";
-  -.ms.(1)

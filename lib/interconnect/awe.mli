@@ -1,8 +1,7 @@
 (** Asymptotic waveform evaluation (AWE): moment matching on arbitrary
     linear RC circuits.
 
-    Where {!Rctree} computes moments on tree topologies, this module
-    works on any [Spice.Circuit.t] containing only linear elements —
+    Works on any [Spice.Circuit.t] containing only linear elements —
     including the coupled buses of the noise experiments — by the
     classical MNA recursion
 
@@ -48,6 +47,3 @@ val delay : ?frac:float -> model -> float
 (** Time for the unit-step response to reach [frac] (default 0.5) of
     its final value. Raises [Failure] if the response never does
     (non-monotone model with pathological residues). *)
-
-val elmore_of_moments : moments -> float
-(** -m_1: the Elmore delay, for cross-checking against {!Rctree}. *)

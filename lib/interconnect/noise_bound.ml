@@ -25,11 +25,6 @@ let bound tree ~couplings ~aggressor_slew_rate =
      noise bound in volts. *)
   Rctree.elmore (rebuild tree)
 
-let bound_at tree ~couplings ~aggressor_slew_rate name =
-  match List.assoc_opt name (bound tree ~couplings ~aggressor_slew_rate) with
-  | Some v -> v
-  | None -> raise Not_found
-
 let line_bound ~driver_resistance ~line ~cm_total ~aggressor_slew_rate =
   if driver_resistance <= 0.0 then
     invalid_arg "Noise_bound.line_bound: driver resistance";

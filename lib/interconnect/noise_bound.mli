@@ -20,13 +20,8 @@ val bound :
     unknown node names raise [Invalid_argument]. The driver's holding
     resistance should be modeled as the root edge [r] of the tree. *)
 
-val bound_at :
-  Rctree.t -> couplings:(string * float) list -> aggressor_slew_rate:float ->
-  string -> float
-(** The bound at one node; raises [Not_found]. *)
-
 val line_bound :
   driver_resistance:float -> line:Rcline.spec -> cm_total:float ->
   aggressor_slew_rate:float -> float
-(** Far-end bound for the uniform coupled line of the experiments, with
-    the coupling distributed evenly along the line. *)
+(** Far-end {!bound} for the uniform coupled line of the experiments,
+    with the coupling distributed evenly along the line, in closed form. *)

@@ -5,21 +5,6 @@ let validate { rtotal; ctotal; nsegs } =
   if ctotal <= 0.0 then invalid_arg "Rcline: ctotal must be positive";
   if nsegs < 1 then invalid_arg "Rcline: nsegs must be >= 1"
 
-let spec_of_per_section ~r_per_seg ~c_per_seg ~nsegs =
-  let s =
-    {
-      rtotal = r_per_seg *. float_of_int nsegs;
-      ctotal = c_per_seg *. float_of_int nsegs;
-      nsegs;
-    }
-  in
-  validate s;
-  s
-
-let section_nodes ~prefix spec =
-  validate spec;
-  List.init (spec.nsegs + 1) (fun i -> Printf.sprintf "%s.%d" prefix i)
-
 let build ckt ~prefix ~near spec =
   validate spec;
   let open Spice in

@@ -11,13 +11,6 @@ type spec = {
   nsegs : int;    (** number of pi sections (>= 1) *)
 }
 
-val spec_of_per_section : r_per_seg:float -> c_per_seg:float -> nsegs:int -> spec
-(** Directly from the paper's per-section values. *)
-
-val section_nodes : prefix:string -> spec -> string list
-(** The boundary node names [prefix.0 .. prefix.n]; [prefix.0] is the
-    near (driven) end, [prefix.n] the far end. *)
-
 val build :
   Spice.Circuit.t -> prefix:string -> near:Spice.Circuit.node -> spec ->
   Spice.Circuit.node

@@ -16,8 +16,6 @@ let of_line ~name (spec : Rcline.spec) =
   in
   { name = name ^ ".0"; r = 0.0; c = cseg /. 2.0; children = [ chain 1 ] }
 
-let rec total_cap t = t.c +. List.fold_left (fun a ch -> a +. total_cap ch) 0.0 t.children
-
 (* One moment-propagation pass: given per-node weights w (initially the
    capacitances), produce per-node sums  m(i) = sum over edges e on the
    root->i path of R_e * (total weight in the subtree hanging under e).
@@ -45,11 +43,6 @@ let elmore t =
   in
   collect t;
   propagate (fun n -> Hashtbl.find caps n) t
-
-let elmore_to t name =
-  match List.assoc_opt name (elmore t) with
-  | Some d -> d
-  | None -> raise Not_found
 
 let moments ~order t =
   if order < 1 then invalid_arg "Rctree.moments: order must be >= 1";
@@ -93,12 +86,3 @@ let moments ~order t =
   in
   walk t;
   List.rev !out
-
-let d2m_delay t name =
-  let ms = moments ~order:2 t in
-  match List.assoc_opt name ms with
-  | None -> raise Not_found
-  | Some m ->
-      let m1 = m.(0) and m2 = m.(1) in
-      if m2 <= 0.0 then log 2.0 *. abs_float m1
-      else log 2.0 *. (m1 *. m1 /. sqrt m2)

@@ -1,9 +1,9 @@
 (** RC trees: Elmore delay and higher transfer-function moments.
 
     The paper's E4 technique is "inspired by the Elmore delay idea
-    [2]"; this module provides the Elmore machinery both as that
-    historical baseline and as the interconnect delay estimator used by
-    the STA engine for uncoupled nets. *)
+    [2]"; this module provides that machinery on general RC trees. It
+    backs {!Noise_bound.bound}, Devgan's crosstalk bound, which is an
+    Elmore sum with coupling currents in place of capacitances. *)
 
 type t = {
   name : string;
@@ -19,19 +19,10 @@ val node : ?r:float -> ?c:float -> string -> t list -> t
 val of_line : name:string -> Rcline.spec -> t
 (** The ladder discretization of a uniform line, as a degenerate tree. *)
 
-val total_cap : t -> float
-
 val elmore : t -> (string * float) list
 (** Elmore delay (first transfer moment magnitude) from the root
     driving point to every node, in depth-first order. *)
 
-val elmore_to : t -> string -> float
-(** Raises [Not_found] for an unknown node name. *)
-
 val moments : order:int -> t -> (string * float array) list
 (** [moments ~order tree] gives per node the transfer moments
     m_1 .. m_order of V(s)/V_root(s) (m_1 = -Elmore). *)
-
-val d2m_delay : t -> string -> float
-(** Alpert's D2M two-moment delay metric ln(2) * m1^2 / sqrt(m2);
-    tighter than ln(2)*Elmore on far-end nodes. *)

@@ -37,12 +37,7 @@ let measure_gate ?(dt = 0.5e-12) ?(extra_load = 0.0) ?engine proc cell
     let res = Transient.run ~config ckt in
     [ Transient.probe res "a"; Transient.probe res "y" ]
   in
-  (* Opaque function stimuli cannot be content-addressed. *)
-  let cache =
-    match Source.fingerprint input with
-    | None -> None
-    | Some _ -> Runtime.Engine.cache engine
-  in
+  let cache = Runtime.Engine.cache engine in
   let key_of config =
     Runtime.Cache.Key.(
       make "characterize.measure_gate"
@@ -51,7 +46,7 @@ let measure_gate ?(dt = 0.5e-12) ?(extra_load = 0.0) ?engine proc cell
           str cell.Device.Cell.name;
           str (Transient.config_fingerprint config);
           float extra_load;
-          str (Option.get (Source.fingerprint input));
+          str (Source.fingerprint input);
         ])
   in
   let attempt config =

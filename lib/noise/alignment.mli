@@ -55,38 +55,11 @@ val delay_at :
 (** Solve (or replay from cache) the noisy case at [tau] and measure
     {!mid_delay}. *)
 
-(** The bound model, derived once from the noiseless run. Exposed for
-    tests and for Monte-Carlo's overlap classification. *)
-type model = {
-  nominal : float;
-  n_peak : float;
-  s_min : float;
-  push_cap : float;
-  lambda : float;
-  ov_lo : float;
-  ov_hi : float;
-}
-
-val model : ?config:config -> Scenario.t -> noiseless:Injection.run -> model
-(** Estimate the bound model. Degenerate noiseless runs (missing
-    crossings, flat threshold band) yield a disabled model whose
-    bounds are infinite — the search then prunes nothing. *)
-
 val overlap_interval :
   ?config:config -> Scenario.t -> noiseless:Injection.run -> float * float
 (** [(lo, hi)]: aggressor alignments outside this interval cannot
     inject noise during the victim's critical window, so their delay
     is the nominal one. *)
-
-val bracket_bound :
-  model ->
-  lambda_obs:float ->
-  d_lo:float -> d_hi:float -> tau_lo:float -> tau_hi:float -> float
-(** Upper bound on the delay attainable strictly inside the bracket
-    ([tau_lo], [tau_hi]) whose endpoints measured [d_lo] and [d_hi].
-    [lambda_obs] is the caller's local Lipschitz-rate estimate
-    (dimensionless, safety factor already applied); the tighter of it
-    and the model's own rate is used. *)
 
 val search :
   ?config:config -> ?engine:Runtime.Engine.t -> Scenario.t ->

@@ -128,17 +128,6 @@ type table = {
           alignments (grid order preserved) *)
 }
 
-val summarize_degradation : Eqwave.Ladder.t -> case_eval list -> degradation_summary
-
-val guard_reference_delay :
-  engine:Runtime.Engine.t ->
-  Scenario.t -> tau:float -> float
-(** The reference-engine delay the differential guard compares
-    against: one noisy chain simulation plus the receiver replay,
-    measured mid-to-mid exactly as [evaluate_case] measures
-    [delay_ref]. Raises on solve failure — callers classify
-    with {!failure_of_exn}. *)
-
 val run_table :
   ?techniques:Eqwave.Technique.t list ->
   ?samples:int ->
@@ -185,8 +174,6 @@ val run_table :
     [Runtime.Guard.Stats]; when it carries a deadline, each solve
     attempt runs under that wall-clock budget and a cancelled case
     becomes a typed [Deadline_exceeded] failure. *)
-
-val pp_degradation : Format.formatter -> degradation_summary -> unit
 
 val pp_table : Format.formatter -> table -> unit
 (** Render in the shape of the paper's Table 1 (max / avg, ps), plus a

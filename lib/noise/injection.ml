@@ -196,19 +196,13 @@ let receiver_response ?dt ?engine scenario ~input ~tstop =
     let res = Transient.run ~config ckt in
     [ Transient.probe res "rcv" ]
   in
-  (* Opaque function sources cannot be content-addressed; run those
-     uncached. *)
-  let cache =
-    match Source.fingerprint input with
-    | None -> None
-    | Some _ -> Runtime.Engine.cache engine
-  in
+  let cache = Runtime.Engine.cache engine in
   let key_of config =
     Runtime.Cache.Key.(
       make "injection.receiver_response"
         [
           str (Scenario.fingerprint scenario);
-          str (Option.get (Source.fingerprint input));
+          str (Source.fingerprint input);
           str (Transient.config_fingerprint config);
           float tstop;
         ])

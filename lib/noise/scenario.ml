@@ -70,28 +70,50 @@ let config_i_buffer =
 let with_cases t cases = { t with cases }
 
 (* Everything that shapes a simulation of this scenario, in lossless
-   hex floats. [window]/[window_offset]/[cases] are deliberately
-   excluded: they choose *which* taus get simulated, not what any
-   single (scenario, tau) simulation computes, so cached cases stay
-   valid when only the sweep changes. *)
-let fingerprint t =
+   hex floats. The record is destructured whole, so a new field does not
+   compile until it is rendered here or bound to [_]. [name] is a label,
+   and [window]/[window_offset]/[cases] are sweep bookkeeping: they
+   choose *which* taus get simulated, not what any single
+   (scenario, tau) simulation computes, so cached cases stay valid when
+   only the sweep changes. The process and the cells are keyed by
+   name. *)
+let fingerprint
+    {
+      name = _;
+      proc;
+      n_aggressors;
+      line = { Interconnect.Rcline.rtotal; ctotal; nsegs };
+      cm_total;
+      input_slew;
+      victim_rising;
+      aggressor_rising;
+      victim_t0;
+      window = _;
+      window_offset = _;
+      cases = _;
+      dt;
+      tstop;
+      receiver;
+      load;
+    } =
+  let f = Printf.sprintf "%h" in
   String.concat "|"
     [
       "scenario";
-      t.proc.Device.Process.name;
-      string_of_int t.n_aggressors;
-      Printf.sprintf "%h" t.line.Interconnect.Rcline.rtotal;
-      Printf.sprintf "%h" t.line.Interconnect.Rcline.ctotal;
-      string_of_int t.line.Interconnect.Rcline.nsegs;
-      Printf.sprintf "%h" t.cm_total;
-      Printf.sprintf "%h" t.input_slew;
-      string_of_bool t.victim_rising;
-      string_of_bool t.aggressor_rising;
-      Printf.sprintf "%h" t.victim_t0;
-      Printf.sprintf "%h" t.dt;
-      Printf.sprintf "%h" t.tstop;
-      t.receiver.Device.Cell.name;
-      t.load.Device.Cell.name;
+      proc.Device.Process.name;
+      string_of_int n_aggressors;
+      f rtotal;
+      f ctotal;
+      string_of_int nsegs;
+      f cm_total;
+      f input_slew;
+      string_of_bool victim_rising;
+      string_of_bool aggressor_rising;
+      f victim_t0;
+      f dt;
+      f tstop;
+      receiver.Device.Cell.name;
+      load.Device.Cell.name;
     ]
 
 let taus t =

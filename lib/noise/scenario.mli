@@ -46,8 +46,10 @@ val fingerprint : t -> string
 (** Content key for simulation caching: covers every field that shapes
     a single (scenario, tau) simulation — process corner, line and
     coupling values, slews, polarities, cells, solver step and span —
-    but not the sweep bookkeeping ([cases], [window], [window_offset]),
-    so cached cases survive sweep-shape changes. *)
+    but not the label ([name]) or the sweep bookkeeping ([cases],
+    [window], [window_offset]), so cached cases survive sweep-shape
+    changes. The process and the two cells are keyed by name: two
+    corners or cells that share a name share cache keys. *)
 
 val taus : t -> float array
 (** The aggressor input start times: [cases] values uniformly covering
@@ -56,8 +58,6 @@ val taus : t -> float array
 val victim_line_index : t -> int
 (** Index of the victim in the coupled-bus line ordering (the victim
     sits between the aggressors in Config II). *)
-
-val line_order : t -> [ `Victim | `Aggressor of int ] list
 
 (** Node names of interest in the built circuit. *)
 

@@ -17,9 +17,6 @@ let create ~n ~kl ~ku =
   let ldab = (2 * kl) + ku + 1 in
   { n; kl; ku; ldab; data = Array.make (n * ldab) 0.0 }
 
-let n t = t.n
-let kl t = t.kl
-let ku t = t.ku
 let in_band t i j = j - i <= t.ku && i - j <= t.kl
 let index t i j = (j * t.ldab) + t.kl + t.ku + i - j
 
@@ -29,11 +26,6 @@ let check_pos t i j name =
 let get t i j =
   check_pos t i j "Banded.get: out of range";
   if in_band t i j then t.data.(index t i j) else 0.0
-
-let set t i j x =
-  check_pos t i j "Banded.set: out of range";
-  if not (in_band t i j) then invalid_arg "Banded.set: outside band";
-  t.data.(index t i j) <- x
 
 let add_to t i j x =
   check_pos t i j "Banded.add_to: out of range";
@@ -63,18 +55,6 @@ let to_dense t =
     done
   done;
   m
-
-let mul_vec t v =
-  if Array.length v <> t.n then invalid_arg "Banded.mul_vec: size mismatch";
-  let y = Array.make t.n 0.0 in
-  for j = 0 to t.n - 1 do
-    let vj = v.(j) in
-    if vj <> 0.0 then
-      for i = max 0 (j - t.ku) to min (t.n - 1) (j + t.kl) do
-        y.(i) <- y.(i) +. (t.data.(index t i j) *. vj)
-      done
-  done;
-  y
 
 type fact = {
   fn : int;

@@ -18,19 +18,11 @@ val create : n:int -> kl:int -> ku:int -> t
     [n - 1]). Raises [Invalid_argument] on a non-positive size or a
     negative bandwidth. *)
 
-val n : t -> int
-val kl : t -> int
-val ku : t -> int
-
-val in_band : t -> int -> int -> bool
-(** Whether position (i, j) lies inside the stored band. *)
-
 val get : t -> int -> int -> float
 (** Zero outside the band; raises [Invalid_argument] out of range. *)
 
-val set : t -> int -> int -> float -> unit
 val add_to : t -> int -> int -> float -> unit
-(** Raise [Invalid_argument] outside the band. *)
+(** Raises [Invalid_argument] outside the band. *)
 
 val slot : t -> int -> int -> float array * int
 (** Backing array and flat offset of an in-band entry (raises
@@ -41,7 +33,6 @@ val blit : t -> t -> unit
 (** [blit src dst]; raises [Invalid_argument] on shape mismatch. *)
 
 val to_dense : t -> Matrix.t
-val mul_vec : t -> float array -> float array
 
 type fact
 (** A preallocated band-LU workspace (factored data + pivot

@@ -42,8 +42,6 @@ let create ~nb ~kl ~ku ~border =
   }
 
 let dim t = t.nb + t.b
-let core_size t = t.nb
-let border_size t = t.b
 
 let check_pos t i j name =
   let n = t.nb + t.b in

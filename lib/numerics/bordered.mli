@@ -28,18 +28,10 @@ val create : nb:int -> kl:int -> ku:int -> border:int -> t
     [Invalid_argument] on a non-positive core size or negative
     border. *)
 
-val dim : t -> int
-(** Total system size, core + border. *)
-
-val core_size : t -> int
-val border_size : t -> int
-
 val add_to : t -> int -> int -> float -> unit
 (** Stamp into the partition the (permuted) position falls in. Core
     positions outside the band raise [Invalid_argument] — the planner
     guarantees stamps stay inside. *)
-
-val get : t -> int -> int -> float
 
 val slot : t -> int -> int -> float array * int
 (** Backing array and flat offset of an entry in whichever quadrant it

@@ -8,26 +8,6 @@ let trapz xs ys =
   done;
   !s
 
-let trapz_fn ?(n = 256) f a b =
-  if n < 1 then invalid_arg "Integrate.trapz_fn: n";
-  let h = (b -. a) /. float_of_int n in
-  let s = ref (0.5 *. (f a +. f b)) in
-  for i = 1 to n - 1 do
-    s := !s +. f (a +. (h *. float_of_int i))
-  done;
-  !s *. h
-
-let simpson_fn ?(n = 256) f a b =
-  let n = if n mod 2 = 0 then n else n + 1 in
-  if n < 2 then invalid_arg "Integrate.simpson_fn: n";
-  let h = (b -. a) /. float_of_int n in
-  let s = ref (f a +. f b) in
-  for i = 1 to n - 1 do
-    let coeff = if i mod 2 = 1 then 4.0 else 2.0 in
-    s := !s +. (coeff *. f (a +. (h *. float_of_int i)))
-  done;
-  !s *. h /. 3.0
-
 let cumulative xs ys =
   let n = Array.length xs in
   if n <> Array.length ys then invalid_arg "Integrate.cumulative: size";

@@ -1,15 +1,8 @@
-(** Quadrature over sampled data and functions. *)
+(** Quadrature over sampled data. *)
 
 val trapz : float array -> float array -> float
 (** [trapz xs ys] is the trapezoidal integral of the sampled curve.
     Raises [Invalid_argument] on size mismatch or fewer than 2 points. *)
-
-val trapz_fn : ?n:int -> (float -> float) -> float -> float -> float
-(** [trapz_fn f a b] integrates [f] on [a, b] with [n] (default 256)
-    uniform trapezoids. *)
-
-val simpson_fn : ?n:int -> (float -> float) -> float -> float -> float
-(** Composite Simpson rule; [n] (default 256) is rounded up to even. *)
 
 val cumulative : float array -> float array -> float array
 (** [cumulative xs ys] is the running trapezoidal integral, same length

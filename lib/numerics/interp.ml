@@ -1,11 +1,3 @@
-let validate_grid xs =
-  let n = Array.length xs in
-  if n < 2 then invalid_arg "Interp: grid needs at least 2 points";
-  for i = 0 to n - 2 do
-    if xs.(i + 1) <= xs.(i) then
-      invalid_arg "Interp: grid must be strictly increasing"
-  done
-
 (* Hot path: called per waveform lookup. The grid is validated where
    arrays enter the system (Wave.create, Nldm.table, resample), not on
    every probe. *)
@@ -31,12 +23,6 @@ let linear xs ys x =
   let t = (x -. xs.(i)) /. (xs.(i + 1) -. xs.(i)) in
   ys.(i) +. (t *. (ys.(i + 1) -. ys.(i)))
 
-let linear_clamped xs ys x =
-  let n = Array.length xs in
-  if x <= xs.(0) then ys.(0)
-  else if x >= xs.(n - 1) then ys.(n - 1)
-  else linear xs ys x
-
 let bilinear xs ys z x y =
   if Array.length z <> Array.length xs then
     invalid_arg "Interp.bilinear: row count mismatch";
@@ -59,23 +45,6 @@ let bilinear xs ys z x y =
   +. ((1.0 -. tx) *. ty *. z01)
   +. (tx *. (1.0 -. ty) *. z10)
   +. (tx *. ty *. z11)
-
-let inverse_linear xs ys level =
-  let n = Array.length xs in
-  if n <> Array.length ys then invalid_arg "Interp.inverse_linear: size";
-  let rec scan i =
-    if i >= n - 1 then None
-    else
-      let y0 = ys.(i) and y1 = ys.(i + 1) in
-      if (y0 -. level) *. (y1 -. level) <= 0.0 && y0 <> y1 then
-        let t = (level -. y0) /. (y1 -. y0) in
-        if t >= 0.0 && t <= 1.0 then
-          Some (xs.(i) +. (t *. (xs.(i + 1) -. xs.(i))))
-        else scan (i + 1)
-      else if y0 = level then Some xs.(i)
-      else scan (i + 1)
-  in
-  scan 0
 
 let derivative xs ys =
   let n = Array.length xs in

@@ -1,36 +1,17 @@
 (** 1-D and 2-D interpolation over sorted grids. *)
 
-val validate_grid : float array -> unit
-(** Raises [Invalid_argument] unless the array is strictly increasing
-    with at least two entries. Call where grids enter the system. *)
-
-val bracket : float array -> float -> int
-(** [bracket xs x] returns an index [i] such that
-    [xs.(i) <= x <= xs.(i+1)] when [x] is inside the grid; clamps to the
-    first or last interval when outside. [xs] must be strictly
-    increasing with at least two entries; only the length is checked
-    here (this is the per-sample hot path — grids are validated where
-    they are built). *)
-
 val linear : float array -> float array -> float -> float
 (** [linear xs ys x] evaluates the piecewise-linear interpolant through
-    (xs, ys) at [x], extrapolating linearly from the end intervals. *)
-
-val linear_clamped : float array -> float array -> float -> float
-(** Like [linear] but clamps to the end values rather than
-    extrapolating; used for table lookups where extrapolation is
-    unphysical. *)
+    (xs, ys) at [x], extrapolating linearly from the end intervals.
+    [xs] must be strictly increasing with at least two entries; only
+    the length is checked here (this is the per-sample hot path —
+    grids are validated where they are built). *)
 
 val bilinear :
   float array -> float array -> float array array -> float -> float -> float
 (** [bilinear xs ys z x y] interpolates the surface [z.(i).(j)] defined
     on the grid [xs] x [ys]; clamps outside the grid. [z] must be
     [length xs] rows of [length ys]. *)
-
-val inverse_linear : float array -> float array -> float -> float option
-(** [inverse_linear xs ys level] finds the first [x] (scanning left to
-    right) at which the piecewise-linear curve crosses [level], or
-    [None] if it never does. The curve need not be monotone. *)
 
 val derivative : float array -> float array -> float array
 (** [derivative xs ys] is the centered finite-difference derivative

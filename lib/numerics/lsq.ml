@@ -1,7 +1,5 @@
 type line = { slope : float; intercept : float }
 
-let eval_line { slope; intercept } t = (slope *. t) +. intercept
-
 (* Weighted normal equations for the 2-parameter line fit. Times are
    shifted by their weighted mean before forming the sums to keep the
    system well conditioned for nanosecond-scale abscissae. *)
@@ -33,19 +31,6 @@ let fit_line ?weights ts vs =
   let slope = !stv /. !stt in
   let intercept = (!sv /. !sw) -. (slope *. tbar) in
   { slope; intercept }
-
-let fit_line_through t0 v0 ts vs =
-  let n = Array.length ts in
-  if n <> Array.length vs then invalid_arg "Lsq.fit_line_through: size";
-  let num = ref 0.0 and den = ref 0.0 in
-  for k = 0 to n - 1 do
-    let dt = ts.(k) -. t0 in
-    num := !num +. (dt *. (vs.(k) -. v0));
-    den := !den +. (dt *. dt)
-  done;
-  if !den <= 0.0 then failwith "Lsq.fit_line_through: degenerate";
-  let slope = !num /. !den in
-  { slope; intercept = v0 -. (slope *. t0) }
 
 type normal = { a00 : float; a01 : float; a11 : float; g0 : float; g1 : float }
 

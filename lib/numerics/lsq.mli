@@ -8,18 +8,12 @@
 type line = { slope : float; intercept : float }
 (** The fitted line a*t + b as [slope]*t + [intercept]. *)
 
-val eval_line : line -> float -> float
-
 val fit_line : ?weights:float array -> float array -> float array -> line
 (** [fit_line ?weights ts vs] minimizes
     sum_k w_k * (v_k - (a*t_k + b))^2 (w_k = 1 when [weights] is
     omitted). Raises [Invalid_argument] on size mismatch or fewer than
     two effective points, [Failure "Lsq.fit_line: degenerate"] when the
     weighted design matrix is singular (e.g. all weight on one t). *)
-
-val fit_line_through : float -> float -> float array -> float array -> line
-(** [fit_line_through t0 v0 ts vs] least-squares fit constrained to pass
-    through the point (t0, v0); used by the E4-style constructions. *)
 
 type normal = {
   a00 : float;

@@ -5,10 +5,6 @@ let create rows cols =
     invalid_arg "Matrix.create: dimensions must be positive";
   { rows; cols; data = Array.make (rows * cols) 0.0 }
 
-let rows m = m.rows
-let cols m = m.cols
-
-let get m i j = m.data.((i * m.cols) + j)
 let set m i j x = m.data.((i * m.cols) + j) <- x
 let add_to m i j x = m.data.((i * m.cols) + j) <- m.data.((i * m.cols) + j) +. x
 
@@ -19,13 +15,6 @@ let slot m i j =
   if i < 0 || j < 0 || i >= m.rows || j >= m.cols then
     invalid_arg "Matrix.slot: out of range";
   (m.data, (i * m.cols) + j)
-
-let identity n =
-  let m = create n n in
-  for i = 0 to n - 1 do
-    set m i i 1.0
-  done;
-  m
 
 let of_arrays a =
   let r = Array.length a in
@@ -40,7 +29,6 @@ let of_arrays a =
     a;
   m
 
-let copy m = { m with data = Array.copy m.data }
 let fill m x = Array.fill m.data 0 (Array.length m.data) x
 
 let mul_vec m v =
@@ -52,29 +40,6 @@ let mul_vec m v =
         s := !s +. (m.data.(base + j) *. v.(j))
       done;
       !s)
-
-let transpose m =
-  let t = create m.cols m.rows in
-  for i = 0 to m.rows - 1 do
-    for j = 0 to m.cols - 1 do
-      set t j i (get m i j)
-    done
-  done;
-  t
-
-let mul a b =
-  if a.cols <> b.rows then invalid_arg "Matrix.mul: size mismatch";
-  let c = create a.rows b.cols in
-  for i = 0 to a.rows - 1 do
-    for k = 0 to a.cols - 1 do
-      let aik = get a i k in
-      if aik <> 0.0 then
-        for j = 0 to b.cols - 1 do
-          add_to c i j (aik *. get b k j)
-        done
-    done
-  done;
-  c
 
 type lu = { n : int; lu_data : float array; perm : int array }
 
@@ -231,24 +196,4 @@ let solve_into f b =
       s := !s -. (Array.unsafe_get a (ib + j) *. Array.unsafe_get b j)
     done;
     Array.unsafe_set b i (!s /. Array.unsafe_get a (ib + i))
-  done
-
-let residual_norm a x b =
-  let ax = mul_vec a x in
-  let worst = ref 0.0 in
-  Array.iteri
-    (fun i v ->
-      let r = abs_float (v -. b.(i)) in
-      if r > !worst then worst := r)
-    ax;
-  !worst
-
-let pp ppf m =
-  for i = 0 to m.rows - 1 do
-    Format.fprintf ppf "[";
-    for j = 0 to m.cols - 1 do
-      if j > 0 then Format.fprintf ppf " ";
-      Format.fprintf ppf "%10.4g" (get m i j)
-    done;
-    Format.fprintf ppf "]@\n"
   done

@@ -12,17 +12,10 @@ val create : int -> int -> t
 (** [create rows cols] is a zero-filled matrix. Raises
     [Invalid_argument] if a dimension is not positive. *)
 
-val identity : int -> t
-(** [identity n] is the n x n identity matrix. *)
-
 val of_arrays : float array array -> t
 (** [of_arrays a] copies a rectangular array-of-rows into a matrix.
     Raises [Invalid_argument] on ragged input or empty input. *)
 
-val rows : t -> int
-val cols : t -> int
-
-val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 
 val add_to : t -> int -> int -> float -> unit
@@ -35,16 +28,10 @@ val slot : t -> int -> int -> float array * int
     apply them with plain array writes in hot loops; writing through
     the pair is equivalent to [set]/[add_to] at that position. *)
 
-val copy : t -> t
 val fill : t -> float -> unit
 
 val mul_vec : t -> float array -> float array
 (** [mul_vec m v] is the matrix-vector product [m * v]. *)
-
-val transpose : t -> t
-
-val mul : t -> t -> t
-(** Matrix-matrix product. *)
 
 type lu
 (** An LU factorization with partial pivoting (PA = LU). *)
@@ -87,8 +74,3 @@ val factor_into : t -> fact -> unit
 val solve_into : fact -> float array -> unit
 (** [solve_into f b] solves [A x = b] for the factored [A],
     overwriting [b] with [x]. Allocation-free. *)
-
-val residual_norm : t -> float array -> float array -> float
-(** [residual_norm a x b] is the max-norm of [a*x - b]; used by tests. *)
-
-val pp : Format.formatter -> t -> unit

@@ -15,9 +15,6 @@ let build ~n edges =
   in
   { gn = n; adj }
 
-let size g = g.gn
-let degree g v = Array.length g.adj.(v)
-let neighbors g v = g.adj.(v)
 
 (* Degree counting only masked neighbours of a masked vertex. *)
 let masked_degree g mask v =
@@ -108,10 +105,6 @@ let rcm_masked g mask =
   (* [order] was accumulated in reverse already — exactly the R of
      RCM. *)
   Array.of_list !order
-
-let rcm g =
-  let mask = Array.make g.gn true in
-  rcm_masked g mask
 
 let bandwidth g pos =
   let bw = ref 0 in

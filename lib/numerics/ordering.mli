@@ -8,25 +8,6 @@
     by demoting the worst hubs to a dense {e border}, leaving a narrow
     banded core: the arrowhead form factored by {!Bordered}. *)
 
-type graph
-
-val build : n:int -> (int * int) list -> graph
-(** Undirected graph on vertices [0 .. n-1]. Self-loops, duplicates
-    and out-of-range endpoints are ignored. *)
-
-val size : graph -> int
-val degree : graph -> int -> int
-val neighbors : graph -> int -> int array
-
-val rcm : graph -> int array
-(** Vertices in reverse Cuthill-McKee order (pseudo-peripheral start
-    per connected component, neighbours by increasing degree). *)
-
-val bandwidth : graph -> int array -> int
-(** [bandwidth g pos] is the half-bandwidth max |pos(i) - pos(j)| over
-    edges whose endpoints both have [pos >= 0]; vertices with a
-    negative position are excluded. *)
-
 type plan = {
   order : int array;
       (** vertex -> matrix row: core rows [0 .. core-1] in RCM order,
@@ -43,10 +24,12 @@ val plan :
   max_border:int ->
   unit ->
   plan option
-(** Find an ordering whose core bandwidth is at most [max_bandwidth]
-    by iteratively demoting the highest-degree core vertex (plus its
-    transitive [coupled] partners — e.g. a voltage-source branch row
-    must follow its node, or the core is left structurally singular)
-    to the border. [None] when more than [max_border] demotions would
-    be needed, or nothing remains in the core — callers then fall back
-    to the dense solver. *)
+(** Find an ordering of the undirected graph on vertices [0 .. n-1]
+    with the given [edges] (self-loops, duplicates and out-of-range
+    endpoints are ignored) whose core bandwidth is at most
+    [max_bandwidth], by iteratively demoting the highest-degree core
+    vertex (plus its transitive [coupled] partners — e.g. a
+    voltage-source branch row must follow its node, or the core is
+    left structurally singular) to the border. [None] when more than
+    [max_border] demotions would be needed, or nothing remains in the
+    core — callers then fall back to the dense solver. *)

@@ -1,12 +1,3 @@
-type summary = {
-  count : int;
-  mean : float;
-  max : float;
-  min : float;
-  rms : float;
-  stddev : float;
-}
-
 let mean xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.mean: empty";
@@ -14,26 +5,6 @@ let mean xs =
 
 let max_abs xs =
   Array.fold_left (fun acc x -> Float.max acc (abs_float x)) 0.0 xs
-
-let summarize xs =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.summarize: empty";
-  let mu = mean xs in
-  let mx = Array.fold_left Float.max neg_infinity xs in
-  let mn = Array.fold_left Float.min infinity xs in
-  let ss = Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
-  let var =
-    Array.fold_left (fun acc x -> acc +. ((x -. mu) *. (x -. mu))) 0.0 xs
-    /. float_of_int n
-  in
-  {
-    count = n;
-    mean = mu;
-    max = mx;
-    min = mn;
-    rms = sqrt (ss /. float_of_int n);
-    stddev = sqrt var;
-  }
 
 let percentile xs p =
   let n = Array.length xs in
@@ -48,7 +19,3 @@ let percentile xs p =
   else
     let t = rank -. float_of_int lo in
     sorted.(lo) +. (t *. (sorted.(hi) -. sorted.(lo)))
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4g max=%.4g min=%.4g rms=%.4g sd=%.4g"
-    s.count s.mean s.max s.min s.rms s.stddev

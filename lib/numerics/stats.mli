@@ -1,21 +1,9 @@
 (** Summary statistics for experiment reporting (Table 1 columns). *)
 
-type summary = {
-  count : int;
-  mean : float;
-  max : float;
-  min : float;
-  rms : float;
-  stddev : float;
-}
-
-val summarize : float array -> summary
+val mean : float array -> float
 (** Raises [Invalid_argument] on an empty array. *)
 
-val mean : float array -> float
 val max_abs : float array -> float
 val percentile : float array -> float -> float
 (** [percentile xs p] with p in [0, 100]; linear interpolation between
     order statistics. The input is not modified. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -42,11 +42,6 @@ let roll_fault () =
 module Breaker = struct
   type state = Closed | Open | Half_open
 
-  let state_to_string = function
-    | Closed -> "closed"
-    | Open -> "open"
-    | Half_open -> "half_open"
-
   type t = {
     threshold : int;
     cooldown_s : float;
@@ -204,8 +199,6 @@ let create ?(shards = 16) ?disk_dir ?breaker_threshold ?breaker_cooldown_s
     evict_m = Mutex.create ();
   }
 
-let disk_dir t = t.disk_dir
-
 let shard_of t key =
   t.shards.(Hashtbl.hash key mod Array.length t.shards)
 
@@ -243,8 +236,8 @@ let decode_entry raw =
   | None -> Error `Corrupt
 
 (* Report a disk op's outcome to the breaker (when the cache has one).
-   An absent file is a successful disk interaction: only genuine
-   failures count toward opening the breaker. *)
+   An absent file or a reaped corrupt entry is a successful disk
+   interaction: only I/O failures count toward opening the breaker. *)
 let breaker_outcome t ok =
   match t.breaker with
   | None -> ()
@@ -259,7 +252,11 @@ let breaker_admits t =
    [read_errors] and is unlinked so it cannot poison future runs, and
    an I/O error (permissions, transient FS trouble) bumps
    [read_errors] but leaves the file alone. An armed {!faults} plan
-   surfaces here as simulated I/O errors, ahead of any file access. *)
+   surfaces here as simulated I/O errors, ahead of any file access.
+   The breaker hears only about the disk: a corrupt or stale entry
+   that was read and reaped is a healthy disk interaction (an upgrade
+   leaves a directory of old-format entries), so only I/O errors and
+   failed unlinks count toward opening it. *)
 let disk_read t dir key =
   let path = disk_path dir key in
   let parse () =
@@ -276,12 +273,12 @@ let disk_read t dir key =
       None
   | Error `Corrupt | (exception (End_of_file | Stdlib.Failure _ | Invalid_argument _)) ->
       Atomic.incr t.read_errors;
-      breaker_outcome t false;
       let sz = file_size path in
-      (try
-         Sys.remove path;
-         ignore (Atomic.fetch_and_add t.disk_bytes (-sz))
-       with Sys_error _ -> ());
+      (match Sys.remove path with
+      | () ->
+          ignore (Atomic.fetch_and_add t.disk_bytes (-sz));
+          breaker_outcome t true
+      | exception Sys_error _ -> breaker_outcome t false);
       None
   | exception (Sys_error _ | Injected) ->
       Atomic.incr t.read_errors;
@@ -485,7 +482,6 @@ let write_errors t = Atomic.get t.write_errors
 let bytes_written t = Atomic.get t.bytes_written
 let disk_bytes t = Atomic.get t.disk_bytes
 let evictions t = Atomic.get t.evictions
-let breaker t = t.breaker
 
 let breaker_state t =
   Option.map (fun b -> Breaker.state b) t.breaker
@@ -503,20 +499,3 @@ let length t =
   Array.fold_left
     (fun acc s -> acc + locked s (fun () -> Hashtbl.length s.tbl))
     0 t.shards
-
-let clear t =
-  Array.iter (fun s -> locked s (fun () -> Hashtbl.reset s.tbl)) t.shards;
-  Atomic.set t.hits 0;
-  Atomic.set t.disk_hits 0;
-  Atomic.set t.misses 0;
-  Atomic.set t.read_errors 0;
-  Atomic.set t.write_errors 0;
-  (* [disk_bytes] deliberately survives: clearing memory shards does
-     not unlink disk entries, so the gauge still describes the dir. *)
-  Atomic.set t.bytes_written 0;
-  Atomic.set t.evictions 0
-
-let pp_stats ppf t =
-  Format.fprintf ppf
-    "cache: %d hits (%d from disk), %d misses, %d read errors, %d resident"
-    (hits t) (disk_hits t) (misses t) (read_errors t) (length t)

@@ -43,8 +43,6 @@ module Breaker : sig
   type state = Closed | Open | Half_open
   type t
 
-  val state_to_string : state -> string
-
   val create :
     ?threshold:int -> ?cooldown_s:float -> ?now:(unit -> float) -> unit -> t
   (** [threshold] defaults to 8 consecutive failures, [cooldown_s] to
@@ -86,8 +84,6 @@ val create :
     without [disk_dir] there is no breaker. [max_disk_bytes] caps the
     disk layer: when a write pushes {!disk_bytes} past the cap,
     entries are LRU-evicted (oldest mtime first) down to 90% of it. *)
-
-val disk_dir : t -> string option
 
 (** Key construction. A key is a digest over a tag plus typed parts;
     floats are rendered in lossless hex notation so equal keys mean
@@ -158,7 +154,7 @@ val write_errors : t -> int
 
 val bytes_written : t -> int
 (** Total bytes of completed disk-entry writes (whole files) since
-    creation (or the last {!clear}). *)
+    creation. *)
 
 val disk_bytes : t -> int
 (** Resident bytes of the disk layer: seeded by a directory walk at
@@ -167,9 +163,6 @@ val disk_bytes : t -> int
 val evictions : t -> int
 (** Disk entries unlinked by the [max_disk_bytes] LRU cap. *)
 
-val breaker : t -> Breaker.t option
-(** The breaker guarding the disk layer, when one exists. *)
-
 val breaker_state : t -> Breaker.state option
 val breaker_opens : t -> int
 val breaker_recloses : t -> int
@@ -177,8 +170,3 @@ val breaker_short_circuits : t -> int
 
 val length : t -> int
 (** Entries currently resident in memory. *)
-
-val clear : t -> unit
-(** Drop the in-memory layer and reset counters; disk files stay. *)
-
-val pp_stats : Format.formatter -> t -> unit

@@ -66,11 +66,3 @@ let record t i v =
     Record.write_atomic (entry_path t i)
       (Record.encode ~magic [ Marshal.to_string v [] ])
   with _ -> () (* a full disk degrades to recomputation, not a crash *)
-
-let completed t =
-  match Sys.readdir t.dir with
-  | entries ->
-      Array.fold_left
-        (fun acc name -> if is_entry name then acc + 1 else acc)
-        0 entries
-  | exception Sys_error _ -> 0

@@ -36,6 +36,3 @@ val find : t -> int -> 'a option
 val record : t -> int -> 'a -> unit
 (** Persist case [i] atomically. I/O failure (full disk) is swallowed:
     the journal degrades to recomputation, never crashes the sweep. *)
-
-val completed : t -> int
-(** Number of recorded entries. *)

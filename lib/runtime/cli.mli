@@ -43,9 +43,6 @@ type sweep = {
           callers resolve via [Eqwave.Ladder.of_names]. *)
 }
 
-val engine_conv : string Cmdliner.Arg.conv
-(** Engine preset name, validated against {!Engine.of_name}. *)
-
 val int_at_least : int -> int Cmdliner.Arg.conv
 (** An integer flag value of at least the bound; anything else is a
     usage error naming the flag (exit 124) instead of an exception deep
@@ -76,9 +73,6 @@ val engine_of_spec : spec -> Engine.t
     caller owns the pool ({!Engine.pool}) and must shut it down. Does
     NOT arm fault injection — call {!arm_faults} exactly once per
     process. *)
-
-val policy_of_spec : spec -> Resilience.policy
-(** Just the resilience policy ([--fallback]/[--retries]). *)
 
 val arm_faults : spec -> unit
 (** Arm [--inject-faults] and [--inject-cache-faults] (both

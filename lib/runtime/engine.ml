@@ -66,7 +66,6 @@ let deadline_ms t = t.deadline_ms
 let guard t = t.guard
 let batch t = t.batch
 
-let with_solver t solver = { t with solver }
 let with_pool t pool = { t with pool = Some pool }
 let with_cache t cache = { t with cache = Some cache }
 let with_metrics t metrics = { t with metrics = Some metrics }
@@ -96,15 +95,3 @@ let submit_batch ?chunk t n f =
   Pool.maybe_map ~chunk t.pool n f
 
 let is_adaptive t = Spice.Transient.is_adaptive t.solver
-
-let pp ppf t =
-  Format.fprintf ppf "engine %s (%s%s%s%s)" t.name
-    (if is_adaptive t then "adaptive" else "fixed-grid")
-    (match t.pool with
-    | Some p -> Printf.sprintf ", %d jobs" (Pool.jobs p)
-    | None -> "")
-    (match t.cache with Some _ -> ", cached" | None -> "")
-    ((match t.deadline_ms with
-     | Some ms -> Printf.sprintf ", deadline %.3g ms" ms
-     | None -> "")
-    ^ match t.guard with Some _ -> ", guarded" | None -> "")

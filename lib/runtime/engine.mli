@@ -12,8 +12,12 @@
     gone.
 
     Named presets:
-    - ["reference"] — fixed 1 ps grid, bit-exact with the historical
-      engine; the regression baseline.
+    - ["reference"] — fixed-step grid, bit-exact with the historical
+      engine; the regression baseline. Its solver config carries
+      [Spice.Transient.default_config]'s 1 ps step, but the Noise
+      harnesses set the step per solve: 2 ps ([Scenario.dt]) for full
+      chains and 1 ps for receiver replays
+      ([Injection.receiver_response]).
     - ["accurate"] — adaptive stepping, 0.1 mV LTE tolerance, steps up
       to 50 ps.
     - ["fast"] — adaptive stepping, 1 mV LTE tolerance, steps up to
@@ -76,7 +80,6 @@ val batch : t -> int
     default pool chunk of {!submit_batch}. Answers never depend on
     it. *)
 
-val with_solver : t -> Spice.Transient.config -> t
 val with_pool : t -> Pool.t -> t
 val with_cache : t -> Cache.t -> t
 val with_metrics : t -> Metrics.t -> t
@@ -107,4 +110,3 @@ val submit_batch : ?chunk:int -> t -> int -> (int -> 'a) -> 'a array
     worker that batches its slice sees whole sub-batches. *)
 
 val is_adaptive : t -> bool
-val pp : Format.formatter -> t -> unit

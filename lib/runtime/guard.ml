@@ -12,11 +12,6 @@ let make ?(every = 8) ?(seed = 0) ?(tol_s = 1e-12) () =
   if not (Float.is_finite tol_s) then invalid_arg "Guard.make: non-finite tol";
   { every; seed; tol_s }
 
-let default = make ()
-let every t = t.every
-let seed t = t.seed
-let tol_s t = t.tol_s
-
 let fingerprint t =
   Printf.sprintf "runtime.guard|%d|%d|%h" t.every t.seed t.tol_s
 
@@ -67,18 +62,6 @@ module Stats = struct
       errors = a.errors - b.errors;
       max_delta_s = a.max_delta_s;
     }
-
-  let reset () =
-    Atomic.set checked 0;
-    Atomic.set agreements 0;
-    Atomic.set disagreements 0;
-    Atomic.set errors 0;
-    Atomic.set max_delta 0.0
-
-  let pp ppf s =
-    Format.fprintf ppf
-      "%d checked, %d agree, %d disagree, %d errors, max delta %.4g ps"
-      s.checked s.agreements s.disagreements s.errors (s.max_delta_s *. 1e12)
 end
 
 let record t ~delta_s =

@@ -16,11 +16,6 @@ val make : ?every:int -> ?seed:int -> ?tol_s:float -> unit -> t
     1 ps. Raises [Invalid_argument] when [every < 1] or [tol_s] is not
     finite. *)
 
-val default : t
-val every : t -> int
-val seed : t -> int
-val tol_s : t -> float
-
 val fingerprint : t -> string
 (** Stable digest input for checkpoint fingerprints — guarded sweeps
     replay extra reference solves, which shifts fault-injection solve
@@ -39,7 +34,7 @@ val record_error : unit -> unit
     neither agreement nor disagreement. *)
 
 (** Process-global counters, same discipline as
-    [Spice.Transient.Stats]: atomics, snapshot/diff/reset, so pool
+    [Spice.Transient.Stats]: atomics, snapshot/diff, so pool
     domains account correctly. [max_delta_s] is a high-water mark
     ([diff] keeps the current mark rather than subtracting). *)
 module Stats : sig
@@ -53,6 +48,4 @@ module Stats : sig
 
   val snapshot : unit -> snapshot
   val diff : snapshot -> snapshot -> snapshot
-  val reset : unit -> unit
-  val pp : Format.formatter -> snapshot -> unit
 end

@@ -122,11 +122,6 @@ let capture_guard ?since t =
   set t "guard.max_delta_fs"
     (int_of_float (Float.round (s.Guard.Stats.max_delta_s *. 1e15)))
 
-let reset t =
-  locked t (fun () ->
-      Hashtbl.reset t.counters;
-      Hashtbl.reset t.timers)
-
 let pp_report ppf t =
   let cs = counters t and ts = timers t in
   Format.fprintf ppf "@[<v>runtime metrics:@,";

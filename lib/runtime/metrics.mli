@@ -49,8 +49,6 @@ val capture_guard : ?since:Guard.Stats.snapshot -> t -> unit
     "guard.max_delta_fs") into "guard.*". With [since], counts record
     only the delta. *)
 
-val reset : t -> unit
-
 val pp_report : Format.formatter -> t -> unit
 (** Human-readable two-column report. *)
 

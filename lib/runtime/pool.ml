@@ -61,17 +61,6 @@ let create ?jobs () =
 
 let jobs t = t.jobs
 
-let async t task =
-  if t.jobs = 1 then
-    (* No worker domains: run inline with worker semantics. *)
-    try task () with e when not (is_fatal e) -> Atomic.incr strays
-  else begin
-    Mutex.lock t.m;
-    Queue.add task t.queue;
-    Condition.signal t.cv;
-    Mutex.unlock t.m
-  end
-
 let shutdown t =
   Mutex.lock t.m;
   t.stopping <- true;
@@ -80,10 +69,6 @@ let shutdown t =
   let ds = t.domains in
   t.domains <- [];
   List.iter Domain.join ds
-
-let with_pool ?jobs f =
-  let t = create ?jobs () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let sequential_map n f = Array.init n f
 
@@ -151,22 +136,10 @@ let map ?chunk t n f =
           results
   end
 
-let map_list ?chunk t f xs =
-  let a = Array.of_list xs in
-  Array.to_list (map ?chunk t (Array.length a) (fun i -> f a.(i)))
-
-let map_reduce ?chunk t ~n ~map:mf ~init ~reduce =
-  Array.fold_left reduce init (map ?chunk t n mf)
-
 let maybe_map ?chunk pool n f =
   match pool with
   | None -> sequential_map n f
   | Some t -> map ?chunk t n f
-
-let maybe_map_list ?chunk pool f xs =
-  match pool with
-  | None -> List.map f xs
-  | Some t -> map_list ?chunk t f xs
 
 (* Cooperative cancellation: the budget is installed in the calling
    domain's local storage, so a pool worker running [f] as part of a

@@ -22,25 +22,14 @@ val create : ?jobs:int -> unit -> t
 
 val jobs : t -> int
 
-val async : t -> (unit -> unit) -> unit
-(** Fire-and-forget task. On a [jobs = 1] pool it runs inline in the
-    caller. An exception escaping the task is counted in
-    {!stray_exceptions} rather than killing the worker — except fatal
-    ones ([Out_of_memory], [Stack_overflow], [Sys.Break]), which
-    propagate: they kill the worker domain and re-surface from
-    {!shutdown}'s join. *)
-
 val stray_exceptions : unit -> int
-(** Process-global count of non-fatal exceptions workers swallowed
-    from raw tasks. [map] chunks trap their own exceptions, so a
-    nonzero value means some {!async} task leaked one. *)
+(** Process-global count of non-fatal exceptions worker domains
+    swallowed from queued tasks. [map] chunks trap their own
+    exceptions, so a nonzero value means a task leaked one. *)
 
 val shutdown : t -> unit
 (** Join the worker domains. Idempotent; the pool must not be used
     afterwards. *)
-
-val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-(** [create], run, [shutdown] (also on exception). *)
 
 val map : ?chunk:int -> t -> int -> (int -> 'a) -> 'a array
 (** [map pool n f] is [Array.init n f] evaluated on all pool domains.
@@ -49,20 +38,9 @@ val map : ?chunk:int -> t -> int -> (int -> 'a) -> 'a array
     domain sees several chunks). If any [f i] raises, one such
     exception is re-raised in the caller after the sweep drains. *)
 
-val map_list : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map] over a list, preserving order. *)
-
-val map_reduce :
-  ?chunk:int -> t -> n:int -> map:(int -> 'a) -> init:'b ->
-  reduce:('b -> 'a -> 'b) -> 'b
-(** Parallel map, then a sequential in-order fold — deterministic even
-    for non-commutative [reduce]. *)
-
-(** Helpers for call sites where parallelism is optional: [None] means
-    "run sequentially in the caller" with zero overhead. *)
-
 val maybe_map : ?chunk:int -> t option -> int -> (int -> 'a) -> 'a array
-val maybe_map_list : ?chunk:int -> t option -> ('a -> 'b) -> 'a list -> 'b list
+(** {!map} where parallelism is optional: [None] runs sequentially in
+    the caller with zero overhead. *)
 
 val with_deadline : ?ms:float -> (unit -> 'a) -> 'a
 (** Run [f] under a per-task wall-clock budget (milliseconds):

@@ -125,14 +125,6 @@ module Stats = struct
       rejected_waveforms = a.rejected_waveforms - b.rejected_waveforms;
     }
 
-  let reset () =
-    Atomic.set solves 0;
-    Atomic.set attempts 0;
-    Atomic.set retries 0;
-    Atomic.set recoveries 0;
-    Atomic.set failures 0;
-    Atomic.set rejected_waveforms 0
-
   let pp ppf s =
     Format.fprintf ppf
       "%d supervised solves, %d attempts (%d retries), %d recoveries, %d \

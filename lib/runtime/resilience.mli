@@ -40,9 +40,6 @@ type policy = {
           rail-to-rail swing; [None] disables the rail check *)
 }
 
-val rung :
-  string -> (Spice.Transient.config -> Spice.Transient.config) -> rung
-
 val standard : policy
 (** The ladder above; 4 attempts, finite check on, rail tolerance
     0.5 x swing (generous enough that legitimate crosstalk over- and
@@ -51,7 +48,6 @@ val standard : policy
 val disabled : policy
 (** Single attempt, no validation — the pre-supervision behavior. *)
 
-val policies : policy list
 val names : string list
 
 val of_name : string -> policy
@@ -81,7 +77,6 @@ module Stats : sig
   val diff : snapshot -> snapshot -> snapshot
   (** [diff now before] — per-stage deltas. *)
 
-  val reset : unit -> unit
   val pp : Format.formatter -> snapshot -> unit
 end
 

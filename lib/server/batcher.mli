@@ -19,8 +19,6 @@ module Job : sig
   val make : Protocol.request -> t
   (** Stamps the admission time used for queue-wait accounting. *)
 
-  val request : t -> Protocol.request
-
   val await : t -> Json.t
   (** Block until the batcher fills the response document. *)
 

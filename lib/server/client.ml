@@ -62,8 +62,6 @@ let close t =
    on the wire — the digest the server's journal dedups on. *)
 let render request = Json.to_string (Protocol.request_to_json request)
 
-let request_digest request = Journal.digest (render request)
-
 let call_payload t payload =
   if not t.open_ then Error "client closed"
   else
@@ -108,10 +106,6 @@ let default_retry_policy =
   { attempts = 5; base_delay_s = 0.02; max_delay_s = 0.5; seed = 0 }
 
 type retry_error = { attempts : int; last : string }
-
-let retry_error_to_string { attempts; last } =
-  Printf.sprintf "retry budget exhausted after %d attempts (last: %s)"
-    attempts last
 
 let backoff_delay policy attempt =
   let expo = policy.base_delay_s *. (2.0 ** float_of_int (attempt - 1)) in
@@ -175,15 +169,3 @@ let call_raw_with_retry ?(policy = default_retry_policy)
             match recoverable_error doc with
             | Some code -> `Retry ("recoverable server error: " ^ code)
             | None -> `Done bytes))
-
-let call_with_retry ?(policy = default_retry_policy)
-    ?(retry_recoverable = false) ?read_timeout_s ?write_timeout_s addr
-    request =
-  retry ~policy ~what:"call_with_retry" ?read_timeout_s ?write_timeout_s addr
-    ~payload:(render request) ~classify:(fun bytes ->
-      match Json.parse bytes with
-      | Error msg -> `Retry ("malformed response: " ^ msg)
-      | Ok doc -> (
-          match if retry_recoverable then recoverable_error doc else None with
-          | Some code -> `Retry ("recoverable server error: " ^ code)
-          | None -> `Done doc))

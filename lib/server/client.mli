@@ -36,14 +36,6 @@ val call_raw : t -> Protocol.request -> (string, string) result
 val call : t -> Protocol.request -> (Json.t, string) result
 (** {!call_raw} plus JSON parsing. *)
 
-val request_digest : Protocol.request -> string
-(** The journal digest ({!Journal.digest}) of [request]'s rendered
-    payload — what the server dedups on. A request is rendered to
-    bytes exactly once per logical call and the rendering is
-    deterministic, so every retry carries this same digest; crash
-    harnesses use it to match acknowledged responses against the
-    server's replayed-response table. *)
-
 val ping : t -> (Json.t, string) result
 (** [{"op":"ping"}] round-trip; the [ok] body reports the daemon's
     protocol version and engine name. *)
@@ -51,7 +43,7 @@ val ping : t -> (Json.t, string) result
 (** {1 Retrying calls}
 
     Transport failures against a chaotic server (refused, reset,
-    torn frame, timeout) are usually transient; {!call_with_retry}
+    torn frame, timeout) are usually transient; {!call_raw_with_retry}
     absorbs them with a fresh connection per attempt and capped
     exponential backoff, under a hard attempt budget so callers always
     end with a typed {!retry_error} rather than an unbounded loop. *)
@@ -66,13 +58,8 @@ type retry_policy = {
           clients without a global RNG *)
 }
 
-val default_retry_policy : retry_policy
-(** 5 attempts, 20 ms base, 500 ms cap, seed 0. *)
-
 type retry_error = { attempts : int; last : string }
 (** The budget was exhausted; [last] is the final attempt's failure. *)
-
-val retry_error_to_string : retry_error -> string
 
 val call_raw_with_retry :
   ?policy:retry_policy ->
@@ -82,21 +69,8 @@ val call_raw_with_retry :
   addr ->
   Protocol.request ->
   (string, retry_error) result
-(** {!call_with_retry} on the raw payload bytes — for byte-identity
-    harnesses. An unparseable payload is returned as [Ok] untouched
-    (only transport errors and, with [retry_recoverable], well-formed
-    recoverable errors consume the budget); the caller decides whether
-    garbage bytes warrant another logical attempt. *)
-
-val call_with_retry :
-  ?policy:retry_policy ->
-  ?retry_recoverable:bool ->
-  ?read_timeout_s:float ->
-  ?write_timeout_s:float ->
-  addr ->
-  Protocol.request ->
-  (Json.t, retry_error) result
-(** One logical request with retries: each attempt opens a fresh
+(** One logical request with retries, answered as the raw payload
+    bytes (for byte-identity harnesses): each attempt opens a fresh
     connection (no [connect]-level retries — refusals feed the backoff
     loop), sends the request's payload — rendered once, so every
     attempt is byte-identical and lands on the same journal digest
@@ -105,4 +79,10 @@ val call_with_retry :
     one response. [retry_recoverable] additionally retries well-formed
     responses whose [error] document is marked recoverable (admission
     sheds: [overloaded], [too_many_connections], [queue_timeout]) —
-    off by default since re-running a solve costs server work. *)
+    off by default since re-running a solve costs server work. An
+    unparseable payload is returned as [Ok] untouched (only transport
+    errors and, with [retry_recoverable], well-formed recoverable
+    errors consume the budget); the caller decides whether garbage
+    bytes warrant another logical attempt. [policy] defaults to 5
+    attempts, 20 ms base delay, 500 ms cap, seed 0. *)
+

@@ -82,7 +82,7 @@ type config = {
       (** heartbeat watchdog budget: when the queue is non-empty and
           the batcher's progress counter has not moved for this long,
           the daemon declares itself wedged and exits
-          {!wedged_exit_code} so the supervisor respawns it ([None]
+          with status 70 so the supervisor respawns it ([None]
           disables; [on_wedged] overrides the exit for tests). *)
   restarts : int;
       (** how many supervisor respawns preceded this incarnation;
@@ -96,10 +96,6 @@ val default_config : config
     engine preset, queue depth 64, max batch 16, no queue timeout, no
     default deadline, 256 max connections, no read/write deadlines, no
     frame budget, no journal, no scrub, no watchdog. *)
-
-val wedged_exit_code : int
-(** Exit status (70) of a watchdog self-restart; the supervisor treats
-    it like any abnormal exit and respawns. *)
 
 type t
 

@@ -265,7 +265,6 @@ let retire t d =
       end)
 
 let pending t = locked t (fun () -> pending_entries t.tbl)
-let is_pending t d = locked t (fun () -> Hashtbl.mem t.tbl d)
 
 let stats t =
   locked t (fun () ->

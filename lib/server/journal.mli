@@ -81,8 +81,6 @@ val retire : t -> string -> unit
 val pending : t -> entry list
 (** Admitted-but-unretired entries, in admit order. *)
 
-val is_pending : t -> string -> bool
-
 val stats : t -> stats
 val close : t -> unit
 
@@ -97,6 +95,3 @@ val magic : string
 val encode_admit : digest:string -> payload:string -> string
 (** One framed admit record (length prefix + body + CRC). Raises
     [Invalid_argument] unless [digest] is 32 chars. *)
-
-val encode_retire : string -> string
-(** One framed retire record. *)

@@ -579,6 +579,8 @@ let parse_error_response = function
 (* ------------------------------------------------------------------ *)
 (* Framing                                                             *)
 
+(* Refuse payloads above this size: a corrupt length prefix must not
+   allocate unboundedly. *)
 let max_frame = 16 * 1024 * 1024
 
 (* Fd ops go through [Netfault] (a pass-through to [Unix.read]/

@@ -59,13 +59,6 @@ val version : string
 (** Protocol/daemon version reported by [ping], [--version], and the
     [version] field of every request and response envelope. *)
 
-val major_of : string -> int option
-(** Major component of a ["major.minor.patch"] version string, [None]
-    when the leading component is not an integer. *)
-
-val scenario_of_name : string -> (Noise.Scenario.t, string) result
-(** "i"/"1", "ii"/"2", "i_buffer"/"buffer" (case-insensitive). *)
-
 (** {1 Request parsing} *)
 
 type parse_error =
@@ -122,10 +115,6 @@ val error_response : id:int -> code:string -> string -> Json.t
 
 (** {1 Framing} *)
 
-val max_frame : int
-(** Refuse payloads above this size (16 MiB) — a corrupt length prefix
-    must not allocate unboundedly. *)
-
 val read_frame :
   Unix.file_descr ->
   ( string,
@@ -136,9 +125,12 @@ val read_frame :
     [SO_RCVTIMEO], an expired deadline surfaces as [`Timeout `Idle]
     (no byte of the next frame had arrived — a quiet connection) or
     [`Timeout `Mid_frame] (the peer started a frame and stalled — the
-    slowloris signature). All fd ops go through {!Netfault}. *)
+    slowloris signature). A length prefix above 16 MiB is an [`Err]:
+    a corrupt prefix must not allocate unboundedly. All fd ops go
+    through {!Netfault}. *)
 
 val write_frame : Unix.file_descr -> string -> unit
-(** Write one frame; raises [Unix.Unix_error] on a dead peer (or
+(** Write one frame; raises [Invalid_argument] on a payload above
+    16 MiB and [Unix.Unix_error] on a dead peer (or
     [EAGAIN] past an armed [SO_SNDTIMEO] write deadline). All fd ops
     go through {!Netfault}. *)

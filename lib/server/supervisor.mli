@@ -39,8 +39,6 @@ type config = {
   on_spawn : (pid:int -> restarts:int -> unit) option;
 }
 
-val default_config : config
-
 type outcome =
   | Clean of { restarts : int }  (** graceful exit; [restarts] respawns *)
   | Gave_up of { restarts : int; consecutive : int }

@@ -48,4 +48,3 @@ let close t =
       t.closed <- true;
       Condition.broadcast t.cv)
 
-let is_closed t = locked t (fun () -> t.closed)

@@ -34,4 +34,3 @@ val close : 'a t -> unit
 (** Refuse further pushes and wake blocked consumers. Items already
     queued are still delivered — graceful drain executes them. *)
 
-val is_closed : 'a t -> bool

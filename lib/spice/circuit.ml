@@ -41,7 +41,6 @@ let node t name =
         n
 
 let gnd _ = ground
-let is_ground n = n = ground
 
 let node_name t n =
   if n = ground then "0"
@@ -72,10 +71,6 @@ let mosfet t ~name ~g ~d ~s eval =
   t.mosfets <- (name, g, d, s, eval) :: t.mosfets
 
 let num_nodes t = t.next
-
-let node_index _ n =
-  if n = ground then invalid_arg "Circuit.node_index: ground has no index";
-  n
 
 let resistors t = List.rev t.resistors
 let capacitors t = List.rev t.capacitors

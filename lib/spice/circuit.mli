@@ -27,7 +27,6 @@ val node : t -> string -> node
 
 val gnd : t -> node
 val node_name : t -> node -> string
-val is_ground : node -> bool
 val node_names : t -> string list
 (** All non-ground node names, in creation order. *)
 
@@ -50,9 +49,6 @@ val mosfet : t -> name:string -> g:node -> d:node -> s:node -> mosfet_eval -> un
 
 val num_nodes : t -> int
 (** Non-ground node count. *)
-
-val node_index : t -> node -> int
-(** Index in [0 .. num_nodes-1]; raises [Invalid_argument] on ground. *)
 
 val resistors : t -> (node * node * float) list
 val capacitors : t -> (node * node * float) list

@@ -3,7 +3,6 @@ type t =
   | Pwl of (float * float) array
   | Wave of Waveform.Wave.t
   | Ramp of Waveform.Ramp.t
-  | Fn of (float -> float)
 
 let dc v = Dc v
 
@@ -22,12 +21,10 @@ let ramp ~t0 ~v0 ~v1 ~trans =
 
 let of_wave w = Wave w
 let of_ramp r = Ramp r
-let fn f = Fn f
 
 let value src t =
   match src with
   | Dc v -> v
-  | Fn f -> f t
   | Wave w -> Waveform.Wave.value_at w t
   | Ramp r -> Waveform.Ramp.value_at r t
   | Pwl a ->
@@ -42,30 +39,24 @@ let value src t =
       end
 
 let fingerprint = function
-  | Dc v -> Some (Printf.sprintf "dc:%h" v)
-  | Pwl a ->
-      Some
-        ("pwl:"
-        ^ Digest.to_hex (Digest.string (Marshal.to_string a [])))
+  | Dc v -> Printf.sprintf "dc:%h" v
+  | Pwl a -> "pwl:" ^ Digest.to_hex (Digest.string (Marshal.to_string a []))
   | Wave w ->
-      Some
-        ("wave:"
-        ^ Digest.to_hex
-            (Digest.string
-               (Marshal.to_string
-                  (Waveform.Wave.times w, Waveform.Wave.values w)
-                  [])))
+      "wave:"
+      ^ Digest.to_hex
+          (Digest.string
+             (Marshal.to_string
+                (Waveform.Wave.times w, Waveform.Wave.values w)
+                []))
   | Ramp r ->
       (* Begin/settle times plus their values pin down a saturated
          ramp completely. *)
       let t0 = Waveform.Ramp.t_begin r and t1 = Waveform.Ramp.t_settle r in
-      Some
-        (Printf.sprintf "ramp:%h:%h:%h:%h" t0 t1
-           (Waveform.Ramp.value_at r t0)
-           (Waveform.Ramp.value_at r t1))
-  | Fn _ -> None
+      Printf.sprintf "ramp:%h:%h:%h:%h" t0 t1
+        (Waveform.Ramp.value_at r t0)
+        (Waveform.Ramp.value_at r t1)
 
 let breakpoints = function
-  | Dc _ | Fn _ | Wave _ -> []
+  | Dc _ | Wave _ -> []
   | Pwl a -> Array.to_list (Array.map fst a)
   | Ramp r -> [ Waveform.Ramp.t_begin r; Waveform.Ramp.t_settle r ]

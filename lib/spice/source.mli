@@ -19,15 +19,12 @@ val of_wave : Waveform.Wave.t -> t
 val of_ramp : Waveform.Ramp.t -> t
 (** Drive with a saturated ramp, evaluated analytically. *)
 
-val fn : (float -> float) -> t
-
 val value : t -> float -> float
 (** Evaluate at a time. *)
 
-val fingerprint : t -> string option
+val fingerprint : t -> string
 (** Content digest for simulation caching: two sources with equal
-    fingerprints produce bit-identical stimuli. [None] for opaque
-    function sources, which cannot be content-addressed. *)
+    fingerprints produce bit-identical stimuli. *)
 
 val breakpoints : t -> float list
 (** Times at which the source has slope discontinuities; the transient

@@ -65,13 +65,8 @@ let default_config =
   }
 
 let with_dt cfg dt = { cfg with dt }
-let with_max_steps cfg max_steps = { cfg with max_steps }
 let with_tstop cfg tstop = { cfg with tstop }
-let with_tstart cfg tstart = { cfg with tstart }
-let with_integration cfg integration = { cfg with integration }
 let with_step_control cfg step_control = { cfg with step_control }
-let with_solver_kind cfg solver = { cfg with solver }
-let with_jac_reuse cfg jac_reuse = { cfg with jac_reuse }
 
 let with_adaptive ?lte_tol ?dt_min ?dt_max ?grow_limit ?safety
     ?crossing_levels ?crossing_dt cfg =
@@ -248,31 +243,6 @@ module Stats = struct
       batched_solves = a.batched_solves - b.batched_solves;
       peeled_solves = a.peeled_solves - b.peeled_solves;
     }
-
-  let reset () =
-    Atomic.set sims 0;
-    Atomic.set steps 0;
-    Atomic.set newton_iters 0;
-    Atomic.set bisections 0;
-    Atomic.set gmin_retries 0;
-    Atomic.set rejected_steps 0;
-    Atomic.set lte_rejections 0;
-    Atomic.set injected_faults 0;
-    Atomic.set deadline_hits 0;
-    Atomic.set factorizations 0;
-    Atomic.set jac_reuses 0;
-    Atomic.set banded_solves 0;
-    Atomic.set batched_solves 0
-
-  let pp ppf s =
-    Format.fprintf ppf
-      "%d sims (%d banded, %d batched), %d steps (%d rejected, %d by LTE), \
-       %d newton iters, %d factorizations (%d reused), %d bisections, %d \
-       gmin retries, %d injected faults, %d deadline hits"
-      s.sims s.banded_solves s.batched_solves s.steps
-      s.rejected_steps s.lte_rejections s.newton_iters s.factorizations
-      s.jac_reuses s.bisections s.gmin_retries s.injected_faults
-      s.deadline_hits
 end
 
 (* Cooperative per-solve deadlines. A caller installs a wall-clock
@@ -292,8 +262,6 @@ module Deadline = struct
     let prev = Domain.DLS.get key in
     Domain.DLS.set key (Some (Unix.gettimeofday () +. (ms /. 1000.0), ms));
     Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) f
-
-  let active () = Domain.DLS.get key <> None
 
   let check ~at =
     match Domain.DLS.get key with
@@ -961,49 +929,16 @@ let dc_solve ws cp cfg ~at x =
 type result = {
   grid : float array;
   data : float array array;
-  (* data.(k).(i): node voltages for i < n, then vsource branch
-     currents (current leaving the node into the source). *)
-  n : int;
+  (* data.(k).(i): node voltages (columns named by [index]), then
+     vsource branch currents. *)
   index : (string, int) Hashtbl.t;
-  branch_index : (string, int) Hashtbl.t; (* source node name -> column *)
 }
-
-let times r = Array.copy r.grid
 
 let probe r name =
   match Hashtbl.find_opt r.index name with
   | None -> raise Not_found
   | Some i ->
       Waveform.Wave.create r.grid (Array.map (fun row -> row.(i)) r.data)
-
-(* Current *delivered by* the source into the circuit (the negative of
-   the MNA branch unknown, which counts current leaving the node into
-   the source). *)
-let source_current r name =
-  match Hashtbl.find_opt r.branch_index name with
-  | None -> raise Not_found
-  | Some i ->
-      Waveform.Wave.create r.grid (Array.map (fun row -> -.row.(i)) r.data)
-
-let delivered_charge r name =
-  let w = source_current r name in
-  Numerics.Integrate.trapz (Waveform.Wave.times w) (Waveform.Wave.values w)
-
-let delivered_energy r name =
-  let iw = source_current r name in
-  let vw = probe r name in
-  let ts = Waveform.Wave.times iw in
-  let p =
-    Array.map
-      (fun t -> Waveform.Wave.value_at iw t *. Waveform.Wave.value_at vw t)
-      ts
-  in
-  Numerics.Integrate.trapz ts p
-
-let final_voltage r name =
-  match Hashtbl.find_opt r.index name with
-  | None -> raise Not_found
-  | Some i -> r.data.(Array.length r.data - 1).(i)
 
 let build_grid cp cfg =
   let span = cfg.tstop -. cfg.tstart in
@@ -1337,8 +1272,8 @@ let run_adaptive st a =
   let data = Array.of_list (List.rev !xs_rev) in
   (grid, data)
 
-(* Finalise a trace into a [result]: apply a pending [Corrupt] fault
-   and build the branch index. *)
+(* Finalise a trace into a [result]: apply a pending [Corrupt]
+   fault. *)
 let assemble (cp : compiled) fault grid data =
   (* A Corrupt fault poisons every node voltage of one mid-trace
      sample, modelling a solver that "succeeded" with garbage —
@@ -1348,19 +1283,7 @@ let assemble (cp : compiled) fault grid data =
   | Some Fault.Corrupt when Array.length data > 1 && cp.n > 0 ->
       Array.fill data.(Array.length data / 2) 0 cp.n Float.nan
   | _ -> ());
-  let branch_index = Hashtbl.create 8 in
-  Array.iteri
-    (fun j (nd, _) ->
-      let name =
-        Hashtbl.fold
-          (fun name i acc -> if i = nd then Some name else acc)
-          cp.name_index None
-      in
-      match name with
-      | Some name -> Hashtbl.replace branch_index name (cp.n + j)
-      | None -> ())
-    cp.vsrc;
-  { grid; data; n = cp.n; index = cp.name_index; branch_index }
+  { grid; data; index = cp.name_index }
 
 let validate_config cfg =
   if cfg.tstop -. cfg.tstart <= 0.0 then
@@ -1428,18 +1351,3 @@ let run_batch_outcomes ?(config = default_config) ?ics ckts =
       | r -> Ok r
       | exception e -> Error e)
     ckts
-
-let dc_operating_point ?(config = default_config) ?(guess = []) ~at ckt =
-  let cp = compile ckt in
-  let ws = make_ws cp config in
-  let x = Array.make (cp.n + cp.m) 0.0 in
-  List.iter
-    (fun (name, v) ->
-      match Hashtbl.find_opt cp.name_index name with
-      | Some i -> x.(i) <- v
-      | None -> invalid_arg ("Transient.dc_operating_point: unknown node " ^ name))
-    guess;
-  if not (dc_solve ws cp config ~at x) then raise (No_convergence at);
-  List.map
-    (fun name -> (name, x.(Hashtbl.find cp.name_index name)))
-    (Circuit.node_names ckt)

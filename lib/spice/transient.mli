@@ -47,8 +47,6 @@ type solver_kind =
           remaining core bandwidth is decisively narrow; dense
           otherwise *)
 
-val solver_kind_to_string : solver_kind -> string
-
 type config = {
   dt : float;            (** nominal step, seconds *)
   tstop : float;
@@ -90,13 +88,8 @@ val default_adaptive : adaptive
     [Runtime.Engine] presets). *)
 
 val with_dt : config -> float -> config
-val with_max_steps : config -> int -> config
 val with_tstop : config -> float -> config
-val with_tstart : config -> float -> config
-val with_integration : config -> integration -> config
 val with_step_control : config -> step_control -> config
-val with_solver_kind : config -> solver_kind -> config
-val with_jac_reuse : config -> bool -> config
 
 val with_adaptive :
   ?lte_tol:float ->
@@ -175,9 +168,6 @@ module Stats : sig
   val snapshot : unit -> snapshot
   val diff : snapshot -> snapshot -> snapshot
   (** [diff now before] — per-stage deltas. *)
-
-  val reset : unit -> unit
-  val pp : Format.formatter -> snapshot -> unit
 end
 
 (** Cooperative per-solve wall-clock deadlines. [with_budget] installs
@@ -192,9 +182,6 @@ end
 module Deadline : sig
   val with_budget : ms:float -> (unit -> 'a) -> 'a
   (** Raises [Invalid_argument] when [ms] is not positive and finite. *)
-
-  val active : unit -> bool
-  (** Whether the calling domain currently has a budget installed. *)
 end
 
 (** Deterministic, seeded fault injection for exercising recovery
@@ -249,30 +236,6 @@ val run_batch_outcomes :
     may spend the budget that was left when the batch started, so one
     slow case is cancelled alone and its siblings complete. *)
 
-val times : result -> float array
-
 val probe : result -> string -> Waveform.Wave.t
 (** Waveform at the named node. Raises [Not_found] for unknown names.
     Under adaptive stepping the sample grid is non-uniform. *)
-
-val final_voltage : result -> string -> float
-
-val source_current : result -> string -> Waveform.Wave.t
-(** Current delivered into the circuit by the voltage source on the
-    named node, over time. Raises [Not_found] if the node has no
-    source. *)
-
-val delivered_charge : result -> string -> float
-(** Time integral of {!source_current}: net charge the source pushed
-    into the circuit over the simulation, coulombs. *)
-
-val delivered_energy : result -> string -> float
-(** Integral of v*i for the named source: the energy it delivered —
-    the supply ("vdd") source's value is the switching + short-circuit
-    energy of the run, joules. *)
-
-val dc_operating_point :
-  ?config:config -> ?guess:(string * float) list -> at:float -> Circuit.t ->
-  (string * float) list
-(** Standalone DC solve (capacitors open). Uses gmin stepping when the
-    flat start fails to converge. *)

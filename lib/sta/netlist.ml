@@ -94,14 +94,3 @@ let topological_nets t =
   in
   List.iter visit all;
   List.rev !out
-
-let inverter_chain ?(prefix = "chain") t ~cells ~in_net =
-  let rec go k current = function
-    | [] -> current
-    | cell :: rest ->
-        let next = Printf.sprintf "%s.n%d" prefix k in
-        gate t ~cell ~name:(Printf.sprintf "%s.u%d" prefix k) ~input:current
-          ~output:next;
-        go (k + 1) next rest
-  in
-  go 1 in_net cells

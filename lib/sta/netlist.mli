@@ -46,8 +46,3 @@ val load_of : t -> string -> net_load option
 val topological_nets : t -> string list
 (** Nets in driver-before-receiver order. Raises
     [Failure "Netlist: combinational cycle"] on cyclic netlists. *)
-
-val inverter_chain : ?prefix:string -> t -> cells:string list -> in_net:string -> string
-(** Convenience: string the named cells into a chain starting at
-    [in_net]; returns the final output net (named [prefix ^ ".n<k>"]).
-    Declares nothing about loads. *)

@@ -77,4 +77,3 @@ let to_string netlist =
   Buffer.contents buf
 
 let load path = of_string (Runtime.Record.read_file path)
-let save path netlist = Runtime.Record.write_atomic path (to_string netlist)

@@ -26,5 +26,4 @@ val to_string : Netlist.t -> string
 (** Round-trips through {!of_string}. *)
 
 val load : string -> Netlist.t
-val save : string -> Netlist.t -> unit
-(** Atomic ({!Runtime.Record.write_atomic}). *)
+(** [of_string] over the file's contents. *)

@@ -53,10 +53,3 @@ let to_waveform ?pad ?(n = 201) r =
 
 let shift r dt =
   { r with intercept = r.intercept -. (r.slope *. dt) }
-
-let pp ppf r =
-  Format.fprintf ppf "ramp %a slope=%.4g V/ns, mid@%a"
-    Wave.pp_direction (direction r)
-    (r.slope *. 1e-9)
-    Numerics.Units.pp_time
-    ((0.5 *. r.vdd -. r.intercept) /. r.slope)

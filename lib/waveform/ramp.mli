@@ -26,10 +26,6 @@ val direction : t -> Wave.direction
 val value_at : t -> float -> float
 (** The clipped value min(max(a*t + b, 0), vdd). *)
 
-val crossing : t -> float -> float
-(** [crossing r level] is the unique time the unclipped line reaches
-    [level]. Raises [Invalid_argument] if [level] is outside (0, vdd). *)
-
 val arrival : t -> Thresholds.t -> float
 (** Mid-threshold crossing time. *)
 
@@ -49,5 +45,3 @@ val to_waveform : ?pad:float -> ?n:int -> t -> Wave.t
 
 val shift : t -> float -> t
 (** [shift r dt] delays the ramp by [dt]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -12,7 +12,6 @@ let make ?(low_frac = 0.1) ?(mid_frac = 0.5) ?(high_frac = 0.9) ~vdd () =
   then invalid_arg "Thresholds.make: need 0 < low < mid < high < 1";
   { vdd; low_frac; mid_frac; high_frac }
 
-let default = make ~vdd:1.2 ()
 let v_low t = t.low_frac *. t.vdd
 let v_mid t = t.mid_frac *. t.vdd
 let v_high t = t.high_frac *. t.vdd

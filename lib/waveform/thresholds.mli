@@ -14,10 +14,6 @@ val make : ?low_frac:float -> ?mid_frac:float -> ?high_frac:float -> vdd:float -
 (** Defaults: 0.1 / 0.5 / 0.9. Raises [Invalid_argument] unless
     [0 < low < mid < high < 1] and [vdd > 0]. *)
 
-val default : t
-(** 1.2 V supply with the standard 10/50/90 thresholds (our 0.13 um
-    process corner). *)
-
 val v_low : t -> float
 val v_mid : t -> float
 val v_high : t -> float

@@ -24,7 +24,6 @@ let of_fun ~t0 ~t1 ~n f =
 
 let times w = Array.copy w.ts
 let values w = Array.copy w.vs
-let length w = Array.length w.ts
 let t_start w = w.ts.(0)
 let t_end w = w.ts.(Array.length w.ts - 1)
 
@@ -53,12 +52,6 @@ let resample w grid =
       invalid_arg "Wave.resample: grid must be strictly increasing"
   done;
   { ts = Array.copy grid; vs = Array.map (value_at w) grid }
-
-let resample_uniform w ~n =
-  if n < 2 then invalid_arg "Wave.resample_uniform: need n >= 2";
-  let t0 = t_start w and t1 = t_end w in
-  let h = (t1 -. t0) /. float_of_int (n - 1) in
-  resample w (Array.init n (fun i -> t0 +. (h *. float_of_int i)))
 
 let window w a b =
   if b <= a then invalid_arg "Wave.window: empty window";
@@ -124,42 +117,6 @@ let slew w th =
 
 let derivative w =
   { ts = Array.copy w.ts; vs = Numerics.Interp.derivative w.ts w.vs }
-
-let is_monotone ?(eps = 0.0) w =
-  let n = Array.length w.vs in
-  let up = ref true and down = ref true in
-  for i = 0 to n - 2 do
-    if w.vs.(i + 1) < w.vs.(i) -. eps then up := false;
-    if w.vs.(i + 1) > w.vs.(i) +. eps then down := false
-  done;
-  !up || !down
-
-let peak_deviation_from_line w ~slope ~intercept =
-  let worst = ref 0.0 in
-  Array.iteri
-    (fun i t ->
-      let d = abs_float (w.vs.(i) -. ((slope *. t) +. intercept)) in
-      if d > !worst then worst := d)
-    w.ts;
-  !worst
-
-let equal ?(eps = 0.0) a b =
-  Array.length a.ts = Array.length b.ts
-  && (let ok = ref true in
-      Array.iteri
-        (fun i t ->
-          if abs_float (t -. b.ts.(i)) > eps
-             || abs_float (a.vs.(i) -. b.vs.(i)) > eps
-          then ok := false)
-        a.ts;
-      !ok)
-
-let pp ppf w =
-  Format.fprintf ppf "@[<v>waveform %d samples [%a .. %a], v in [%.4g, %.4g]@]"
-    (Array.length w.ts) Numerics.Units.pp_time w.ts.(0) Numerics.Units.pp_time
-    (t_end w)
-    (Array.fold_left Float.min infinity w.vs)
-    (Array.fold_left Float.max neg_infinity w.vs)
 
 let to_csv w =
   let buf = Buffer.create (16 * Array.length w.ts) in

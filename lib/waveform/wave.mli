@@ -22,7 +22,6 @@ val times : t -> float array
 (** A copy of the sample times. *)
 
 val values : t -> float array
-val length : t -> int
 val t_start : t -> float
 val t_end : t -> float
 
@@ -37,16 +36,13 @@ val scale : t -> float -> t
 val offset : t -> float -> t
 
 val map2 : (float -> float -> float) -> t -> t -> t
-(** [map2 f a b] resamples [b] onto [a]'s grid and combines pointwise;
-    used for superposing coupled-noise contributions. *)
+(** [map2 f a b] resamples [b] onto [a]'s grid and combines pointwise. *)
 
 val add : t -> t -> t
 val sub : t -> t -> t
 
 val resample : t -> float array -> t
 (** Resample onto a new (strictly increasing) grid. *)
-
-val resample_uniform : t -> n:int -> t
 
 val window : t -> float -> float -> t
 (** [window w a b] restricts to samples in [a, b], adding interpolated
@@ -82,17 +78,5 @@ val slew : t -> Thresholds.t -> float option
 val derivative : t -> t
 (** Centered finite-difference dV/dt on the same grid. *)
 
-val is_monotone : ?eps:float -> t -> bool
-(** True when samples are non-decreasing or non-increasing within
-    [eps] (default 0, exact). *)
-
-val peak_deviation_from_line : t -> slope:float -> intercept:float -> float
-(** Max |v(t) - (slope*t + intercept)| over the samples; a test helper
-    for fitting code. *)
-
-val equal : ?eps:float -> t -> t -> bool
-(** Same grid (within eps) and same values (within eps). *)
-
-val pp : Format.formatter -> t -> unit
 val to_csv : t -> string
 (** Two-column "t,v" CSV text with a header, times in seconds. *)

@@ -1,3 +1,9 @@
+(* Analytic edge and glitch shapes: the synthetic waveforms the tests
+   build their contexts from. Each generator is a plain function of
+   time, sampled into a [Wave.t] by [sample] or [noisy_edge]. *)
+
+open Waveform
+
 let linear_edge ~t0 ~trans ~v0 ~v1 t =
   if trans <= 0.0 then invalid_arg "Edges.linear_edge: trans";
   if t <= t0 then v0

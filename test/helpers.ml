@@ -13,6 +13,46 @@ let approx_rel ?(rel = 1e-6) msg expected actual =
 
 let check_true msg b = Alcotest.(check bool) msg true b
 
+(* Max-norm of [a*x - b]: how well [x] solves the system. *)
+let residual_norm a x b =
+  let ax = Numerics.Matrix.mul_vec a x in
+  Array.fold_left Float.max 0.0
+    (Array.mapi (fun i v -> abs_float (v -. b.(i))) ax)
+
+(* True when the samples are non-decreasing or non-increasing within
+   [eps] (default 0, exact). *)
+let is_monotone ?(eps = 0.0) w =
+  let vs = Waveform.Wave.values w in
+  let up = ref true and down = ref true in
+  for i = 0 to Array.length vs - 2 do
+    if vs.(i + 1) < vs.(i) -. eps then up := false;
+    if vs.(i + 1) > vs.(i) +. eps then down := false
+  done;
+  !up || !down
+
+(* A pool of [jobs] domains for the duration of [f], shut down on the
+   way out (also on exception). *)
+let with_pool ~jobs f =
+  let pool = Runtime.Pool.create ~jobs () in
+  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) (fun () -> f pool)
+
+(* The last sample of the named node's waveform. *)
+let final_voltage res name =
+  let vs = Waveform.Wave.values (Spice.Transient.probe res name) in
+  vs.(Array.length vs - 1)
+
+(* The DC operating point [Spice.Transient.run] starts from: the first
+   sample of a two-step run, with [ic] as the Newton starting guesses. *)
+let dc_point ?(ic = []) ckt =
+  let config = { Spice.Transient.default_config with tstop = 2e-12 } in
+  let res = Spice.Transient.run ~config ~ic ckt in
+  fun name -> (Waveform.Wave.values (Spice.Transient.probe res name)).(0)
+
+(* A client retry budget that ran out, for failure messages. *)
+let retry_failure (e : Server.Client.retry_error) =
+  Printf.sprintf "retry budget exhausted after %d attempts (last: %s)"
+    e.attempts e.last
+
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 

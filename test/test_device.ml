@@ -3,31 +3,44 @@ open Helpers
 let proc = Device.Process.c13
 let vdd = proc.Device.Process.vdd
 
+(* Channel currents through the closures the transient engine stamps:
+   NMOS with its source grounded, PMOS (as a magnitude) with its source
+   pinned at vdd. *)
+let nmos_id ~width ~vgs ~vds =
+  let ids, _, _, _ = Device.Mosfet.nmos proc ~width ~vg:vgs ~vd:vds ~vs:0.0 in
+  ids
+
+let pmos_id ~width ~vsg ~vsd =
+  let ids, _, _, _ =
+    Device.Mosfet.pmos proc ~width ~vg:(vdd -. vsg) ~vd:(vdd -. vsd) ~vs:vdd
+  in
+  abs_float ids
+
 (* ------------------------------------------------------------------ *)
 (* Alpha-power-law model                                               *)
 
 let test_cutoff () =
   approx "below vth" 0.0
-    (Device.Mosfet.nmos_id proc ~width:1e-6 ~vgs:0.2 ~vds:1.0)
+    (nmos_id ~width:1e-6 ~vgs:0.2 ~vds:1.0)
 
 let test_on_current_scale () =
   (* Ion at full gate drive: the c13 corner targets ~600 uA/um. *)
-  let ion = Device.Mosfet.nmos_id proc ~width:1e-6 ~vgs:vdd ~vds:vdd in
+  let ion = nmos_id ~width:1e-6 ~vgs:vdd ~vds:vdd in
   check_true "N Ion in range" (ion > 400e-6 && ion < 900e-6);
-  let iop = Device.Mosfet.pmos_id proc ~width:1e-6 ~vsg:vdd ~vsd:vdd in
+  let iop = pmos_id ~width:1e-6 ~vsg:vdd ~vsd:vdd in
   check_true "P Ion in range" (iop > 150e-6 && iop < 500e-6);
   check_true "P weaker than N" (iop < ion)
 
 let test_width_scaling () =
-  let i1 = Device.Mosfet.nmos_id proc ~width:1e-6 ~vgs:1.0 ~vds:1.0 in
-  let i4 = Device.Mosfet.nmos_id proc ~width:4e-6 ~vgs:1.0 ~vds:1.0 in
+  let i1 = nmos_id ~width:1e-6 ~vgs:1.0 ~vds:1.0 in
+  let i4 = nmos_id ~width:4e-6 ~vgs:1.0 ~vds:1.0 in
   approx_rel ~rel:1e-9 "4x width = 4x current" (4.0 *. i1) i4
 
 let test_monotone_in_vgs () =
   let prev = ref (-1.0) in
   for k = 0 to 24 do
     let vgs = float_of_int k *. vdd /. 24.0 in
-    let i = Device.Mosfet.nmos_id proc ~width:1e-6 ~vgs ~vds:vdd in
+    let i = nmos_id ~width:1e-6 ~vgs ~vds:vdd in
     check_true "monotone vgs" (i >= !prev -. 1e-15);
     prev := i
   done
@@ -36,7 +49,7 @@ let test_monotone_in_vds () =
   let prev = ref (-1.0) in
   for k = 0 to 24 do
     let vds = float_of_int k *. vdd /. 24.0 in
-    let i = Device.Mosfet.nmos_id proc ~width:1e-6 ~vgs:vdd ~vds in
+    let i = nmos_id ~width:1e-6 ~vgs:vdd ~vds in
     check_true "monotone vds" (i >= !prev -. 1e-12);
     prev := i
   done
@@ -48,7 +61,7 @@ let test_continuity_at_vdsat () =
   let max_jump = ref 0.0 in
   for k = 0 to n do
     let vds = float_of_int k *. vdd /. float_of_int n in
-    let i = Device.Mosfet.nmos_id proc ~width:1e-6 ~vgs:0.8 ~vds in
+    let i = nmos_id ~width:1e-6 ~vgs:0.8 ~vds in
     if k > 0 then max_jump := Float.max !max_jump (abs_float (i -. !prev));
     prev := i
   done;
@@ -139,7 +152,7 @@ let test_inverter_dc_transfer () =
       ~vdd_node:vddn ~name:"u1";
     Circuit.vsource ckt a (Source.dc vin);
     let guess = [ ("y", if vin > 0.6 then 0.0 else vdd) ] in
-    List.assoc "y" (Transient.dc_operating_point ~guess ~at:0.0 ckt)
+    dc_point ~ic:guess ckt "y"
   in
   let low = out_for 0.0 and high = out_for vdd in
   check_true "output high for low input" (low > 0.95 *. vdd);
@@ -163,7 +176,7 @@ let test_inverter_transient_delay () =
   let th = Device.Process.thresholds proc in
   let wa = Transient.probe res "a" and wy = Transient.probe res "y" in
   check_true "output falls" (Waveform.Wave.direction wy = Waveform.Wave.Falling);
-  approx ~eps:0.01 "full swing" 0.0 (Transient.final_voltage res "y");
+  approx ~eps:0.01 "full swing" 0.0 (final_voltage res "y");
   match (Waveform.Wave.arrival wa th, Waveform.Wave.arrival wy th) with
   | Some ti, Some ty ->
       let d = ty -. ti in
@@ -188,7 +201,7 @@ let test_chain_propagates () =
   let wy = Transient.probe res "y" in
   check_true "polarity restored"
     (Waveform.Wave.direction wy = Waveform.Wave.Rising);
-  approx ~eps:0.01 "settles at vdd" vdd (Transient.final_voltage res "y")
+  approx ~eps:0.01 "settles at vdd" vdd (final_voltage res "y")
 
 let qcheck_tests =
   [

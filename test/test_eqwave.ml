@@ -468,7 +468,7 @@ let test_memo_pool_matches_sequential () =
   in
   let sequential = Array.map mapping ctxs in
   let pooled =
-    Runtime.Pool.with_pool ~jobs:2 (fun pool ->
+    with_pool ~jobs:2 (fun pool ->
         Runtime.Pool.map ~chunk:1 pool (Array.length ctxs) (fun i -> mapping ctxs.(i)))
   in
   check_true "jobs 2 equals sequential" (pooled = sequential)

@@ -12,59 +12,59 @@ let vdd = proc.Device.Process.vdd
 (* Edges                                                               *)
 
 let test_linear_edge () =
-  let f = Waveform.Edges.linear_edge ~t0:1.0 ~trans:2.0 ~v0:0.0 ~v1:1.0 in
+  let f = Edges.linear_edge ~t0:1.0 ~trans:2.0 ~v0:0.0 ~v1:1.0 in
   approx "before" 0.0 (f 0.5);
   approx "mid" 0.5 (f 2.0);
   approx "after" 1.0 (f 4.0)
 
 let test_exponential_edge () =
-  let f = Waveform.Edges.exponential_edge ~t0:0.0 ~tau:1.0 ~v0:0.0 ~v1:1.0 in
+  let f = Edges.exponential_edge ~t0:0.0 ~tau:1.0 ~v0:0.0 ~v1:1.0 in
   approx ~eps:1e-9 "one tau" (1.0 -. exp (-1.0)) (f 1.0);
   approx "before" 0.0 (f (-1.0))
 
 let test_raised_cosine_edge () =
-  let f = Waveform.Edges.raised_cosine_edge ~t0:0.0 ~trans:1.0 ~v0:0.0 ~v1:2.0 in
+  let f = Edges.raised_cosine_edge ~t0:0.0 ~trans:1.0 ~v0:0.0 ~v1:2.0 in
   approx ~eps:1e-9 "midpoint" 1.0 (f 0.5);
   approx "ends" 2.0 (f 1.0);
   (* C1 at the ends: tiny slope near t0. *)
   check_true "flat start" (f 0.01 < 0.01)
 
 let test_triangular_glitch () =
-  let g = Waveform.Edges.triangular_glitch ~t0:1.0 ~rise:1.0 ~fall:2.0 ~peak:0.6 in
+  let g = Edges.triangular_glitch ~t0:1.0 ~rise:1.0 ~fall:2.0 ~peak:0.6 in
   approx "peak" 0.6 (g 2.0);
   approx "outside" 0.0 (g 0.9);
   approx "outside2" 0.0 (g 4.1);
   approx ~eps:1e-9 "mid fall" 0.3 (g 3.0)
 
 let test_decay_glitch () =
-  let g = Waveform.Edges.decay_glitch ~t0:0.0 ~tau:2.0 ~peak:1.0 in
+  let g = Edges.decay_glitch ~t0:0.0 ~tau:2.0 ~peak:1.0 in
   approx ~eps:1e-9 "decay" (exp (-1.0)) (g 2.0)
 
 let test_superpose_clamp () =
   let f =
-    Waveform.Edges.clamp ~vdd:1.0
-      (Waveform.Edges.superpose [ (fun _ -> 0.8); (fun _ -> 0.8) ])
+    Edges.clamp ~vdd:1.0
+      (Edges.superpose [ (fun _ -> 0.8); (fun _ -> 0.8) ])
   in
   approx "clamped" 1.0 (f 0.0)
 
 let test_noisy_edge_builder () =
   let glitch =
-    Waveform.Edges.triangular_glitch ~t0:1.05e-9 ~rise:30e-12 ~fall:50e-12
+    Edges.triangular_glitch ~t0:1.05e-9 ~rise:30e-12 ~fall:50e-12
       ~peak:(-0.3)
   in
   let w =
-    Waveform.Edges.noisy_edge ~th ~arrival:1e-9 ~slew:150e-12
+    Edges.noisy_edge ~th ~arrival:1e-9 ~slew:150e-12
       ~dir:Waveform.Wave.Rising ~glitches:[ glitch ] ()
   in
   check_true "rising overall" (Waveform.Wave.direction w = Waveform.Wave.Rising);
-  check_true "not monotone" (not (Waveform.Wave.is_monotone ~eps:1e-6 w));
+  check_true "not monotone" (not (is_monotone ~eps:1e-6 w));
   (* All techniques should process this synthetic edge. *)
   let noiseless =
-    Waveform.Edges.noisy_edge ~th ~arrival:1e-9 ~slew:150e-12
+    Edges.noisy_edge ~th ~arrival:1e-9 ~slew:150e-12
       ~dir:Waveform.Wave.Rising ~glitches:[] ()
   in
   let out =
-    Waveform.Edges.noisy_edge ~th ~arrival:1.05e-9 ~slew:100e-12
+    Edges.noisy_edge ~th ~arrival:1.05e-9 ~slew:100e-12
       ~dir:Waveform.Wave.Falling ~glitches:[]
       ~span:(Waveform.Wave.t_start w, Waveform.Wave.t_end w) ()
   in
@@ -324,11 +324,11 @@ let qcheck_tests =
       QCheck2.Gen.(pair (float_range (-0.5) 0.5) (float_range 10e-12 200e-12))
       (fun (peak, width) ->
         let g =
-          Waveform.Edges.triangular_glitch ~t0:1.0e-9 ~rise:width ~fall:width
+          Edges.triangular_glitch ~t0:1.0e-9 ~rise:width ~fall:width
             ~peak
         in
         let w =
-          Waveform.Edges.noisy_edge ~th ~arrival:1e-9 ~slew:120e-12
+          Edges.noisy_edge ~th ~arrival:1e-9 ~slew:120e-12
             ~dir:Waveform.Wave.Rising ~glitches:[ g ] ()
         in
         Array.for_all (fun v -> v >= -1e-9 && v <= vdd +. 1e-9)
@@ -337,11 +337,11 @@ let qcheck_tests =
       QCheck2.Gen.(float_range 20e-12 400e-12)
       (fun trans ->
         let w =
-          Waveform.Edges.sample ~t0:0.0 ~t1:(2.0 *. trans)
-            (Waveform.Edges.raised_cosine_edge ~t0:(0.5 *. trans) ~trans
+          Edges.sample ~t0:0.0 ~t1:(2.0 *. trans)
+            (Edges.raised_cosine_edge ~t0:(0.5 *. trans) ~trans
                ~v0:0.0 ~v1:vdd)
         in
-        Waveform.Wave.is_monotone w);
+        is_monotone w);
   ]
 
 let suite =

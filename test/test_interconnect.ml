@@ -7,15 +7,33 @@ let spec = Rcline.{ rtotal = 100.0; ctotal = 100e-15; nsegs = 8 }
 (* Rcline                                                              *)
 
 let test_spec_of_per_section () =
-  let s = Rcline.spec_of_per_section ~r_per_seg:8.5 ~c_per_seg:4.8e-15 ~nsegs:3 in
-  approx ~eps:1e-12 "rtotal" 25.5 s.Rcline.rtotal;
-  approx ~eps:1e-27 "ctotal" 14.4e-15 s.Rcline.ctotal
+  (* Figure 1's per-section values, R = 8.5 ohm and C = 4.8 fF, come
+     back out of a three-section ladder built from their totals. *)
+  let open Spice in
+  let s = Rcline.{ rtotal = 25.5; ctotal = 14.4e-15; nsegs = 3 } in
+  let ckt = Circuit.create () in
+  let near = Circuit.node ckt "w.0" in
+  ignore (Rcline.build ckt ~prefix:"w" ~near s);
+  let rs = Circuit.resistors ckt in
+  Alcotest.(check int) "sections" 3 (List.length rs);
+  List.iter (fun (_, _, r) -> approx ~eps:1e-12 "r per section" 8.5 r) rs;
+  let far = Circuit.node ckt "w.3" in
+  List.iter
+    (fun (a, _, c) ->
+      let per_section = if a = near || a = far then 2.4e-15 else 4.8e-15 in
+      approx ~eps:1e-27 "c per section" per_section c)
+    (Circuit.capacitors ckt)
 
 let test_section_nodes () =
-  let nodes = Rcline.section_nodes ~prefix:"w" spec in
+  let open Spice in
+  let ckt = Circuit.create () in
+  let near = Circuit.node ckt "w.0" in
+  let far = Rcline.build ckt ~prefix:"w" ~near spec in
+  let nodes = Circuit.node_names ckt in
   Alcotest.(check int) "count" 9 (List.length nodes);
   Alcotest.(check string) "first" "w.0" (List.hd nodes);
-  Alcotest.(check string) "last" "w.8" (List.nth nodes 8)
+  Alcotest.(check string) "last" "w.8" (List.nth nodes 8);
+  Alcotest.(check string) "far end" "w.8" (Circuit.node_name ckt far)
 
 let test_elmore_closed_form () =
   approx ~eps:1e-15 "RC/2" (100.0 *. 100e-15 /. 2.0) (Rcline.elmore spec)
@@ -113,7 +131,8 @@ let test_coupled_noise_appears () =
   let w = Transient.probe res (Circuit.node_name ckt far_vic) in
   let peak = Array.fold_left Float.max neg_infinity (Waveform.Wave.values w) in
   check_true "bump seen" (peak > 0.05);
-  check_true "decays" (abs_float (Transient.final_voltage res (Circuit.node_name ckt far_vic)) < 0.02)
+  check_true "decays"
+    (abs_float (final_voltage res (Circuit.node_name ckt far_vic)) < 0.02)
 
 (* ------------------------------------------------------------------ *)
 (* Rctree                                                              *)
@@ -126,14 +145,19 @@ let balanced_tree () =
       Rctree.node ~r:200.0 ~c:2e-12 "b" [];
     ]
 
+let elmore_at t name = List.assoc name (Rctree.elmore t)
+
 let test_tree_total_cap () =
-  approx ~eps:1e-18 "total" 3e-12 (Rctree.total_cap (balanced_tree ()))
+  (* Behind a 1-ohm stem, the stem's Elmore delay is the total
+     capacitance it charges. *)
+  let t = Rctree.node "src" [ Rctree.node ~r:1.0 "stem" [ balanced_tree () ] ] in
+  approx_rel ~rel:1e-12 "total" 3e-12 (elmore_at t "stem")
 
 let test_tree_elmore_hand () =
   (* Elmore(a) = 100 * 1p = 100ps ; Elmore(b) = 200 * 2p = 400ps *)
   let t = balanced_tree () in
-  approx ~eps:1e-15 "a" 100e-12 (Rctree.elmore_to t "a");
-  approx ~eps:1e-15 "b" 400e-12 (Rctree.elmore_to t "b")
+  approx ~eps:1e-15 "a" 100e-12 (elmore_at t "a");
+  approx ~eps:1e-15 "b" 400e-12 (elmore_at t "b")
 
 let test_tree_chain_elmore () =
   (* r1=100 to n1(c=1p), then r2=100 to n2(c=1p):
@@ -142,15 +166,15 @@ let test_tree_chain_elmore () =
     Rctree.node "root"
       [ Rctree.node ~r:100.0 ~c:1e-12 "n1" [ Rctree.node ~r:100.0 ~c:1e-12 "n2" [] ] ]
   in
-  approx ~eps:1e-15 "n2" 300e-12 (Rctree.elmore_to t "n2");
-  approx ~eps:1e-15 "n1" 200e-12 (Rctree.elmore_to t "n1")
+  approx ~eps:1e-15 "n2" 300e-12 (elmore_at t "n2");
+  approx ~eps:1e-15 "n1" 200e-12 (elmore_at t "n1")
 
 let test_tree_of_line_matches_discrete () =
   let t = Rctree.of_line ~name:"w" spec in
   let far = Printf.sprintf "w.%d" spec.Rcline.nsegs in
   approx_rel ~rel:1e-9 "line elmore"
     (Rcline.elmore_discrete spec)
-    (Rctree.elmore_to t far)
+    (elmore_at t far)
 
 let test_moments_first_is_elmore () =
   let t = balanced_tree () in
@@ -160,17 +184,27 @@ let test_moments_first_is_elmore () =
   check_true "m2 positive" (m_a.(1) > 0.0)
 
 let test_d2m_bounded () =
+  (* Alpert's D2M metric, ln(2) * m1^2 / sqrt(m2), from the first two
+     moments: a two-moment refinement of ln2*Elmore, so on a uniform
+     line it must land on the same scale, not wildly off either way. *)
   let t = Rctree.of_line ~name:"w" spec in
   let far = Printf.sprintf "w.%d" spec.Rcline.nsegs in
-  let d2m = Rctree.d2m_delay t far in
-  let elm = log 2.0 *. Rctree.elmore_to t far in
-  (* D2M is a two-moment refinement: same scale as ln2*Elmore, not
-     wildly off in either direction on a uniform line. *)
+  let m = List.assoc far (Rctree.moments ~order:2 t) in
+  check_true "m2 positive" (m.(1) > 0.0);
+  let d2m = log 2.0 *. (m.(0) *. m.(0) /. sqrt m.(1)) in
+  let elm = log 2.0 *. elmore_at t far in
   check_true "d2m in band" (d2m > 0.3 *. elm && d2m < 1.7 *. elm)
 
 let test_unknown_node () =
-  Alcotest.check_raises "unknown" Not_found (fun () ->
-      ignore (Rctree.elmore_to (balanced_tree ()) "zzz"))
+  let t = balanced_tree () in
+  check_true "no elmore entry" (not (List.mem_assoc "zzz" (Rctree.elmore t)));
+  check_true "no moment entry"
+    (not (List.mem_assoc "zzz" (Rctree.moments ~order:2 t)));
+  Alcotest.check_raises "coupling to an unknown node"
+    (Invalid_argument "Noise_bound: unknown node zzz") (fun () ->
+      ignore
+        (Noise_bound.bound t ~couplings:[ ("zzz", 1e-15) ]
+           ~aggressor_slew_rate:1e9))
 
 let test_tree_validation () =
   Alcotest.check_raises "neg r"

@@ -53,6 +53,53 @@ let test_build_config_ii_shape () =
   Alcotest.(check int) "mosfets" 24 (List.length (Spice.Circuit.mosfets ckt));
   Alcotest.(check int) "sources" 4 (List.length (Spice.Circuit.vsources ckt))
 
+(* The fingerprint keys the disk cache and the checkpoint journals:
+   the pins keep their keys stable, and every rendered field moves it
+   while the label and the sweep bookkeeping do not. *)
+let test_scenario_fingerprint () =
+  let fp = Scenario.fingerprint in
+  Alcotest.(check string)
+    "config I pinned"
+    "scenario|c13|1|0x1.98p+4|0x1.036847569cd7ap-46|6|0x1.c25c268497682p-44|\
+     0x1.49da7e361ce4cp-33|true|false|0x1.49da7e361ce4cp-30|\
+     0x1.19799812dea11p-39|0x1.eec7bd512b572p-29|INVx16|INVx64"
+    (fp Scenario.config_i);
+  Alcotest.(check string)
+    "config II pinned"
+    "scenario|c13|2|0x1.98p+3|0x1.036847569cd7ap-47|6|0x1.c25c268497682p-44|\
+     0x1.49da7e361ce4cp-33|true|false|0x1.49da7e361ce4cp-30|\
+     0x1.19799812dea11p-39|0x1.eec7bd512b572p-29|INVx16|INVx64"
+    (fp Scenario.config_ii);
+  let base = Scenario.config_i in
+  let line = base.Scenario.line in
+  let differs what t =
+    check_true (what ^ " changes the fingerprint") (fp t <> fp base)
+  in
+  let same what t =
+    Alcotest.(check string) (what ^ " is not keyed") (fp base) (fp t)
+  in
+  let with_line l = { base with line = l } in
+  let open Interconnect.Rcline in
+  differs "proc" { base with proc = Device.Process.c13_fast };
+  differs "n_aggressors" { base with n_aggressors = 2 };
+  differs "line.rtotal" (with_line { line with rtotal = line.rtotal *. 2.0 });
+  differs "line.ctotal" (with_line { line with ctotal = line.ctotal *. 2.0 });
+  differs "line.nsegs" (with_line { line with nsegs = line.nsegs + 1 });
+  differs "cm_total" { base with cm_total = base.cm_total *. 2.0 };
+  differs "input_slew" { base with input_slew = base.input_slew *. 2.0 };
+  differs "victim_rising" { base with victim_rising = not base.victim_rising };
+  differs "aggressor_rising"
+    { base with aggressor_rising = not base.aggressor_rising };
+  differs "victim_t0" { base with victim_t0 = base.victim_t0 +. 1e-12 };
+  differs "dt" { base with dt = base.dt *. 2.0 };
+  differs "tstop" { base with tstop = base.tstop +. 1e-12 };
+  differs "receiver" { base with receiver = Device.Cell.buf_x16 };
+  differs "load" { base with load = Device.Cell.inv_x16 };
+  same "name" { base with name = "renamed" };
+  same "window" { base with window = base.window *. 2.0 };
+  same "window_offset" { base with window_offset = 0.0 };
+  same "cases" (Scenario.with_cases base 7)
+
 (* ------------------------------------------------------------------ *)
 (* Injection (simulation-backed; slow)                                 *)
 
@@ -80,13 +127,19 @@ let test_noiseless_monotone () =
   (* The noiseless victim waveform should be a clean monotone edge
      (tiny numerical wiggle allowed). *)
   check_true "monotone"
-    (Waveform.Wave.is_monotone ~eps:1e-3 r.Injection.far)
+    (is_monotone ~eps:1e-3 r.Injection.far)
 
 let test_noisy_differs () =
   let r0 = Lazy.force noiseless in
   let r1 = Injection.noisy fast_scenario ~tau:fast_scenario.Scenario.victim_t0 in
-  let d = Waveform.Wave.sub r1.Injection.far r0.Injection.far in
-  let peak = Numerics.Stats.max_abs (Waveform.Wave.values d) in
+  let far1 = r1.Injection.far in
+  let vs = Waveform.Wave.values far1 in
+  let peak =
+    Numerics.Stats.max_abs
+      (Array.mapi
+         (fun i t -> vs.(i) -. Waveform.Wave.value_at r0.Injection.far t)
+         (Waveform.Wave.times far1))
+  in
   check_true "visible coupling noise" (peak > 0.05)
 
 let test_early_aggressor_no_effect_on_delay () =
@@ -244,6 +297,7 @@ let suite =
       case "scenario: victim position" test_victim_position;
       case "scenario: config I circuit shape" test_build_circuit_shape;
       case "scenario: config II circuit shape" test_build_config_ii_shape;
+      case "scenario: fingerprint covers every field" test_scenario_fingerprint;
       slow_case "injection: noiseless transitions" test_noiseless_transitions;
       slow_case "injection: noiseless monotone" test_noiseless_monotone;
       slow_case "injection: coupling visible" test_noisy_differs;

@@ -5,7 +5,10 @@ open Numerics
 (* Matrix                                                              *)
 
 let test_identity_solve () =
-  let a = Matrix.identity 4 in
+  let a = Matrix.create 4 4 in
+  for i = 0 to 3 do
+    Matrix.set a i i 1.0
+  done;
   let b = [| 1.0; -2.0; 3.5; 0.25 |] in
   let x = Matrix.solve a b in
   Array.iteri (fun i bi -> approx "identity" bi x.(i)) b
@@ -34,7 +37,7 @@ let test_residual () =
   let a = Matrix.of_arrays [| [| 3.0; 1.0 |]; [| 1.0; 2.0 |] |] in
   let b = [| 9.0; 8.0 |] in
   let x = Matrix.solve a b in
-  check_true "small residual" (Matrix.residual_norm a x b < 1e-12)
+  check_true "small residual" (residual_norm a x b < 1e-12)
 
 let test_random_solve_residual () =
   (* 30 deterministic random systems: LU solve leaves tiny residual. *)
@@ -51,7 +54,7 @@ let test_random_solve_residual () =
     done;
     let b = lcg_array (seed * 77) n (-10.0) 10.0 in
     let x = Matrix.solve a b in
-    check_true "residual" (Matrix.residual_norm a x b < 1e-9)
+    check_true "residual" (residual_norm a x b < 1e-9)
   done
 
 let test_mul_vec () =
@@ -61,17 +64,31 @@ let test_mul_vec () =
   approx "y1" 7.0 y.(1)
 
 let test_transpose_mul () =
-  let a = Matrix.of_arrays [| [| 1.0; 2.0; 0.0 |]; [| 0.0; 1.0; 4.0 |] |] in
-  let at = Matrix.transpose a in
-  Alcotest.(check int) "rows" 3 (Matrix.rows at);
-  Alcotest.(check int) "cols" 2 (Matrix.cols at);
-  approx "at(1,0)" 2.0 (Matrix.get at 1 0);
-  let ata = Matrix.mul at a in
-  Alcotest.(check int) "ata square" 3 (Matrix.rows ata);
-  (* A^T A is symmetric. *)
+  (* A^T built from A's rows: mul_vec honours the adjoint identity
+     y.(A x) = (A^T y).x, and A^T A applied column by column is
+     symmetric. *)
+  let rows = [| [| 1.0; 2.0; 0.0 |]; [| 0.0; 1.0; 4.0 |] |] in
+  let a = Matrix.of_arrays rows in
+  let at =
+    Matrix.of_arrays (Array.init 3 (fun j -> Array.init 2 (fun i -> rows.(i).(j))))
+  in
+  let dot u v =
+    let s = ref 0.0 in
+    Array.iteri (fun i ui -> s := !s +. (ui *. v.(i))) u;
+    !s
+  in
+  approx "at(1,0)" 2.0 (Matrix.mul_vec at [| 1.0; 0.0 |]).(1);
+  let x = [| 0.5; -1.0; 2.0 |] and y = [| 3.0; -0.25 |] in
+  approx ~eps:1e-12 "adjoint" (dot y (Matrix.mul_vec a x))
+    (dot (Matrix.mul_vec at y) x);
+  let ata_col j =
+    Matrix.mul_vec at
+      (Matrix.mul_vec a (Array.init 3 (fun k -> if k = j then 1.0 else 0.0)))
+  in
+  Alcotest.(check int) "ata square" 3 (Array.length (ata_col 0));
   for i = 0 to 2 do
     for j = 0 to 2 do
-      approx "symmetry" (Matrix.get ata i j) (Matrix.get ata j i)
+      approx "symmetry" (ata_col j).(i) (ata_col i).(j)
     done
   done
 
@@ -136,12 +153,13 @@ let test_fact_singular () =
 (* Deterministic diagonally dominant banded system. *)
 let random_banded seed n kl ku =
   let bd = Banded.create ~n ~kl ~ku in
-  let kl = Banded.kl bd and ku = Banded.ku bd in
+  (* The stored bandwidths, clamped to n - 1 as [create] does. *)
+  let kl = min kl (n - 1) and ku = min ku (n - 1) in
   let vals = lcg_array seed (n * (kl + ku + 1)) (-3.0) 3.0 in
   let k = ref 0 in
   for i = 0 to n - 1 do
     for j = max 0 (i - kl) to min (n - 1) (i + ku) do
-      Banded.set bd i j vals.(!k);
+      Banded.add_to bd i j vals.(!k);
       incr k
     done;
     Banded.add_to bd i i (if vals.(!k - 1) >= 0.0 then 12.0 else -12.0)
@@ -162,8 +180,8 @@ let test_banded_vs_dense () =
 let test_banded_pivoting () =
   (* Zero diagonal forces a within-band row exchange. *)
   let bd = Banded.create ~n:2 ~kl:1 ~ku:1 in
-  Banded.set bd 0 1 1.0;
-  Banded.set bd 1 0 1.0;
+  Banded.add_to bd 0 1 1.0;
+  Banded.add_to bd 1 0 1.0;
   let x = Banded.solve bd [| 2.0; 7.0 |] in
   approx "x0" 7.0 x.(0);
   approx "x1" 2.0 x.(1)
@@ -176,7 +194,7 @@ let test_banded_fact_reuse_inplace () =
   let x = Array.copy b in
   Banded.solve_into f x;
   check_true "residual"
-    (Matrix.residual_norm (Banded.to_dense bd) x b < 1e-10);
+    (residual_norm (Banded.to_dense bd) x b < 1e-10);
   (* Restamping the matrix must not disturb the old factorization. *)
   let x2 = Array.copy b in
   Banded.add_to bd 0 0 1000.0;
@@ -200,9 +218,9 @@ let test_banded_solve_pos_offset () =
 
 let test_banded_singular () =
   let bd = Banded.create ~n:3 ~kl:1 ~ku:1 in
-  Banded.set bd 0 0 1.0;
+  Banded.add_to bd 0 0 1.0;
   (* Row 1 entirely zero. *)
-  Banded.set bd 2 2 1.0;
+  Banded.add_to bd 2 2 1.0;
   match Banded.solve bd [| 1.0; 1.0; 1.0 |] with
   | exception Matrix.Singular _ -> ()
   | _ -> Alcotest.fail "expected Singular"
@@ -218,26 +236,29 @@ let test_banded_out_of_band () =
 (* Ordering                                                            *)
 
 let test_rcm_chain_bandwidth () =
-  (* A scrambled path graph must come back with bandwidth 1. *)
+  (* A scrambled path graph must come back with bandwidth 1 and no
+     border. *)
   let n = 9 in
   let scramble = [| 4; 7; 0; 8; 2; 5; 1; 6; 3 |] in
   let edges =
     List.init (n - 1) (fun i -> (scramble.(i), scramble.(i + 1)))
   in
-  let g = Ordering.build ~n edges in
-  let seq = Ordering.rcm g in
-  let pos = Array.make n (-1) in
-  Array.iteri (fun k v -> pos.(v) <- k) seq;
-  Alcotest.(check int) "bandwidth" 1 (Ordering.bandwidth g pos)
+  match Ordering.plan ~n ~edges ~max_bandwidth:1 ~max_border:0 () with
+  | None -> Alcotest.fail "expected a plan"
+  | Some p ->
+      Alcotest.(check int) "bandwidth" 1 p.Ordering.bandwidth;
+      Alcotest.(check int) "no border" n p.Ordering.core
 
 let test_rcm_is_permutation () =
   let edges = [ (0, 5); (5, 2); (2, 7); (1, 4); (4, 6); (3, 3); (9, 0) ] in
-  let g = Ordering.build ~n:10 edges in
-  let seq = Ordering.rcm g in
-  Alcotest.(check int) "covers all" 10 (Array.length seq);
-  let sorted = Array.copy seq in
-  Array.sort compare sorted;
-  Array.iteri (fun i v -> Alcotest.(check int) "bijection" i v) sorted
+  match Ordering.plan ~n:10 ~edges ~max_bandwidth:10 ~max_border:0 () with
+  | None -> Alcotest.fail "expected a plan"
+  | Some p ->
+      Alcotest.(check int) "all in the core" 10 p.Ordering.core;
+      let sorted = Array.copy p.Ordering.order in
+      Alcotest.(check int) "covers all" 10 (Array.length sorted);
+      Array.sort compare sorted;
+      Array.iteri (fun i v -> Alcotest.(check int) "bijection" i v) sorted
 
 let test_plan_demotes_hub () =
   (* Path graph plus a hub touching every vertex: bandwidth is only
@@ -344,7 +365,16 @@ let test_bordered_zero_border () =
   Array.iteri (fun i v -> approx ~eps:1e-11 "pure banded" v x.(i)) xd
 
 (* ------------------------------------------------------------------ *)
-(* Tridiag                                                             *)
+(* Tridiagonal systems: the banded kernel with one sub- and one
+   superdiagonal, the shape of an RC ladder's nodal matrix.             *)
+
+let tridiag ~lower ~diag ~upper =
+  let n = Array.length diag in
+  let bd = Banded.create ~n ~kl:1 ~ku:1 in
+  Array.iteri (fun i d -> Banded.add_to bd i i d) diag;
+  Array.iteri (fun i l -> Banded.add_to bd (i + 1) i l) lower;
+  Array.iteri (fun i u -> Banded.add_to bd i (i + 1) u) upper;
+  bd
 
 let test_tridiag_vs_dense () =
   for seed = 1 to 10 do
@@ -353,7 +383,7 @@ let test_tridiag_vs_dense () =
     let lower = lcg_array (seed + 100) (n - 1) (-1.0) 1.0 in
     let upper = lcg_array (seed + 200) (n - 1) (-1.0) 1.0 in
     let rhs = lcg_array (seed + 300) n (-3.0) 3.0 in
-    let x = Tridiag.solve ~lower ~diag ~upper ~rhs in
+    let x = Banded.solve (tridiag ~lower ~diag ~upper) rhs in
     let a = Matrix.create n n in
     for i = 0 to n - 1 do
       Matrix.set a i i diag.(i);
@@ -367,13 +397,13 @@ let test_tridiag_vs_dense () =
   done
 
 let test_tridiag_size_checks () =
+  let bd = tridiag ~lower:[| 1.0 |] ~diag:[| 4.0; 4.0 |] ~upper:[| 1.0 |] in
   Alcotest.check_raises "mismatch"
-    (Invalid_argument "Tridiag.solve: size mismatch") (fun () ->
-      ignore
-        (Tridiag.solve ~lower:[| 1.0 |] ~diag:[| 1.0 |] ~upper:[||] ~rhs:[| 1.0 |]))
+    (Invalid_argument "Banded.solve: size mismatch") (fun () ->
+      ignore (Banded.solve bd [| 1.0 |]))
 
 let test_tridiag_single () =
-  let x = Tridiag.solve ~lower:[||] ~diag:[| 4.0 |] ~upper:[||] ~rhs:[| 8.0 |] in
+  let x = Banded.solve (tridiag ~lower:[||] ~diag:[| 4.0 |] ~upper:[||]) [| 8.0 |] in
   approx "single" 2.0 x.(0)
 
 (* ------------------------------------------------------------------ *)
@@ -390,8 +420,10 @@ let test_linear_extrapolates () =
   approx "extrap" 9.0 (Interp.linear [| 0.0; 1.0 |] [| 1.0; 5.0 |] 2.0)
 
 let test_clamped () =
-  approx "clamp hi" 5.0 (Interp.linear_clamped [| 0.0; 1.0 |] [| 1.0; 5.0 |] 2.0);
-  approx "clamp lo" 1.0 (Interp.linear_clamped [| 0.0; 1.0 |] [| 1.0; 5.0 |] (-1.0))
+  (* Waveform lookups hold the end values outside the sampled span. *)
+  let w = Waveform.Wave.create [| 0.0; 1.0 |] [| 1.0; 5.0 |] in
+  approx "clamp hi" 5.0 (Waveform.Wave.value_at w 2.0);
+  approx "clamp lo" 1.0 (Waveform.Wave.value_at w (-1.0))
 
 let test_bilinear () =
   let xs = [| 0.0; 1.0 |] and ys = [| 0.0; 2.0 |] in
@@ -403,11 +435,11 @@ let test_bilinear () =
   approx "outside" 6.0 (Interp.bilinear xs ys z 3.0 9.0)
 
 let test_inverse_linear () =
-  let xs = [| 0.0; 1.0; 2.0 |] and ys = [| 0.0; 2.0; 0.0 |] in
-  (match Interp.inverse_linear xs ys 1.0 with
+  let w = Waveform.Wave.create [| 0.0; 1.0; 2.0 |] [| 0.0; 2.0; 0.0 |] in
+  (match Waveform.Wave.first_crossing w 1.0 with
   | Some x -> approx "first crossing" 0.5 x
   | None -> Alcotest.fail "expected crossing");
-  check_true "no crossing" (Interp.inverse_linear xs ys 5.0 = None)
+  check_true "no crossing" (Waveform.Wave.first_crossing w 5.0 = None)
 
 let test_derivative_linear_fn () =
   let xs = Array.init 11 (fun i -> float_of_int i /. 10.0) in
@@ -415,9 +447,18 @@ let test_derivative_linear_fn () =
   Array.iter (fun d -> approx ~eps:1e-9 "slope" 3.0 d) (Interp.derivative xs ys)
 
 let test_bracket_bad_grid () =
-  Alcotest.check_raises "dup"
-    (Invalid_argument "Interp: grid must be strictly increasing") (fun () ->
-      Interp.validate_grid [| 0.0; 0.0; 1.0 |])
+  (* [Interp] trusts its grids; they are checked where they enter. *)
+  Alcotest.check_raises "dup resample grid"
+    (Invalid_argument "Wave.resample: grid must be strictly increasing")
+    (fun () ->
+      let w = Waveform.Wave.create [| 0.0; 1.0 |] [| 0.0; 1.0 |] in
+      ignore (Waveform.Wave.resample w [| 0.0; 0.0; 1.0 |]));
+  Alcotest.check_raises "dup table index"
+    (Invalid_argument "Nldm.table: slews must be strictly increasing")
+    (fun () ->
+      ignore
+        (Liberty.Nldm.table ~slews:[| 0.0; 0.0; 1.0 |] ~loads:[| 1.0; 2.0 |]
+           ~values:(Array.make 3 [| 0.0; 0.0 |])))
 
 (* ------------------------------------------------------------------ *)
 (* Lsq                                                                 *)
@@ -438,10 +479,14 @@ let test_fit_weighted_ignores_outlier () =
   approx ~eps:1e-9 "intercept" 0.0 l.Lsq.intercept
 
 let test_fit_through_point () =
-  let ts = [| 1.0; 2.0; 3.0 |] and vs = [| 2.0; 4.0; 6.0 |] in
-  let l = Lsq.fit_line_through 0.0 0.0 ts vs in
-  approx ~eps:1e-9 "slope" 2.0 l.Lsq.slope;
-  approx ~eps:1e-9 "through origin" 0.0 l.Lsq.intercept
+  (* A dominant weight pins the fit to its sample: the weighted fit
+     tends to the least-squares line constrained through (0, 0), whose
+     slope is sum(t v) / sum(t^2) over the other samples. *)
+  let ts = [| 0.0; 1.0; 2.0; 3.0 |] and vs = [| 0.0; 2.3; 3.9; 6.2 |] in
+  let weights = [| 1e9; 1.0; 1.0; 1.0 |] in
+  let l = Lsq.fit_line ~weights ts vs in
+  approx ~eps:1e-6 "slope" (28.7 /. 14.0) l.Lsq.slope;
+  approx ~eps:1e-6 "through origin" 0.0 l.Lsq.intercept
 
 let test_fit_degenerate () =
   match Lsq.fit_line [| 1.0; 1.0 |] [| 0.0; 2.0 |] with
@@ -560,13 +605,24 @@ let test_trapz_linear_exact () =
   (* integral of 2x+1 on [0,2] = 4 + 2 = 6, exact for trapezoids *)
   approx ~eps:1e-12 "linear" 6.0 (Integrate.trapz xs ys)
 
+let uniform_samples n f a b =
+  let xs = Array.init (n + 1) (fun i -> a +. ((b -. a) *. float_of_int i /. float_of_int n)) in
+  (xs, Array.map f xs)
+
 let test_simpson_cubic_exact () =
-  (* Simpson integrates cubics exactly: x^3 on [0,2] = 4. *)
-  approx ~eps:1e-9 "cubic" 4.0 (Integrate.simpson_fn ~n:8 (fun x -> x ** 3.0) 0.0 2.0)
+  (* Simpson's rule is the Richardson extrapolation of two trapezoid
+     sums, (4 T(h/2) - T(h)) / 3, and integrates cubics exactly:
+     x^3 on [0,2] = 4. *)
+  let t n =
+    let xs, ys = uniform_samples n (fun x -> x ** 3.0) 0.0 2.0 in
+    Integrate.trapz xs ys
+  in
+  approx ~eps:1e-9 "cubic" 4.0 (((4.0 *. t 8) -. t 4) /. 3.0)
 
 let test_trapz_fn_converges () =
   let exact = 1.0 -. cos 1.0 in
-  approx ~eps:1e-5 "sin" exact (Integrate.trapz_fn ~n:2000 sin 0.0 1.0)
+  let xs, ys = uniform_samples 2000 sin 0.0 1.0 in
+  approx ~eps:1e-5 "sin" exact (Integrate.trapz xs ys)
 
 let test_cumulative_endpoint () =
   let xs = Array.init 101 (fun i -> float_of_int i /. 100.0) in
@@ -579,12 +635,13 @@ let test_cumulative_endpoint () =
 (* Stats                                                               *)
 
 let test_summarize () =
-  let s = Stats.summarize [| 1.0; 2.0; 3.0; 4.0 |] in
-  approx "mean" 2.5 s.Stats.mean;
-  approx "max" 4.0 s.Stats.max;
-  approx "min" 1.0 s.Stats.min;
-  Alcotest.(check int) "count" 4 s.Stats.count;
-  approx ~eps:1e-12 "rms" (sqrt 7.5) s.Stats.rms
+  let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
+  approx "mean" 2.5 (Stats.mean xs);
+  approx "max" 4.0 (Stats.percentile xs 100.0);
+  approx "min" 1.0 (Stats.percentile xs 0.0);
+  approx "max_abs" 4.0 (Stats.max_abs xs);
+  approx ~eps:1e-12 "rms" (sqrt 7.5)
+    (sqrt (Stats.mean (Array.map (fun x -> x *. x) xs)))
 
 let test_percentile () =
   let xs = [| 4.0; 1.0; 3.0; 2.0 |] in
@@ -601,19 +658,10 @@ let test_max_abs () =
   approx "max_abs" 5.0 (Stats.max_abs [| -5.0; 3.0; 1.0 |])
 
 let test_empty_raises () =
-  Alcotest.check_raises "empty" (Invalid_argument "Stats.summarize: empty")
-    (fun () -> ignore (Stats.summarize [||]))
-
-(* ------------------------------------------------------------------ *)
-(* Units                                                               *)
-
-let test_units_roundtrip () =
-  approx ~eps:1e-24 "ps" 1e-12 (Units.ps 1.0);
-  approx ~eps:1e-27 "ff" 1e-15 (Units.ff 1.0);
-  approx "to_ps" 150.0 (Units.to_ps (Units.ps 150.0));
-  approx "to_ff" 4.8 (Units.to_ff (Units.ff 4.8));
-  approx "um" 1e-3 (Units.um 1000.0);
-  approx "mv" 0.6 (Units.mv 600.0)
+  Alcotest.check_raises "empty" (Invalid_argument "Stats.mean: empty")
+    (fun () -> ignore (Stats.mean [||]));
+  Alcotest.check_raises "empty" (Invalid_argument "Stats.percentile: empty")
+    (fun () -> ignore (Stats.percentile [||] 50.0))
 
 (* ------------------------------------------------------------------ *)
 
@@ -644,9 +692,9 @@ let qcheck_tests =
     qcase "stats: mean lies between min and max"
       QCheck2.Gen.(array_size (int_range 1 30) (float_range (-1000.0) 1000.0))
       (fun xs ->
-        let s = Stats.summarize xs in
-        s.Stats.min <= s.Stats.mean +. 1e-9
-        && s.Stats.mean <= s.Stats.max +. 1e-9);
+        let m = Stats.mean xs in
+        Array.fold_left Float.min infinity xs <= m +. 1e-9
+        && m <= Array.fold_left Float.max neg_infinity xs +. 1e-9);
     qcase "banded: random SPD-ish systems match dense LU"
       QCheck2.Gen.(triple (int_range 1 24) (int_range 0 4) (int_range 0 999))
       (fun (n, band, seed) ->
@@ -683,7 +731,7 @@ let qcheck_tests =
         let lower = Array.make (n - 1) (-1.0) in
         let upper = Array.make (n - 1) (-1.0) in
         let rhs = Array.init n (fun i -> float_of_int (i + 1)) in
-        let x = Tridiag.solve ~lower ~diag ~upper ~rhs in
+        let x = Banded.solve (tridiag ~lower ~diag ~upper) rhs in
         let ok = ref true in
         for i = 0 to n - 1 do
           let v =
@@ -761,6 +809,5 @@ let suite =
       case "stats: percentile is pure" test_percentile_does_not_mutate;
       case "stats: max_abs" test_max_abs;
       case "stats: empty raises" test_empty_raises;
-      case "units: conversions" test_units_roundtrip;
     ]
     @ qcheck_tests )

@@ -9,7 +9,7 @@ let contains needle hay =
 (* Pool                                                                *)
 
 let test_pool_map_matches_sequential () =
-  Runtime.Pool.with_pool ~jobs:4 (fun pool ->
+  with_pool ~jobs:4 (fun pool ->
       let f i = (i * 37) mod 101 in
       Alcotest.(check (array int))
         "map = Array.init" (Array.init 1000 f)
@@ -24,39 +24,46 @@ let test_pool_map_matches_sequential () =
       Alcotest.(check (array int)) "empty" [||] (Runtime.Pool.map pool 0 f))
 
 let test_pool_map_list_order () =
-  Runtime.Pool.with_pool ~jobs:3 (fun pool ->
-      let xs = List.init 53 (fun i -> i) in
+  (* Harnesses fan a list of cases out by index through the engine;
+     with a batch width that does not divide the list, the pooled
+     results still come back in list order. *)
+  with_pool ~jobs:3 (fun pool ->
+      let xs = Array.of_list (List.init 53 (fun i -> i)) in
+      let e =
+        Runtime.Engine.with_batch
+          (Runtime.Engine.with_pool Runtime.Engine.reference pool)
+          5
+      in
       Alcotest.(check (list int))
         "order preserved"
-        (List.map (fun x -> x * x) xs)
-        (Runtime.Pool.map_list pool (fun x -> x * x) xs))
+        (List.map (fun x -> x * x) (Array.to_list xs))
+        (Array.to_list
+           (Runtime.Engine.submit_batch e (Array.length xs) (fun i ->
+                xs.(i) * xs.(i)))))
 
 let test_pool_map_reduce_in_order () =
-  Runtime.Pool.with_pool ~jobs:4 (fun pool ->
-      (* A non-commutative reduce: string concatenation. Only in-order
-         collection gives the sequential answer. *)
+  with_pool ~jobs:4 (fun pool ->
+      (* A non-commutative reduce over the pooled results: string
+         concatenation. Only in-order collection gives the sequential
+         answer. *)
       let expect = String.concat "" (List.init 40 string_of_int) in
       let got =
-        Runtime.Pool.map_reduce pool ~n:40 ~map:string_of_int ~init:""
-          ~reduce:( ^ )
+        Array.fold_left ( ^ ) "" (Runtime.Pool.map ~chunk:1 pool 40 string_of_int)
       in
       Alcotest.(check string) "deterministic reduce" expect got)
 
 let test_pool_sequential_fallbacks () =
-  Runtime.Pool.with_pool ~jobs:1 (fun pool ->
+  with_pool ~jobs:1 (fun pool ->
       Alcotest.(check int) "jobs clamped" 1 (Runtime.Pool.jobs pool);
       Alcotest.(check (array int))
         "jobs=1 works" (Array.init 10 succ)
         (Runtime.Pool.map pool 10 succ));
   Alcotest.(check (array int))
     "no pool = sequential" (Array.init 10 succ)
-    (Runtime.Pool.maybe_map None 10 succ);
-  Alcotest.(check (list int))
-    "no pool list" [ 2; 3 ]
-    (Runtime.Pool.maybe_map_list None succ [ 1; 2 ])
+    (Runtime.Pool.maybe_map None 10 succ)
 
 let test_pool_exception_propagates () =
-  Runtime.Pool.with_pool ~jobs:4 (fun pool ->
+  with_pool ~jobs:4 (fun pool ->
       Alcotest.check_raises "job exception resurfaces"
         (Failure "boom 7")
         (fun () ->
@@ -73,7 +80,7 @@ let test_pool_qcheck_matches_init =
     QCheck2.Gen.(pair (int_bound 200) (int_bound 1000))
     (fun (n, salt) ->
       let f i = (i * 131) lxor salt in
-      Runtime.Pool.with_pool ~jobs:4 (fun pool ->
+      with_pool ~jobs:4 (fun pool ->
           Runtime.Pool.map pool n f = Array.init n f))
 
 (* ------------------------------------------------------------------ *)
@@ -121,10 +128,7 @@ let test_cache_hit_miss_accounting () =
   | [ w ] ->
       Alcotest.(check (array (float 0.0)))
         "values" (Waveform.Wave.values wave_a) (Waveform.Wave.values w)
-  | _ -> Alcotest.fail "wrong shape");
-  Runtime.Cache.clear c;
-  Alcotest.(check int) "cleared" 0 (Runtime.Cache.length c);
-  Alcotest.(check int) "counters reset" 0 (Runtime.Cache.hits c)
+  | _ -> Alcotest.fail "wrong shape")
 
 let temp_cache_dir () =
   let dir =
@@ -175,7 +179,7 @@ let test_cache_parallel_memo () =
   (* Many domains hammering one cache: accounting stays consistent and
      every caller sees the same value. *)
   let c = Runtime.Cache.create ~shards:4 () in
-  Runtime.Pool.with_pool ~jobs:4 (fun pool ->
+  with_pool ~jobs:4 (fun pool ->
       let results =
         Runtime.Pool.map ~chunk:1 pool 32 (fun i ->
             let key =
@@ -267,6 +271,8 @@ let test_config_fingerprint_exhaustive () =
   differs "max_bisection" { base with max_bisection = base.max_bisection + 1 };
   differs "max_steps" { base with max_steps = 10_000 };
   differs "step_control" { base with step_control = Fixed };
+  differs "solver" { base with solver = Dense };
+  differs "jac_reuse" { base with jac_reuse = not base.jac_reuse };
   differs "lte_tol" (with_adaptive ~lte_tol:(default_adaptive.lte_tol *. 2.0) base);
   differs "dt_min" (with_adaptive ~dt_min:(default_adaptive.dt_min *. 2.0) base);
   differs "dt_max" (with_adaptive ~dt_max:(default_adaptive.dt_max *. 2.0) base);
@@ -339,7 +345,7 @@ let test_engine_resolve_and_batch () =
   let expect = Array.init 37 (fun i -> i * i) in
   check_true "submit_batch inline"
     (Runtime.Engine.submit_batch e 37 (fun i -> i * i) = expect);
-  Runtime.Pool.with_pool ~jobs:2 (fun pool ->
+  with_pool ~jobs:2 (fun pool ->
       let ep = Runtime.Engine.with_pool e8 pool in
       check_true "submit_batch pooled"
         (Runtime.Engine.submit_batch ep 37 (fun i -> i * i) = expect);
@@ -357,10 +363,7 @@ let test_engine_setters () =
     Spice.Transient.default_config.Spice.Transient.dt;
   let m = Runtime.Metrics.create () in
   check_true "with_metrics"
-    (Runtime.Engine.metrics (Runtime.Engine.with_metrics e m) = Some m);
-  let rendered = Format.asprintf "%a" Runtime.Engine.pp Runtime.Engine.fast in
-  check_true "pp names the engine"
-    (contains "fast" rendered && contains "adaptive" rendered)
+    (Runtime.Engine.metrics (Runtime.Engine.with_metrics e m) = Some m)
 
 (* ------------------------------------------------------------------ *)
 (* Cli                                                                 *)
@@ -400,7 +403,7 @@ let test_parallel_run_table_identical () =
   let scen = Noise.Scenario.with_cases fast_scenario 3 in
   let sequential = Noise.Eval.run_table scen in
   let parallel =
-    Runtime.Pool.with_pool ~jobs:4 (fun pool ->
+    with_pool ~jobs:4 (fun pool ->
         let engine = Runtime.Engine.with_pool Runtime.Engine.reference pool in
         Noise.Eval.run_table ~engine scen)
   in

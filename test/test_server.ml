@@ -100,7 +100,7 @@ let test_workqueue_close_drains () =
   check_true "pop a" (Server.Workqueue.pop q = Some "a");
   check_true "pop b" (Server.Workqueue.pop q = Some "b");
   check_true "then exhausted" (Server.Workqueue.pop q = None);
-  check_true "is_closed" (Server.Workqueue.is_closed q)
+  check_true "still closed" (Server.Workqueue.try_push q "d" = Error `Closed)
 
 let test_workqueue_unblocks_consumer () =
   let q = Server.Workqueue.create ~depth:4 in
@@ -870,8 +870,8 @@ let test_http_drain_bounded () =
 (* Client retry with backoff                                           *)
 
 (* A listener that closes its first [drop_first] connections without a
-   byte, then serves pings — the refused/reset shape call_with_retry
-   exists to absorb. *)
+   byte, then serves pings — the refused/reset shape
+   call_raw_with_retry exists to absorb. *)
 let flaky_listener sock ~drop_first =
   let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind lfd (Unix.ADDR_UNIX sock);
@@ -926,17 +926,20 @@ let test_client_retry_recovers () =
   let shutdown = flaky_listener sock ~drop_first:2 in
   Fun.protect ~finally:shutdown (fun () ->
       match
-        Server.Client.call_with_retry ~policy:(fast_policy 5)
+        Server.Client.call_raw_with_retry ~policy:(fast_policy 5)
           (Server.Client.Unix_path sock)
           { Server.Protocol.id = 3; query = Server.Protocol.Ping;
             deadline_ms = None }
       with
-      | Ok doc ->
+      | Ok bytes ->
           check_true "served after drops"
-            (Server.Json.member "ok" doc = Some (Server.Json.Bool true))
+            (match Server.Json.parse bytes with
+            | Ok doc ->
+                Server.Json.member "ok" doc = Some (Server.Json.Bool true)
+            | Error _ -> false)
       | Error e ->
           Alcotest.failf "retry failed: %s"
-            (Server.Client.retry_error_to_string e))
+            (retry_failure e))
 
 let test_client_retry_budget () =
   let sock = tmp_sock () in
@@ -945,7 +948,7 @@ let test_client_retry_budget () =
   let shutdown = flaky_listener sock ~drop_first:max_int in
   Fun.protect ~finally:shutdown (fun () ->
       match
-        Server.Client.call_with_retry ~policy:(fast_policy 3)
+        Server.Client.call_raw_with_retry ~policy:(fast_policy 3)
           (Server.Client.Unix_path sock)
           { Server.Protocol.id = 4; query = Server.Protocol.Ping;
             deadline_ms = None }
@@ -954,7 +957,7 @@ let test_client_retry_budget () =
       | Error e -> Alcotest.(check int) "budget spent" 3 e.Server.Client.attempts);
   (* No listener at all: refused connects also land on the budget. *)
   match
-    Server.Client.call_with_retry ~policy:(fast_policy 2)
+    Server.Client.call_raw_with_retry ~policy:(fast_policy 2)
       (Server.Client.Unix_path (sock ^ ".gone"))
       { Server.Protocol.id = 5; query = Server.Protocol.Ping;
         deadline_ms = None }

@@ -70,15 +70,30 @@ let test_cycle_detected () =
   | _ -> Alcotest.fail "expected cycle failure"
 
 let test_inverter_chain_builder () =
+  (* A chain wired gate by gate, as the CLI builds its demo design: the
+     last net is driven by the last stage and nets order along the
+     chain. *)
   let n = Netlist.create () in
   Netlist.input n "in";
   let out =
-    Netlist.inverter_chain ~prefix:"p" n
-      ~cells:[ "INVx1"; "INVx4"; "INVx16" ]
-      ~in_net:"in"
+    List.fold_left
+      (fun (k, current) cell ->
+        let next = Printf.sprintf "p.n%d" k in
+        Netlist.gate n ~cell ~name:(Printf.sprintf "p.u%d" k) ~input:current
+          ~output:next;
+        (k + 1, next))
+      (1, "in")
+      [ "INVx1"; "INVx4"; "INVx16" ]
+    |> snd
   in
   Alcotest.(check string) "final net" "p.n3" out;
-  Alcotest.(check int) "three gates" 3 (List.length (Netlist.instances n))
+  Alcotest.(check int) "three gates" 3 (List.length (Netlist.instances n));
+  (match Netlist.driver_of n out with
+  | `Gate g -> Alcotest.(check string) "last stage drives it" "INVx16" g.Netlist.cell
+  | `Input -> Alcotest.fail "p.n3 is gate-driven");
+  Alcotest.(check (list string))
+    "chain order" [ "in"; "p.n1"; "p.n2"; "p.n3" ]
+    (Netlist.topological_nets n)
 
 (* ------------------------------------------------------------------ *)
 (* Propagation                                                         *)

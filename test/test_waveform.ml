@@ -1,7 +1,7 @@
 open Helpers
 open Waveform
 
-let th = Thresholds.default
+let th = Thresholds.make ~vdd:1.2 ()
 let vdd = th.Thresholds.vdd
 
 let ramp_wave ?(t0 = 0.0) ?(trans = 100e-12) ?(rising = true) () =
@@ -149,9 +149,18 @@ let test_derivative_of_ramp () =
   approx_rel ~rel:0.02 "slope" (vdd /. 100e-12) (Wave.value_at d 50e-12)
 
 let test_monotone () =
-  check_true "ramp monotone" (Wave.is_monotone (ramp_wave ()));
+  (* A monotone edge crosses every level between its rails exactly
+     once; a non-monotone one crosses some level more than once, which
+     is why arrival takes the latest crossing. *)
+  let ramp = ramp_wave () in
+  List.iter
+    (fun frac ->
+      Alcotest.(check int) "ramp crosses once" 1
+        (List.length (Wave.crossings ramp (frac *. vdd))))
+    [ 0.1; 0.3; 0.5; 0.7; 0.9 ];
   let glitchy = Wave.create [| 0.0; 1.0; 2.0 |] [| 0.0; 1.0; 0.5 |] in
-  check_true "glitchy not" (not (Wave.is_monotone glitchy))
+  Alcotest.(check (list (float 1e-12)))
+    "glitchy crosses twice" [ 0.75; 1.5 ] (Wave.crossings glitchy 0.75)
 
 let test_csv () =
   let w = Wave.create [| 0.0; 1.0 |] [| 0.5; 1.5 |] in
@@ -161,9 +170,11 @@ let test_csv () =
     (List.length (String.split_on_char '\n' (String.trim csv)) = 3)
 
 let test_peak_deviation () =
+  (* Largest distance of the samples from the line v = t. *)
   let w = Wave.create [| 0.0; 1.0; 2.0 |] [| 0.0; 1.5; 2.0 |] in
+  let line = Wave.create [| 0.0; 2.0 |] [| 0.0; 2.0 |] in
   approx "deviation" 0.5
-    (Wave.peak_deviation_from_line w ~slope:1.0 ~intercept:0.0)
+    (Numerics.Stats.max_abs (Wave.values (Wave.sub w line)))
 
 (* ------------------------------------------------------------------ *)
 (* Ramp                                                                *)
@@ -244,7 +255,10 @@ let qcheck_tests =
       QCheck2.Gen.(int_range 3 100)
       (fun n ->
         let w = ramp_wave () in
-        Wave.is_monotone (Wave.resample_uniform w ~n));
+        let t0 = Wave.t_start w in
+        let h = (Wave.t_end w -. t0) /. float_of_int (n - 1) in
+        let grid = Array.init n (fun i -> t0 +. (h *. float_of_int i)) in
+        is_monotone (Wave.resample w grid));
   ]
 
 let suite =
