@@ -7,13 +7,3 @@ let trapz xs ys =
     s := !s +. (0.5 *. (ys.(i) +. ys.(i + 1)) *. (xs.(i + 1) -. xs.(i)))
   done;
   !s
-
-let cumulative xs ys =
-  let n = Array.length xs in
-  if n <> Array.length ys then invalid_arg "Integrate.cumulative: size";
-  let out = Array.make n 0.0 in
-  for i = 1 to n - 1 do
-    out.(i) <-
-      out.(i - 1) +. (0.5 *. (ys.(i) +. ys.(i - 1)) *. (xs.(i) -. xs.(i - 1)))
-  done;
-  out

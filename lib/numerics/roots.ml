@@ -1,28 +1,3 @@
-let bisect ?(tol = 1e-15) ?(max_iter = 200) f a b =
-  let fa = f a and fb = f b in
-  if fa = 0.0 then a
-  else if fb = 0.0 then b
-  else if fa *. fb > 0.0 then invalid_arg "Roots.bisect: no sign change"
-  else begin
-    let a = ref a and b = ref b and fa = ref fa in
-    let i = ref 0 in
-    while !b -. !a > tol && !i < max_iter do
-      let m = 0.5 *. (!a +. !b) in
-      let fm = f m in
-      if fm = 0.0 then begin
-        a := m;
-        b := m
-      end
-      else if !fa *. fm < 0.0 then b := m
-      else begin
-        a := m;
-        fa := fm
-      end;
-      incr i
-    done;
-    0.5 *. (!a +. !b)
-  end
-
 let brent ?(tol = 1e-15) ?(max_iter = 100) f a b =
   let fa = f a and fb = f b in
   if fa = 0.0 then a

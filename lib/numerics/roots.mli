@@ -1,16 +1,11 @@
 (** Scalar root finding. *)
 
-val bisect :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> float
-(** [bisect f a b] finds a root of [f] in [a, b]. Requires
-    [f a] and [f b] to have opposite signs (raises [Invalid_argument]
-    otherwise). Default [tol] 1e-15 on the interval width. *)
-
 val brent :
   ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> float
-(** Brent's method: inverse quadratic interpolation with bisection
-    fallback. Same contract as [bisect], converges much faster on
-    smooth functions. *)
+(** [brent f a b] finds a root of [f] in [a, b] by Brent's method:
+    inverse quadratic interpolation with bisection fallback. Requires
+    [f a] and [f b] to have opposite signs (raises [Invalid_argument]
+    otherwise). Default [tol] 1e-15 on the interval width. *)
 
 val find_bracket :
   (float -> float) -> lo:float -> hi:float -> steps:int -> (float * float) option

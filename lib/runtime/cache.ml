@@ -2,18 +2,11 @@ module Key = struct
   type part = string
 
   let str s = Printf.sprintf "s%d:%s" (String.length s) s
-  let int i = Printf.sprintf "i:%d" i
   let bool b = if b then "b:1" else "b:0"
 
   (* Hex float notation is lossless: equal parts mean bit-equal
      doubles. *)
   let float f = Printf.sprintf "f:%h" f
-
-  let wave w =
-    let payload =
-      Marshal.to_string (Waveform.Wave.times w, Waveform.Wave.values w) []
-    in
-    "w:" ^ Digest.to_hex (Digest.string payload)
 
   let make tag parts =
     Digest.to_hex (Digest.string (String.concat "\x00" (str tag :: parts)))

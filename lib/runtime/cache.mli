@@ -92,12 +92,8 @@ module Key : sig
   type part
 
   val str : string -> part
-  val int : int -> part
   val bool : bool -> part
   val float : float -> part
-  val wave : Waveform.Wave.t -> part
-  (** Digest of the full sample data — two waves collide only if their
-      time grids and values are bit-identical. *)
 
   val make : string -> part list -> string
   (** [make tag parts] is a stable hex digest. The tag namespaces call

@@ -22,7 +22,7 @@ let make ?(name = "custom") ?(solver = Spice.Transient.default_config) ?pool
   if batch < 1 then invalid_arg "Engine.make: batch must be >= 1";
   { name; solver; pool; cache; metrics; resilience; deadline_ms; guard; batch }
 
-(* Presets share the Newton/gmin settings of [default_config] and only
+(* Presets share the Newton settings of [default_config] and only
    disagree about step control. [reference] is the historical fixed
    grid — byte-exact regression baseline. [accurate] tightens the LTE
    tolerance below the default; [fast] relaxes it and lets steps grow

@@ -107,8 +107,7 @@ let capture_resilience ?since t =
   set t "resilience.retries" s.Resilience.Stats.retries;
   set t "resilience.recoveries" s.Resilience.Stats.recoveries;
   set t "resilience.failures" s.Resilience.Stats.failures;
-  set t "resilience.rejected_waveforms" s.Resilience.Stats.rejected_waveforms;
-  set t "pool.stray_exceptions" (Pool.stray_exceptions ())
+  set t "resilience.rejected_waveforms" s.Resilience.Stats.rejected_waveforms
 
 let capture_guard ?since t =
   let s = Guard.Stats.snapshot () in

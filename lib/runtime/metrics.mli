@@ -39,9 +39,7 @@ val capture_cache : t -> Cache.t -> unit
 val capture_resilience : ?since:Resilience.Stats.snapshot -> t -> unit
 (** Copy the global {!Resilience.Stats} counters (supervised solves,
     attempts, retries, recoveries, failures, rejected waveforms) into
-    "resilience.*", plus {!Pool.stray_exceptions} into
-    "pool.stray_exceptions". With [since], resilience entries record
-    only the delta. *)
+    "resilience.*". With [since], the entries record only the delta. *)
 
 val capture_guard : ?since:Guard.Stats.snapshot -> t -> unit
 (** Copy the global {!Guard.Stats} counters (checked, agreements,

@@ -7,21 +7,6 @@ type t = {
   mutable stopping : bool;
 }
 
-(* Process-global count of task exceptions the workers swallowed.
-   Well-behaved tasks ([map] chunks) trap their own exceptions; a
-   nonzero count means some raw task leaked one. *)
-let strays = Atomic.make 0
-
-let stray_exceptions () = Atomic.get strays
-
-(* Resource-exhaustion and interrupt exceptions must propagate — they
-   signal a dying process, and swallowing them would turn an OOM into
-   silent data loss. They kill the worker domain; [shutdown]'s join
-   re-raises them in the owner. *)
-let is_fatal = function
-  | Out_of_memory | Stack_overflow | Sys.Break -> true
-  | _ -> false
-
 let worker t =
   let rec loop () =
     Mutex.lock t.m;
@@ -34,7 +19,7 @@ let worker t =
         Mutex.unlock t.m
     | Some task ->
         Mutex.unlock t.m;
-        (try task () with e when not (is_fatal e) -> Atomic.incr strays);
+        task ();
         loop ()
   in
   loop ()

@@ -10,7 +10,13 @@
     need.
 
     Closures must not share mutable state unless that state is itself
-    domain-safe (the [Cache] and [Metrics] modules are). *)
+    domain-safe (the [Cache] and [Metrics] modules are).
+
+    The only task a worker runs is [map]'s chunk loop, which catches
+    every exception of the job closure and re-raises one in the caller,
+    so a queued task cannot raise. If one ever did, its worker domain
+    would end and {!shutdown}'s join would re-raise the exception in
+    the owner. *)
 
 type t
 
@@ -21,11 +27,6 @@ val create : ?jobs:int -> unit -> t
     everything sequentially in the caller. *)
 
 val jobs : t -> int
-
-val stray_exceptions : unit -> int
-(** Process-global count of non-fatal exceptions worker domains
-    swallowed from queued tasks. [map] chunks trap their own
-    exceptions, so a nonzero value means a task leaked one. *)
 
 val shutdown : t -> unit
 (** Join the worker domains. Idempotent; the pool must not be used

@@ -10,7 +10,6 @@ type t = {
   mutable resistors : (node * node * float) list;
   mutable capacitors : (node * node * float) list;
   mutable vsources : (node * Source.t) list;
-  mutable isources : (node * node * Source.t) list;
   mutable mosfets : (string * node * node * node * mosfet_eval) list;
 }
 
@@ -22,7 +21,6 @@ let create () =
     resistors = [];
     capacitors = [];
     vsources = [];
-    isources = [];
     mosfets = [];
   }
 
@@ -65,8 +63,6 @@ let vsource t n src =
   if n = ground then invalid_arg "Circuit.vsource: cannot drive ground";
   t.vsources <- (n, src) :: t.vsources
 
-let isource t a b src = t.isources <- (a, b, src) :: t.isources
-
 let mosfet t ~name ~g ~d ~s eval =
   t.mosfets <- (name, g, d, s, eval) :: t.mosfets
 
@@ -75,15 +71,13 @@ let num_nodes t = t.next
 let resistors t = List.rev t.resistors
 let capacitors t = List.rev t.capacitors
 let vsources t = List.rev t.vsources
-let isources t = List.rev t.isources
 let mosfets t = List.rev t.mosfets
 
 let summary t =
   Printf.sprintf
-    "circuit: %d nodes, %d R, %d C, %d V, %d I, %d MOSFETs"
+    "circuit: %d nodes, %d R, %d C, %d V, %d MOSFETs"
     t.next
     (List.length t.resistors)
     (List.length t.capacitors)
     (List.length t.vsources)
-    (List.length t.isources)
     (List.length t.mosfets)

@@ -40,9 +40,6 @@ val vsource : t -> node -> Source.t -> unit
 (** Ideal voltage source from the node to ground. At most one per node
     (checked at analysis time). *)
 
-val isource : t -> node -> node -> Source.t -> unit
-(** Current source pushing current from the first node to the second. *)
-
 val mosfet : t -> name:string -> g:node -> d:node -> s:node -> mosfet_eval -> unit
 
 (** Introspection used by the analysis engine and by reporting. *)
@@ -53,7 +50,6 @@ val num_nodes : t -> int
 val resistors : t -> (node * node * float) list
 val capacitors : t -> (node * node * float) list
 val vsources : t -> (node * Source.t) list
-val isources : t -> (node * node * Source.t) list
 val mosfets : t -> (string * node * node * node * mosfet_eval) list
 
 val summary : t -> string

@@ -22,18 +22,21 @@ type config = {
   dt : float;
   tstop : float;
   tstart : float;
-  integration : integration;
-  newton_tol_v : float;
-  newton_tol_i : float;
   max_newton : int;
-  vstep_limit : float;
-  gmin : float;
-  max_bisection : int;
   step_control : step_control;
   max_steps : int;
   solver : solver_kind;
   jac_reuse : bool;
 }
+
+(* Solver constants. Every step integrates with the trapezoidal
+   companion; backward Euler is only the adaptive controller's LTE
+   shadow. *)
+let newton_tol_v = 1e-7 (* voltage update convergence bound, V *)
+let newton_tol_i = 1e-9 (* KCL residual convergence bound, A *)
+let vstep_limit = 0.6 (* per-iteration voltage update clamp, V *)
+let gmin = 1e-12 (* conductance to ground on every node, S *)
+let max_bisection = 10 (* step-halving depth on Newton failure *)
 
 let default_adaptive =
   {
@@ -51,13 +54,7 @@ let default_config =
     dt = 1e-12;
     tstop = 4e-9;
     tstart = 0.0;
-    integration = Trapezoidal;
-    newton_tol_v = 1e-7;
-    newton_tol_i = 1e-9;
     max_newton = 60;
-    vstep_limit = 0.6;
-    gmin = 1e-12;
-    max_bisection = 10;
     step_control = Fixed;
     max_steps = 0;
     solver = Auto;
@@ -105,19 +102,16 @@ let with_crossing_levels_if_empty cfg levels =
    change a simulated waveform MUST appear here: [Runtime.Cache] keys
    are derived from this string, so a missed field would let a config
    change hit a stale cache entry. The full record destructure makes
-   adding a field without updating this function a compile error. *)
+   adding a field without updating this function a compile error. The
+   solver constants (integrator, Newton tolerances, update clamp, gmin,
+   bisection depth) are rendered too, each at a fixed place, so disk
+   caches and checkpoint journals keep their keys. *)
 let config_fingerprint cfg =
   let {
     dt;
     tstop;
     tstart;
-    integration;
-    newton_tol_v;
-    newton_tol_i;
     max_newton;
-    vstep_limit;
-    gmin;
-    max_bisection;
     step_control;
     max_steps;
     solver;
@@ -157,7 +151,7 @@ let config_fingerprint cfg =
       f dt;
       f tstop;
       f tstart;
-      (match integration with Trapezoidal -> "trap" | Backward_euler -> "be");
+      "trap";
       f newton_tol_v;
       f newton_tol_i;
       string_of_int max_newton;
@@ -300,7 +294,6 @@ type compiled = {
   res : (int * int * float) array;          (* a, b, conductance *)
   caps : (int * int * float) array;
   vsrc : (int * Source.t) array;
-  isrc : (int * int * Source.t) array;
   fets : (int * int * int * Circuit.mosfet_eval) array;
   name_index : (string, int) Hashtbl.t;
 }
@@ -333,12 +326,6 @@ let compile ckt =
         invalid_arg "Transient: two voltage sources on one node";
       Hashtbl.add seen nd ())
     vsrc;
-  let isrc =
-    Circuit.isources ckt
-    |> List.map (fun ((a : Circuit.node), (b : Circuit.node), s) ->
-           ((a :> int), (b :> int), s))
-    |> Array.of_list
-  in
   let fets =
     Circuit.mosfets ckt
     |> List.map (fun (_, (g : Circuit.node), (d : Circuit.node), (s : Circuit.node), eval) ->
@@ -347,7 +334,7 @@ let compile ckt =
   in
   let name_index = Hashtbl.create 64 in
   List.iteri (fun i nm -> Hashtbl.add name_index nm i) (Circuit.node_names ckt);
-  { n; m = Array.length vsrc; res; caps; vsrc; isrc; fets; name_index }
+  { n; m = Array.length vsrc; res; caps; vsrc; fets; name_index }
 
 let is_gnd i = i < 0
 let getv x i = if is_gnd i then 0.0 else x.(i)
@@ -403,7 +390,6 @@ type ws = {
   rhs : float array; (* negated residual / solution, matrix order *)
   x0 : float array; (* newton entry state, for the pure-Newton restart *)
   vvals : float array; (* per-vsource value at the current solve time *)
-  ivals : float array; (* per-isource value at the current solve time *)
   fet_vals : float array; (* per-fet (ids, dg, dd, ds) from the residual *)
   cap_geq : float array; (* per-cap companion conductance for this call *)
   cap_ieq : float array; (* per-cap companion current for this call *)
@@ -420,8 +406,6 @@ type ws = {
   res_a : int array;
   res_b : int array;
   res_g : float array;
-  isrc_a : int array;
-  isrc_b : int array;
   cap_a : int array;
   cap_b : int array;
   cap_c : float array;
@@ -560,7 +544,6 @@ let make_ws cp cfg =
     rhs = Array.make nu 0.0;
     x0 = Array.make nu 0.0;
     vvals = Array.make (Array.length cp.vsrc) 0.0;
-    ivals = Array.make (Array.length cp.isrc) 0.0;
     fet_vals = Array.make (4 * Array.length cp.fets) 0.0;
     cap_geq = Array.make ncap 0.0;
     cap_ieq = Array.make ncap 0.0;
@@ -571,8 +554,6 @@ let make_ws cp cfg =
     res_a = Array.map (fun (a, _, _) -> a) cp.res;
     res_b = Array.map (fun (_, b, _) -> b) cp.res;
     res_g = Array.map (fun (_, _, g) -> g) cp.res;
-    isrc_a = Array.map (fun (a, _, _) -> a) cp.isrc;
-    isrc_b = Array.map (fun (_, b, _) -> b) cp.isrc;
     cap_a = Array.map (fun (a, _, _) -> a) cp.caps;
     cap_b = Array.map (fun (_, b, _) -> b) cp.caps;
     cap_c = Array.map (fun (_, _, c) -> c) cp.caps;
@@ -702,13 +683,6 @@ let residual ws cp ~gmin ~h x =
     if not (is_gnd a) then uacc f a i;
     if not (is_gnd b) then uacc f b (-.i)
   done;
-  let ia = ws.isrc_a and ib = ws.isrc_b in
-  for k = 0 to Array.length ia - 1 do
-    let a = Array.unsafe_get ia k and b = Array.unsafe_get ib k in
-    let i = ws.ivals.(k) in
-    if not (is_gnd a) then uacc f a i;
-    if not (is_gnd b) then uacc f b (-.i)
-  done;
   if h > 0.0 then begin
     (* Companion values precomputed once per Newton call ([newton]
        fills [cap_geq]/[cap_ieq]); the capacitor state is fixed for
@@ -829,8 +803,8 @@ let solve_phase ws cp cfg ~gmin ~h ~reuse x =
        for i = 0 to cp.n - 1 do
          let d = ws.rhs.(order.(i)) in
          let d =
-           if d > cfg.vstep_limit then cfg.vstep_limit
-           else if d < -.cfg.vstep_limit then -.cfg.vstep_limit
+           if d > vstep_limit then vstep_limit
+           else if d < -.vstep_limit then -.vstep_limit
            else d
          in
          x.(i) <- x.(i) +. d;
@@ -843,7 +817,7 @@ let solve_phase ws cp cfg ~gmin ~h ~reuse x =
        for i = 0 to cp.n - 1 do
          if abs_float ws.f.(i) > sc.(1) then sc.(1) <- abs_float ws.f.(i)
        done;
-       if sc.(0) < cfg.newton_tol_v && sc.(1) < cfg.newton_tol_i then
+       if sc.(0) < newton_tol_v && sc.(1) < newton_tol_i then
          ws.nw_conv <- true
        else if
            reuse && ws.fact_stale > 0
@@ -873,10 +847,6 @@ let newton ws cp cfg ~gmin ~t ~h ~integ x =
   for j = 0 to Array.length cp.vsrc - 1 do
     let _, src = cp.vsrc.(j) in
     ws.vvals.(j) <- Source.value src t
-  done;
-  for k = 0 to Array.length cp.isrc - 1 do
-    let _, _, src = cp.isrc.(k) in
-    ws.ivals.(k) <- Source.value src t
   done;
   (if h > 0.0 then
      (* The capacitor companion is constant for the whole call: [h],
@@ -917,12 +887,12 @@ let newton ws cp cfg ~gmin ~t ~h ~integ x =
   ok
 
 let dc_solve ws cp cfg ~at x =
-  let solve g = newton ws cp cfg ~gmin:g ~t:at ~h:0.0 ~integ:cfg.integration x in
-  if solve cfg.gmin then true
+  let solve g = newton ws cp cfg ~gmin:g ~t:at ~h:0.0 ~integ:Trapezoidal x in
+  if solve gmin then true
   else begin
     (* gmin stepping: load the circuit heavily, then relax. *)
     Atomic.incr Stats.gmin_retries;
-    let steps = [ 1e-3; 1e-5; 1e-7; 1e-9; cfg.gmin ] in
+    let steps = [ 1e-3; 1e-5; 1e-7; 1e-9; gmin ] in
     List.for_all solve steps
   end
 
@@ -1027,42 +997,30 @@ let case_charge_step st ~at =
   if st.c_cfg.max_steps > 0 && st.c_steps > st.c_cfg.max_steps then
     raise (Step_budget_exhausted { at; budget = st.c_cfg.max_steps })
 
-(* The integrator match is hoisted out of the loop (like the companion
-   fill in [newton]) so each arm is straight-line unboxed float
-   arithmetic — keeping [v] live across a branch join boxes it on
-   every iteration. *)
-let case_commit st ~integ ~h xnew =
+(* Commit the trapezoidal capacitor state of an accepted step. *)
+let case_commit st ~h xnew =
   let ws = st.c_ws in
   let ca = ws.cap_a and cb = ws.cap_b and cc = ws.cap_c in
   let v0 = ws.vcap0 and i0 = ws.icap0 in
   let vcap = st.c_vcap and icap = st.c_icap in
-  let ncap = Array.length vcap in
-  match integ with
-  | Backward_euler ->
-      for k = 0 to ncap - 1 do
-        let v = ugetv xnew ca.(k) -. ugetv xnew cb.(k) in
-        icap.(k) <- cc.(k) /. h *. (v -. v0.(k));
-        vcap.(k) <- v
-      done
-  | Trapezoidal ->
-      for k = 0 to ncap - 1 do
-        let v = ugetv xnew ca.(k) -. ugetv xnew cb.(k) in
-        icap.(k) <- ((2.0 *. cc.(k) /. h) *. (v -. v0.(k))) -. i0.(k);
-        vcap.(k) <- v
-      done
+  for k = 0 to Array.length vcap - 1 do
+    let v = ugetv xnew ca.(k) -. ugetv xnew cb.(k) in
+    icap.(k) <- ((2.0 *. cc.(k) /. h) *. (v -. v0.(k))) -. i0.(k);
+    vcap.(k) <- v
+  done
 
 (* One integration step of size h ending at time t, with the given
    companion model and capacitor state in [ws.vcap0]/[ws.icap0].
    Returns false if Newton diverged. On success, cap state is NOT yet
    committed; the caller commits via [case_commit]. *)
 let case_attempt st ~integ ~t ~h xtrial =
-  newton st.c_ws st.c_cp st.c_cfg ~gmin:st.c_cfg.gmin ~t ~h ~integ xtrial
+  newton st.c_ws st.c_cp st.c_cfg ~gmin ~t ~h ~integ xtrial
 
 (* Advance from t0 to t1, bisecting on failure. The ws scratch buffers
    are safe across the recursion: a failed attempt's parent state is
    dead by the time a child reloads them. *)
 let rec fixed_advance st depth t0 t1 =
-  let ws = st.c_ws and cfg = st.c_cfg and x = st.c_x in
+  let ws = st.c_ws and x = st.c_x in
   let nu = ws.nu in
   let h = t1 -. t0 in
   case_load_caps st;
@@ -1082,24 +1040,24 @@ let rec fixed_advance st depth t0 t1 =
   end
   else Array.blit x 0 xtrial 0 nu;
   let ok =
-    case_attempt st ~integ:cfg.integration ~t:t1 ~h xtrial
+    case_attempt st ~integ:Trapezoidal ~t:t1 ~h xtrial
     ||
     (predicted
     &&
     (case_load_caps st;
      Array.blit x 0 xtrial 0 nu;
-     case_attempt st ~integ:cfg.integration ~t:t1 ~h xtrial))
+     case_attempt st ~integ:Trapezoidal ~t:t1 ~h xtrial))
   in
   if ok then begin
     Atomic.incr Stats.steps;
     case_charge_step st ~at:t1;
-    case_commit st ~integ:cfg.integration ~h xtrial;
+    case_commit st ~h xtrial;
     Array.blit x 0 ws.xprev 0 nu;
     ws.hprev <- h;
     ws.have_prev <- true;
     Array.blit xtrial 0 x 0 nu
   end
-  else if depth >= cfg.max_bisection then raise (No_convergence t1)
+  else if depth >= max_bisection then raise (No_convergence t1)
   else begin
     Atomic.incr Stats.bisections;
     let tm = 0.5 *. (t0 +. t1) in
@@ -1144,9 +1102,9 @@ let case_start cp ws cfg fault ic =
   }
 
 (* -------------- adaptive local-truncation-error grid ------------- *)
-(* Each step is solved twice, with the configured companion and with
-   the other one (trapezoidal vs backward Euler). Their discrepancy is
-   an O(h^2) estimate of the local truncation error; the controller
+(* Each step is solved twice, with the trapezoidal companion and with
+   backward Euler, the LTE shadow. Their discrepancy is an O(h^2)
+   estimate of the local truncation error; the controller
    holds it below [lte_tol], growing the step on quiescent spans and
    shrinking it through transitions. Source breakpoints are always
    landed on exactly, and steps that carry any node across a
@@ -1172,11 +1130,6 @@ let run_adaptive st a =
         done
     done;
     !hit
-  in
-  let other =
-    match cfg.integration with
-    | Trapezoidal -> Backward_euler
-    | Backward_euler -> Trapezoidal
   in
   let breaks =
     ref
@@ -1207,7 +1160,7 @@ let run_adaptive st a =
     case_load_caps st;
     let xtrial = ws.xtrial in
     Array.blit x 0 xtrial 0 nu;
-    if not (case_attempt st ~integ:cfg.integration ~t:t1 ~h xtrial) then begin
+    if not (case_attempt st ~integ:Trapezoidal ~t:t1 ~h xtrial) then begin
       if at_floor then raise (No_convergence t1);
       Atomic.incr Stats.bisections;
       Atomic.incr Stats.rejected_steps;
@@ -1217,7 +1170,7 @@ let run_adaptive st a =
       let xcomp = ws.xcomp in
       Array.blit x 0 xcomp 0 nu;
       let err =
-        if case_attempt st ~integ:other ~t:t1 ~h xcomp then begin
+        if case_attempt st ~integ:Backward_euler ~t:t1 ~h xcomp then begin
           let e = ref 0.0 in
           for i = 0 to cp.n - 1 do
             let d = abs_float (xtrial.(i) -. xcomp.(i)) in
@@ -1236,7 +1189,7 @@ let run_adaptive st a =
       if (lte_ok && not crossing_viol) || at_floor then begin
         Atomic.incr Stats.steps;
         case_charge_step st ~at:t1;
-        case_commit st ~integ:cfg.integration ~h xtrial;
+        case_commit st ~h xtrial;
         Array.blit xtrial 0 x 0 nu;
         t := t1;
         ts_rev := t1 :: !ts_rev;

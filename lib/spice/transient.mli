@@ -1,8 +1,11 @@
 (** Nonlinear transient analysis.
 
     Modified nodal analysis with ideal-voltage-source branch currents,
-    companion models for capacitors (trapezoidal by default, backward
-    Euler available), and damped Newton-Raphson at every time point.
+    trapezoidal companion models for capacitors, and damped
+    Newton-Raphson at every time point. The Newton tolerances
+    (1e-7 V on the update, 1e-9 A on the KCL residual), the 0.6 V
+    update clamp, gmin = 1e-12 S on every node and the 10-deep step
+    bisection are constants of the engine.
 
     Two step-control modes:
     - {b Fixed} (default): a uniform grid at [dt] with source
@@ -11,18 +14,17 @@
       time points, answers equal within the Newton tolerances); use it
       for regression references.
     - {b Adaptive}: local-truncation-error-controlled variable steps.
-      Every step is solved with both companion models; their
-      discrepancy estimates the LTE, which the controller keeps under
-      [lte_tol] by growing the step on quiescent spans (up to
-      [dt_max]) and shrinking it through transitions (down to
-      [dt_min]). Source breakpoints are landed on exactly; steps that
-      carry any node voltage across one of [crossing_levels] are
-      refined to [crossing_dt] so threshold-crossing searches keep
-      their fixed-grid accuracy. Probed waveforms then live on a
-      non-uniform grid — all [Waveform.Wave] consumers interpolate, so
-      this is transparent downstream. *)
-
-type integration = Trapezoidal | Backward_euler
+      Every step is solved trapezoidally and again with a
+      backward-Euler companion; their discrepancy estimates the LTE,
+      which the controller keeps under [lte_tol] by growing the step
+      on quiescent spans (up to [dt_max]) and shrinking it through
+      transitions (down to [dt_min]). Source breakpoints are landed on
+      exactly; steps that carry any node voltage across one of
+      [crossing_levels] are refined to [crossing_dt] so
+      threshold-crossing searches keep their fixed-grid accuracy.
+      Probed waveforms then live on a non-uniform grid — all
+      [Waveform.Wave] consumers interpolate, so this is transparent
+      downstream. *)
 
 type adaptive = {
   lte_tol : float;       (** target local truncation error per step, V *)
@@ -51,13 +53,7 @@ type config = {
   dt : float;            (** nominal step, seconds *)
   tstop : float;
   tstart : float;
-  integration : integration;
-  newton_tol_v : float;  (** voltage update convergence bound *)
-  newton_tol_i : float;  (** KCL residual convergence bound *)
-  max_newton : int;
-  vstep_limit : float;   (** per-iteration voltage update clamp *)
-  gmin : float;          (** conductance to ground on every node *)
-  max_bisection : int;   (** step-halving depth on Newton failure *)
+  max_newton : int;      (** Newton iterations per solve attempt *)
   step_control : step_control;
   max_steps : int;
       (** accepted-integration-step budget per [run]; 0 = unlimited.
@@ -75,10 +71,8 @@ type config = {
 }
 
 val default_config : config
-(** dt = 1 ps, tstop = 4 ns, tstart = 0, trapezoidal, tolerances
-    1e-7 V / 1e-9 A, 60 Newton iterations, 0.6 V update clamp,
-    gmin = 1e-12 S, 10 bisections, fixed grid, unlimited steps,
-    [Auto] solver with Jacobian reuse on. *)
+(** dt = 1 ps, tstop = 4 ns, tstart = 0, 60 Newton iterations, fixed
+    grid, unlimited steps, [Auto] solver with Jacobian reuse on. *)
 
 val default_adaptive : adaptive
 (** lte_tol = 0.5 mV, dt_min = 10 fs, dt_max = 100 ps, grow 2x,
@@ -113,9 +107,9 @@ val with_crossing_levels_if_empty : config -> float list -> config
     No-op on fixed-grid configs. *)
 
 val config_fingerprint : config -> string
-(** Lossless, exhaustive rendering of every solver field — the basis of
-    [Runtime.Cache] keys. Two configs with equal fingerprints produce
-    bit-identical simulations. *)
+(** Lossless, exhaustive rendering of every solver field and constant —
+    the basis of [Runtime.Cache] keys. Two configs with equal
+    fingerprints produce bit-identical simulations. *)
 
 exception No_convergence of float
 (** Carries the simulation time at which Newton failed beyond the

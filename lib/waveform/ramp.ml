@@ -50,6 +50,3 @@ let to_waveform ?pad ?(n = 201) r =
   let pad = match pad with Some p -> p | None -> trans in
   let t0 = t_begin r -. pad and t1 = t_settle r +. pad in
   Wave.of_fun ~t0 ~t1 ~n (value_at r)
-
-let shift r dt =
-  { r with intercept = r.intercept -. (r.slope *. dt) }

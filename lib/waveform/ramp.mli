@@ -42,6 +42,3 @@ val to_waveform : ?pad:float -> ?n:int -> t -> Wave.t
 (** Sample the clipped ramp, padding [pad] (default: one transition
     time) of settled rail on each side, with [n] (default 201)
     samples. *)
-
-val shift : t -> float -> t
-(** [shift r dt] delays the ramp by [dt]. *)

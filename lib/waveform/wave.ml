@@ -34,16 +34,6 @@ let value_at w t =
   else Numerics.Interp.linear w.ts w.vs t
 
 let shift w dt = { ts = Array.map (fun t -> t +. dt) w.ts; vs = Array.copy w.vs }
-let scale w k = { ts = Array.copy w.ts; vs = Array.map (fun v -> v *. k) w.vs }
-let offset w dv = { ts = Array.copy w.ts; vs = Array.map (fun v -> v +. dv) w.vs }
-
-let map2 f a b =
-  { ts = Array.copy a.ts;
-    vs = Array.mapi (fun i va -> f va (value_at b a.ts.(i))) a.vs }
-
-let add a b = map2 ( +. ) a b
-let sub a b = map2 ( -. ) a b
-
 let resample w grid =
   let n = Array.length grid in
   if n < 2 then invalid_arg "Wave.resample: need 2 points";
@@ -52,16 +42,6 @@ let resample w grid =
       invalid_arg "Wave.resample: grid must be strictly increasing"
   done;
   { ts = Array.copy grid; vs = Array.map (value_at w) grid }
-
-let window w a b =
-  if b <= a then invalid_arg "Wave.window: empty window";
-  if a > t_end w || b < t_start w then
-    invalid_arg "Wave.window: outside waveform span";
-  let inside =
-    Array.to_list w.ts |> List.filter (fun t -> t > a && t < b)
-  in
-  let ts = Array.of_list ((a :: inside) @ [ b ]) in
-  { ts; vs = Array.map (value_at w) ts }
 
 let crossings w level =
   let n = Array.length w.ts in

@@ -32,22 +32,8 @@ val shift : t -> float -> t
 (** [shift w dt] delays the waveform by [dt] (moves it right for
     positive [dt]). *)
 
-val scale : t -> float -> t
-val offset : t -> float -> t
-
-val map2 : (float -> float -> float) -> t -> t -> t
-(** [map2 f a b] resamples [b] onto [a]'s grid and combines pointwise. *)
-
-val add : t -> t -> t
-val sub : t -> t -> t
-
 val resample : t -> float array -> t
 (** Resample onto a new (strictly increasing) grid. *)
-
-val window : t -> float -> float -> t
-(** [window w a b] restricts to samples in [a, b], adding interpolated
-    end points at [a] and [b] exactly. Raises [Invalid_argument] if the
-    window is empty or outside the span. *)
 
 val first_crossing : t -> float -> float option
 (** [first_crossing w level] is the earliest time the curve reaches

@@ -231,7 +231,7 @@ let test_full_disk_publishes_nothing () =
   (* Cache store: the entry stays memory-only and counts as a failure. *)
   with_dir "cache_full" (fun dir ->
       let c = Runtime.Cache.create ~disk_dir:dir () in
-      let key = Runtime.Cache.Key.make "full" [ Runtime.Cache.Key.int 1 ] in
+      let key = Runtime.Cache.Key.make "full" [ Runtime.Cache.Key.str "1" ] in
       full (Filename.concat dir key);
       Runtime.Cache.store c key
         [ Waveform.Wave.create [| 0.0; 1.0 |] [| 0.0; 1.0 |] ];
@@ -474,8 +474,8 @@ let test_cache_scrub () =
     (fun () ->
       let wave = Waveform.Wave.create [| 0.0; 1.0 |] [| 0.0; 1.0 |] in
       let c = Runtime.Cache.create ~disk_dir:dir () in
-      let k1 = Runtime.Cache.Key.make "scrub" [ Runtime.Cache.Key.int 1 ] in
-      let k2 = Runtime.Cache.Key.make "scrub" [ Runtime.Cache.Key.int 2 ] in
+      let k1 = Runtime.Cache.Key.make "scrub" [ Runtime.Cache.Key.str "1" ] in
+      let k2 = Runtime.Cache.Key.make "scrub" [ Runtime.Cache.Key.str "2" ] in
       Runtime.Cache.store c k1 [ wave ];
       Runtime.Cache.store c k2 [ wave ];
       (* A crash mid-write: one entry torn to garbage, one tmp file the

@@ -134,83 +134,6 @@ let test_coupled_noise_appears () =
   check_true "decays"
     (abs_float (final_voltage res (Circuit.node_name ckt far_vic)) < 0.02)
 
-(* ------------------------------------------------------------------ *)
-(* Rctree                                                              *)
-
-let balanced_tree () =
-  (* root -- r1 -- a(c=1p) ; root -- r2 -- b(c=2p), r in ohms *)
-  Rctree.node "root"
-    [
-      Rctree.node ~r:100.0 ~c:1e-12 "a" [];
-      Rctree.node ~r:200.0 ~c:2e-12 "b" [];
-    ]
-
-let elmore_at t name = List.assoc name (Rctree.elmore t)
-
-let test_tree_total_cap () =
-  (* Behind a 1-ohm stem, the stem's Elmore delay is the total
-     capacitance it charges. *)
-  let t = Rctree.node "src" [ Rctree.node ~r:1.0 "stem" [ balanced_tree () ] ] in
-  approx_rel ~rel:1e-12 "total" 3e-12 (elmore_at t "stem")
-
-let test_tree_elmore_hand () =
-  (* Elmore(a) = 100 * 1p = 100ps ; Elmore(b) = 200 * 2p = 400ps *)
-  let t = balanced_tree () in
-  approx ~eps:1e-15 "a" 100e-12 (elmore_at t "a");
-  approx ~eps:1e-15 "b" 400e-12 (elmore_at t "b")
-
-let test_tree_chain_elmore () =
-  (* r1=100 to n1(c=1p), then r2=100 to n2(c=1p):
-     Elmore(n2) = 100*(1p+1p) + 100*1p = 300 ps. *)
-  let t =
-    Rctree.node "root"
-      [ Rctree.node ~r:100.0 ~c:1e-12 "n1" [ Rctree.node ~r:100.0 ~c:1e-12 "n2" [] ] ]
-  in
-  approx ~eps:1e-15 "n2" 300e-12 (elmore_at t "n2");
-  approx ~eps:1e-15 "n1" 200e-12 (elmore_at t "n1")
-
-let test_tree_of_line_matches_discrete () =
-  let t = Rctree.of_line ~name:"w" spec in
-  let far = Printf.sprintf "w.%d" spec.Rcline.nsegs in
-  approx_rel ~rel:1e-9 "line elmore"
-    (Rcline.elmore_discrete spec)
-    (elmore_at t far)
-
-let test_moments_first_is_elmore () =
-  let t = balanced_tree () in
-  let ms = Rctree.moments ~order:2 t in
-  let m_a = List.assoc "a" ms in
-  approx_rel ~rel:1e-9 "m1 = -elmore" (-100e-12) m_a.(0);
-  check_true "m2 positive" (m_a.(1) > 0.0)
-
-let test_d2m_bounded () =
-  (* Alpert's D2M metric, ln(2) * m1^2 / sqrt(m2), from the first two
-     moments: a two-moment refinement of ln2*Elmore, so on a uniform
-     line it must land on the same scale, not wildly off either way. *)
-  let t = Rctree.of_line ~name:"w" spec in
-  let far = Printf.sprintf "w.%d" spec.Rcline.nsegs in
-  let m = List.assoc far (Rctree.moments ~order:2 t) in
-  check_true "m2 positive" (m.(1) > 0.0);
-  let d2m = log 2.0 *. (m.(0) *. m.(0) /. sqrt m.(1)) in
-  let elm = log 2.0 *. elmore_at t far in
-  check_true "d2m in band" (d2m > 0.3 *. elm && d2m < 1.7 *. elm)
-
-let test_unknown_node () =
-  let t = balanced_tree () in
-  check_true "no elmore entry" (not (List.mem_assoc "zzz" (Rctree.elmore t)));
-  check_true "no moment entry"
-    (not (List.mem_assoc "zzz" (Rctree.moments ~order:2 t)));
-  Alcotest.check_raises "coupling to an unknown node"
-    (Invalid_argument "Noise_bound: unknown node zzz") (fun () ->
-      ignore
-        (Noise_bound.bound t ~couplings:[ ("zzz", 1e-15) ]
-           ~aggressor_slew_rate:1e9))
-
-let test_tree_validation () =
-  Alcotest.check_raises "neg r"
-    (Invalid_argument "Rctree.node: negative resistance") (fun () ->
-      ignore (Rctree.node ~r:(-1.0) "x" []))
-
 let qcheck_tests =
   [
     qcase ~count:40 "elmore: discrete below continuous and converging"
@@ -218,21 +141,6 @@ let qcheck_tests =
       (fun nsegs ->
         let s = { spec with Rcline.nsegs } in
         Rcline.elmore_discrete s <= Rcline.elmore s +. 1e-18);
-    qcase ~count:30 "rctree: elmore grows along any chain"
-      QCheck2.Gen.(list_size (int_range 1 8) (float_range 1.0 100.0))
-      (fun rs ->
-        let rec build i = function
-          | [] -> []
-          | r :: rest ->
-              [ Rctree.node ~r ~c:1e-13 (Printf.sprintf "n%d" i) (build (i + 1) rest) ]
-        in
-        let t = Rctree.node "root" (build 0 rs) in
-        let ds = List.map snd (Rctree.elmore t) in
-        let rec nondecreasing = function
-          | a :: b :: rest -> a <= b +. 1e-18 && nondecreasing (b :: rest)
-          | _ -> true
-        in
-        nondecreasing ds);
   ]
 
 let suite =
@@ -249,13 +157,5 @@ let suite =
       case "coupled: Cm distribution" test_coupled_distribution;
       case "coupled: build budget" test_coupled_build;
       case "coupled: noise bump" test_coupled_noise_appears;
-      case "rctree: total cap" test_tree_total_cap;
-      case "rctree: hand elmore" test_tree_elmore_hand;
-      case "rctree: chain elmore" test_tree_chain_elmore;
-      case "rctree: of_line" test_tree_of_line_matches_discrete;
-      case "rctree: m1 = -elmore" test_moments_first_is_elmore;
-      case "rctree: d2m bounded" test_d2m_bounded;
-      case "rctree: unknown node" test_unknown_node;
-      case "rctree: validation" test_tree_validation;
     ]
     @ qcheck_tests )

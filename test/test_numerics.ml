@@ -569,10 +569,6 @@ let test_gauss_newton_never_worse () =
 (* ------------------------------------------------------------------ *)
 (* Roots                                                               *)
 
-let test_bisect_sqrt2 () =
-  let f x = (x *. x) -. 2.0 in
-  approx ~eps:1e-9 "sqrt2" (sqrt 2.0) (Roots.bisect f 0.0 2.0)
-
 let test_brent_cubic () =
   let f x = (x *. x *. x) -. x -. 2.0 in
   let r = Roots.brent f 1.0 2.0 in
@@ -623,13 +619,6 @@ let test_trapz_fn_converges () =
   let exact = 1.0 -. cos 1.0 in
   let xs, ys = uniform_samples 2000 sin 0.0 1.0 in
   approx ~eps:1e-5 "sin" exact (Integrate.trapz xs ys)
-
-let test_cumulative_endpoint () =
-  let xs = Array.init 101 (fun i -> float_of_int i /. 100.0) in
-  let ys = Array.map (fun x -> x) xs in
-  let c = Integrate.cumulative xs ys in
-  approx "start" 0.0 c.(0);
-  approx ~eps:1e-9 "end" 0.5 c.(100)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -794,7 +783,6 @@ let suite =
       case "lsq: gauss-newton linear" test_gauss_newton_quadratic;
       case "lsq: gauss-newton nonlinear" test_gauss_newton_nonlinear;
       case "lsq: gauss-newton monotone" test_gauss_newton_never_worse;
-      case "roots: bisect sqrt2" test_bisect_sqrt2;
       case "roots: brent cubic" test_brent_cubic;
       case "roots: endpoint root" test_brent_endpoint_root;
       case "roots: no sign change" test_no_sign_change;
@@ -803,7 +791,6 @@ let suite =
       case "integrate: trapz linear exact" test_trapz_linear_exact;
       case "integrate: simpson cubic exact" test_simpson_cubic_exact;
       case "integrate: trapz_fn converges" test_trapz_fn_converges;
-      case "integrate: cumulative" test_cumulative_endpoint;
       case "stats: summarize" test_summarize;
       case "stats: percentile" test_percentile;
       case "stats: percentile is pure" test_percentile_does_not_mutate;

@@ -340,24 +340,26 @@ let test_checkpoint_torn_entry () =
 (* ------------------------------------------------------------------ *)
 (* Pool and cache satellites                                           *)
 
-let test_pool_counts_strays () =
+let test_pool_failure_reraises_and_serves () =
   (* [map] chunks trap their own exceptions and re-raise one in the
-     caller, so a failing sweep leaks nothing into the stray count,
-     inline (jobs = 1) or on a real worker domain (jobs = 2). *)
-  let before = Pool.stray_exceptions () in
+     caller, so a failing sweep leaves every worker alive: the same
+     pool then serves the next sweep, inline (jobs = 1) or on a real
+     worker domain (jobs = 2). *)
   List.iter
     (fun jobs ->
       let p = Pool.create ~jobs () in
       Fun.protect
         ~finally:(fun () -> Pool.shutdown p)
         (fun () ->
-          Alcotest.check_raises "sweep failure resurfaces" (Failure "stray")
+          Alcotest.check_raises "sweep failure resurfaces" (Failure "sweep")
             (fun () ->
               ignore
                 (Pool.map ~chunk:1 p 8 (fun i ->
-                     if i mod 3 = 1 then failwith "stray" else i)))))
-    [ 1; 2 ];
-  Alcotest.(check int) "no stray counted" before (Pool.stray_exceptions ())
+                     if i mod 3 = 1 then failwith "sweep" else i)));
+          Alcotest.(check (array int))
+            "next sweep served" (Array.init 8 (fun i -> i * i))
+            (Pool.map ~chunk:1 p 8 (fun i -> i * i))))
+    [ 1; 2 ]
 
 let disk_entries dir =
   Sys.readdir dir |> Array.to_list
@@ -366,7 +368,7 @@ let disk_entries dir =
 let test_cache_corrupt_entry () =
   let dir = tmp_dir "cache" in
   let wave = Waveform.Wave.create [| 0.0; 1e-12 |] [| 0.0; 1.0 |] in
-  let key = Cache.Key.make "test" [ Cache.Key.int 1 ] in
+  let key = Cache.Key.make "test" [ Cache.Key.str "1" ] in
   let a = Cache.create ~disk_dir:dir () in
   Cache.store a key [ wave ];
   (match disk_entries dir with
@@ -386,7 +388,7 @@ let test_cache_corrupt_entry () =
 let test_cache_remove () =
   let dir = tmp_dir "cache" in
   let wave = Waveform.Wave.create [| 0.0; 1e-12 |] [| 0.0; 1.0 |] in
-  let key = Cache.Key.make "test" [ Cache.Key.int 2 ] in
+  let key = Cache.Key.make "test" [ Cache.Key.str "2" ] in
   let c = Cache.create ~disk_dir:dir () in
   Cache.store c key [ wave ];
   check_true "stored" (Cache.find c key <> None);
@@ -523,7 +525,8 @@ let suite =
       case "checkpoint: roundtrip" test_checkpoint_roundtrip;
       case "checkpoint: fingerprint wipe" test_checkpoint_fingerprint_wipe;
       case "checkpoint: torn entry" test_checkpoint_torn_entry;
-      case "pool: stray exceptions counted" test_pool_counts_strays;
+      case "pool: reusable after a failed map"
+        test_pool_failure_reraises_and_serves;
       case "cache: corrupt entry classified" test_cache_corrupt_entry;
       case "cache: remove" test_cache_remove;
       slow_case "sweep: recovers injected divergence"

@@ -143,7 +143,7 @@ let test_cache_v2_migration () =
       with_dir "migrate" @@ fun dir ->
       Unix.mkdir dir 0o755;
       let key =
-        Runtime.Cache.Key.make "migration" [ Runtime.Cache.Key.int 1 ]
+        Runtime.Cache.Key.make "migration" [ Runtime.Cache.Key.str "1" ]
       in
       let path = Filename.concat dir key in
       let oc = open_out_bin path in
@@ -187,7 +187,7 @@ let test_cache_stale_entries_keep_breaker_closed () =
   in
   let keys =
     List.init 12 (fun i ->
-        Runtime.Cache.Key.make "stale" [ Runtime.Cache.Key.int i ])
+        Runtime.Cache.Key.(make "stale" [ str (string_of_int i) ]))
   in
   List.iter
     (fun key ->
@@ -233,7 +233,7 @@ let test_cache_lru_eviction () =
   let c = Runtime.Cache.create ~disk_dir:dir ~max_disk_bytes:cap () in
   for i = 1 to 8 do
     Runtime.Cache.store c
-      (Runtime.Cache.Key.make "lru" [ Runtime.Cache.Key.int i ])
+      Runtime.Cache.Key.(make "lru" [ str (string_of_int i) ])
       [ wave i ]
   done;
   check_true "evicted something" (Runtime.Cache.evictions c > 0);
@@ -243,7 +243,7 @@ let test_cache_lru_eviction () =
   check_true "newest entry survives"
     (Option.is_some
        (Runtime.Cache.find c2
-          (Runtime.Cache.Key.make "lru" [ Runtime.Cache.Key.int 8 ])));
+          (Runtime.Cache.Key.make "lru" [ Runtime.Cache.Key.str "8" ])));
   (* disk_bytes is re-seeded by a directory walk on a fresh instance. *)
   Alcotest.(check int)
     "gauge matches a fresh walk" (Runtime.Cache.disk_bytes c)

@@ -107,33 +107,6 @@ let test_shift () =
   approx "values preserved" (Wave.value_at w 50e-12)
     (Wave.value_at s (50e-12 +. 1e-9))
 
-let test_scale_offset () =
-  let w = ramp_wave () in
-  let d = Wave.offset (Wave.scale w 2.0) (-0.1) in
-  approx ~eps:1e-12 "scaled end" ((vdd *. 2.0) -. 0.1)
-    (Wave.value_at d (Wave.t_end w))
-
-let test_add_sub () =
-  let a = ramp_wave () in
-  let zero = Wave.sub a a in
-  check_true "self-sub is zero"
-    (Array.for_all (fun v -> abs_float v < 1e-12) (Wave.values zero));
-  let double = Wave.add a a in
-  approx ~eps:1e-12 "doubled" (2.0 *. vdd) (Wave.value_at double (Wave.t_end a))
-
-let test_window () =
-  let w = ramp_wave () in
-  let win = Wave.window w 10e-12 90e-12 in
-  approx ~eps:1e-15 "start" 10e-12 (Wave.t_start win);
-  approx ~eps:1e-15 "end" 90e-12 (Wave.t_end win);
-  approx ~eps:1e-9 "interpolated end value" (Wave.value_at w 90e-12)
-    (Wave.value_at win 90e-12)
-
-let test_window_validation () =
-  let w = ramp_wave () in
-  Alcotest.check_raises "empty" (Invalid_argument "Wave.window: empty window")
-    (fun () -> ignore (Wave.window w 1.0 0.0))
-
 let test_resample_preserves_values () =
   let w = ramp_wave () in
   let grid = Array.init 50 (fun i -> float_of_int i *. 4e-12) in
@@ -173,8 +146,12 @@ let test_peak_deviation () =
   (* Largest distance of the samples from the line v = t. *)
   let w = Wave.create [| 0.0; 1.0; 2.0 |] [| 0.0; 1.5; 2.0 |] in
   let line = Wave.create [| 0.0; 2.0 |] [| 0.0; 2.0 |] in
-  approx "deviation" 0.5
-    (Numerics.Stats.max_abs (Wave.values (Wave.sub w line)))
+  let residual =
+    Array.map2
+      (fun t v -> v -. Wave.value_at line t)
+      (Wave.times w) (Wave.values w)
+  in
+  approx "deviation" 0.5 (Numerics.Stats.max_abs residual)
 
 (* ------------------------------------------------------------------ *)
 (* Ramp                                                                *)
@@ -205,11 +182,6 @@ let test_ramp_to_waveform_consistent () =
   match Wave.slew w th with
   | Some s -> approx ~eps:3e-12 "slew preserved" 150e-12 s
   | None -> Alcotest.fail "no slew"
-
-let test_ramp_shift () =
-  let r = Ramp.of_arrival_slew ~arrival:1e-9 ~slew:100e-12 ~dir:Wave.Rising th in
-  let s = Ramp.shift r 0.5e-9 in
-  approx ~eps:1e-15 "shifted arrival" 1.5e-9 (Ramp.arrival s th)
 
 let test_ramp_validation () =
   Alcotest.check_raises "zero slope" (Invalid_argument "Ramp.make: zero slope")
@@ -242,15 +214,6 @@ let qcheck_tests =
         let r = Ramp.of_arrival_slew ~arrival ~slew ~dir:Wave.Rising th in
         abs_float (Ramp.arrival r th -. arrival) < 1e-12
         && abs_float (Ramp.slew r th -. slew) < 1e-12);
-    qcase "wave: windowing preserves interpolated values"
-      QCheck2.Gen.(float_range 0.1 0.8)
-      (fun frac ->
-        let w = ramp_wave () in
-        let a = Wave.t_start w
-        and b = Wave.t_end w in
-        let mid = a +. (frac *. (b -. a)) in
-        let win = Wave.window w a mid in
-        abs_float (Wave.value_at win mid -. Wave.value_at w mid) < 1e-9);
     qcase "wave: monotone resampling of a monotone wave stays monotone"
       QCheck2.Gen.(int_range 3 100)
       (fun n ->
@@ -276,10 +239,6 @@ let suite =
       case "wave: falling slew" test_slew_falling;
       case "wave: latest arrival" test_arrival_latest;
       case "wave: shift" test_shift;
-      case "wave: scale/offset" test_scale_offset;
-      case "wave: add/sub" test_add_sub;
-      case "wave: window" test_window;
-      case "wave: window validation" test_window_validation;
       case "wave: resample" test_resample_preserves_values;
       case "wave: derivative of ramp" test_derivative_of_ramp;
       case "wave: monotone" test_monotone;
@@ -289,7 +248,6 @@ let suite =
       case "ramp: falling roundtrip" test_ramp_falling_roundtrip;
       case "ramp: clipped values" test_ramp_value_clipped;
       case "ramp: to_waveform consistency" test_ramp_to_waveform_consistent;
-      case "ramp: shift" test_ramp_shift;
       case "ramp: validation" test_ramp_validation;
       case "ramp: begin/settle span" test_ramp_begin_settle;
     ]
