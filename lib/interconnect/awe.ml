@@ -55,18 +55,19 @@ let moments_of_circuit ckt ~input ~output ~order =
     in
     find 0 vsrcs
   in
-  let lu = Numerics.Matrix.lu_factor g in
   let nu = n + m in
-  let b = Array.make nu 0.0 in
-  b.(n + src_index) <- 1.0;
+  let lu = Numerics.Matrix.fact_create nu in
+  Numerics.Matrix.factor_into g lu;
+  let x = Array.make nu 0.0 in
+  x.(n + src_index) <- 1.0;
+  Numerics.Matrix.solve_into lu x;
   let out_i = (out_node :> int) in
-  let x = ref (Numerics.Matrix.lu_solve lu b) in
   let ms = Array.make (order + 1) 0.0 in
-  ms.(0) <- !x.(out_i);
+  ms.(0) <- x.(out_i);
   for k = 1 to order do
-    let rhs = Array.map (fun v -> -.v) (Numerics.Matrix.mul_vec c !x) in
-    x := Numerics.Matrix.lu_solve lu rhs;
-    ms.(k) <- !x.(out_i)
+    Array.iteri (fun i v -> x.(i) <- -.v) (Numerics.Matrix.mul_vec c x);
+    Numerics.Matrix.solve_into lu x;
+    ms.(k) <- x.(out_i)
   done;
   ms
 
@@ -108,9 +109,13 @@ let two_pole ms =
               [| [| -1.0 /. p1; -1.0 /. p2 |];
                  [| -1.0 /. (p1 *. p1); -1.0 /. (p2 *. p2) |] |]
           in
-          match Numerics.Matrix.solve a [| m0; m1 |] with
+          let lu = Numerics.Matrix.fact_create 2 in
+          match Numerics.Matrix.factor_into a lu with
           | exception Numerics.Matrix.Singular _ -> None
-          | k -> Some { poles = [| p1; p2 |]; residues = k; dc = m0 }
+          | () ->
+              let k = [| m0; m1 |] in
+              Numerics.Matrix.solve_into lu k;
+              Some { poles = [| p1; p2 |]; residues = k; dc = m0 }
         end
       end
     end

@@ -39,16 +39,21 @@ let gauss_newton ?(max_iter = 25) ?(tol = 1e-12) ~cost ~normal (a0, b0) =
      only when it lowers the cost. *)
   let a = ref a0 and b = ref b0 in
   let best_cost = ref (cost a0 b0) in
+  let m = Matrix.create 2 2 and f = Matrix.fact_create 2 in
+  let dx = Array.make 2 0.0 in
   (try
      for _ = 1 to max_iter do
        let { a00; a01; a11; g0; g1 } = normal !a !b in
        (* Levenberg damping on the diagonal guards rank deficiency. *)
        let damp x = x +. (1e-12 *. (1.0 +. abs_float x)) in
-       let dx =
-         Matrix.solve
-           (Matrix.of_arrays [| [| damp a00; a01 |]; [| a01; damp a11 |] |])
-           [| g0; g1 |]
-       in
+       Matrix.set m 0 0 (damp a00);
+       Matrix.set m 0 1 a01;
+       Matrix.set m 1 0 a01;
+       Matrix.set m 1 1 (damp a11);
+       Matrix.factor_into m f;
+       dx.(0) <- g0;
+       dx.(1) <- g1;
+       Matrix.solve_into f dx;
        let step_norm =
          Float.max (Float.max 0.0 (abs_float dx.(0))) (abs_float dx.(1))
        in

@@ -41,96 +41,48 @@ let mul_vec m v =
       done;
       !s)
 
-type lu = { n : int; lu_data : float array; perm : int array }
-
 exception Singular of int
 
 let pivot_eps = 1e-300
-
-(* Doolittle LU with partial pivoting, operating in place on a copy.
-   Row swaps are recorded in [perm]. *)
-let lu_factor m =
-  if m.rows <> m.cols then invalid_arg "Matrix.lu_factor: not square";
-  let n = m.rows in
-  let a = Array.copy m.data in
-  let perm = Array.init n (fun i -> i) in
-  for k = 0 to n - 1 do
-    (* Find pivot row. *)
-    let pmax = ref (abs_float a.((k * n) + k)) in
-    let prow = ref k in
-    for i = k + 1 to n - 1 do
-      let v = abs_float a.((i * n) + k) in
-      if v > !pmax then begin
-        pmax := v;
-        prow := i
-      end
-    done;
-    if !pmax < pivot_eps then raise (Singular k);
-    if !prow <> k then begin
-      let p = !prow in
-      for j = 0 to n - 1 do
-        let tmp = a.((k * n) + j) in
-        a.((k * n) + j) <- a.((p * n) + j);
-        a.((p * n) + j) <- tmp
-      done;
-      let tp = perm.(k) in
-      perm.(k) <- perm.(p);
-      perm.(p) <- tp
-    end;
-    let akk = a.((k * n) + k) in
-    for i = k + 1 to n - 1 do
-      let f = a.((i * n) + k) /. akk in
-      a.((i * n) + k) <- f;
-      if f <> 0.0 then
-        for j = k + 1 to n - 1 do
-          a.((i * n) + j) <- a.((i * n) + j) -. (f *. a.((k * n) + j))
-        done
-    done
-  done;
-  { n; lu_data = a; perm }
-
-let lu_solve { n; lu_data = a; perm } b =
-  if Array.length b <> n then invalid_arg "Matrix.lu_solve: size mismatch";
-  let x = Array.init n (fun i -> b.(perm.(i))) in
-  (* Forward substitution with unit lower triangle. *)
-  for i = 1 to n - 1 do
-    let s = ref x.(i) in
-    for j = 0 to i - 1 do
-      s := !s -. (a.((i * n) + j) *. x.(j))
-    done;
-    x.(i) <- !s
-  done;
-  (* Back substitution. *)
-  for i = n - 1 downto 0 do
-    let s = ref x.(i) in
-    for j = i + 1 to n - 1 do
-      s := !s -. (a.((i * n) + j) *. x.(j))
-    done;
-    x.(i) <- !s /. a.((i * n) + i)
-  done;
-  x
-
-let solve a b = lu_solve (lu_factor a) b
 
 let blit src dst =
   if src.rows <> dst.rows || src.cols <> dst.cols then
     invalid_arg "Matrix.blit: shape mismatch";
   Array.blit src.data 0 dst.data 0 (Array.length src.data)
 
-(* Preallocated, reusable factorization workspace. Unlike [lu], row
-   exchanges are recorded as successive swaps (LAPACK ipiv style) so the
-   permutation can be applied to a right-hand side in place. *)
-type fact = { fn : int; fdata : float array; fipiv : int array }
+(* Preallocated, reusable factorization workspace. Row exchanges are
+   recorded as successive swaps (LAPACK ipiv style) so the permutation
+   can be applied to a right-hand side in place. [fcols] holds, while
+   column k is eliminated, the columns right of the diagonal where the
+   pivot row is non-zero. *)
+type fact = {
+  fn : int;
+  fdata : float array;
+  fipiv : int array;
+  fcols : int array;
+}
 
 let fact_create n =
   if n <= 0 then invalid_arg "Matrix.fact_create: size must be positive";
-  { fn = n; fdata = Array.make (n * n) 0.0; fipiv = Array.make n 0 }
+  {
+    fn = n;
+    fdata = Array.make (n * n) 0.0;
+    fipiv = Array.make n 0;
+    fcols = Array.make n 0;
+  }
 
+(* Doolittle LU with partial pivoting. Eliminating column k subtracts
+   fmul * a(k, j) from a(i, j) for every row i > k and column j > k.
+   Where the pivot-row entry a(k, j) is zero that leaves a(i, j) as it
+   was, up to the sign of a zero, so only the columns collected in
+   [fcols] are updated. MNA rows are mostly zeros: the skip keeps every
+   non-zero result of the full loop and does a fraction of its work. *)
 let factor_into m f =
   if m.rows <> m.cols then invalid_arg "Matrix.factor_into: not square";
   if m.rows <> f.fn then invalid_arg "Matrix.factor_into: size mismatch";
   let n = f.fn in
   let a = f.fdata in
+  let cols = f.fcols in
   Array.blit m.data 0 a 0 (n * n);
   for k = 0 to n - 1 do
     let pmax = ref (abs_float a.((k * n) + k)) in
@@ -152,15 +104,25 @@ let factor_into m f =
         a.((p * n) + j) <- tmp
       done
     end;
-    let akk = a.((k * n) + k) in
+    let kb = k * n in
+    let akk = a.(kb + k) in
     (* Unsafe accesses in the O(n^3) update: rows and columns stay in
        [0, n) by construction. *)
+    let nz = ref 0 in
+    for j = k + 1 to n - 1 do
+      if Array.unsafe_get a (kb + j) <> 0.0 then begin
+        Array.unsafe_set cols !nz j;
+        incr nz
+      end
+    done;
+    let nz = !nz in
     for i = k + 1 to n - 1 do
-      let ib = i * n and kb = k * n in
+      let ib = i * n in
       let fmul = Array.unsafe_get a (ib + k) /. akk in
       Array.unsafe_set a (ib + k) fmul;
       if fmul <> 0.0 then
-        for j = k + 1 to n - 1 do
+        for c = 0 to nz - 1 do
+          let j = Array.unsafe_get cols c in
           Array.unsafe_set a (ib + j)
             (Array.unsafe_get a (ib + j)
             -. (fmul *. Array.unsafe_get a (kb + j)))

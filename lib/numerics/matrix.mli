@@ -1,9 +1,11 @@
-(** Dense real matrices and linear solvers.
+(** Dense real matrices and the one linear solver.
 
     Matrices are stored row-major in a flat [float array]. Sizes are small
-    (tens to low hundreds of unknowns, as produced by circuit MNA
-    stamping), so a dense LU with partial pivoting is both simple and
-    fast enough. *)
+    (tens of unknowns, as produced by circuit MNA stamping), so one dense
+    LU with partial pivoting serves every caller. Its factorization skips
+    the columns where the pivot row is zero, which on sparse MNA systems
+    saves most of the elimination work without changing a non-zero
+    result. *)
 
 type t
 (** A mutable [rows] x [cols] dense matrix of floats. *)
@@ -33,21 +35,9 @@ val fill : t -> float -> unit
 val mul_vec : t -> float array -> float array
 (** [mul_vec m v] is the matrix-vector product [m * v]. *)
 
-type lu
-(** An LU factorization with partial pivoting (PA = LU). *)
-
 exception Singular of int
 (** Raised (with the offending pivot column) when factorization meets a
     pivot smaller than the singularity threshold. *)
-
-val lu_factor : t -> lu
-(** Factor a square matrix. The input is not modified. *)
-
-val lu_solve : lu -> float array -> float array
-(** [lu_solve lu b] solves [A x = b] for the factored [A]. *)
-
-val solve : t -> float array -> float array
-(** One-shot [solve a b]: factor and solve. *)
 
 val blit : t -> t -> unit
 (** [blit src dst] copies [src]'s contents into [dst]. Raises
@@ -56,10 +46,9 @@ val blit : t -> t -> unit
     devices on top of a pre-stamped linear part. *)
 
 type fact
-(** A preallocated, reusable LU workspace. Unlike {!lu}, factoring
-    into it allocates nothing and solving overwrites the right-hand
-    side in place — the allocation-free inner loop of
-    [Spice.Transient]. *)
+(** A preallocated, reusable LU workspace (PA = LU). Factoring into it
+    allocates nothing and solving overwrites the right-hand side in
+    place — the allocation-free inner loop of [Spice.Transient]. *)
 
 val fact_create : int -> fact
 (** [fact_create n] allocates a workspace for n x n systems. Raises

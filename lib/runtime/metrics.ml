@@ -69,8 +69,7 @@ let capture_spice ?since t =
   set t "spice.injected_faults" s.Spice.Transient.Stats.injected_faults;
   set t "spice.deadline_hits" s.Spice.Transient.Stats.deadline_hits;
   set t "spice.factorizations" s.Spice.Transient.Stats.factorizations;
-  set t "spice.jacobian_reuses" s.Spice.Transient.Stats.jac_reuses;
-  set t "spice.banded_solves" s.Spice.Transient.Stats.banded_solves
+  set t "spice.jacobian_reuses" s.Spice.Transient.Stats.jac_reuses
 
 let capture_cache t cache =
   set t "cache.hits" (Cache.hits cache);

@@ -11,12 +11,6 @@ type adaptive = {
 }
 
 type step_control = Fixed | Adaptive of adaptive
-type solver_kind = Dense | Banded | Auto
-
-let solver_kind_to_string = function
-  | Dense -> "dense"
-  | Banded -> "banded"
-  | Auto -> "auto"
 
 type config = {
   dt : float;
@@ -25,7 +19,6 @@ type config = {
   max_newton : int;
   step_control : step_control;
   max_steps : int;
-  solver : solver_kind;
   jac_reuse : bool;
 }
 
@@ -57,7 +50,6 @@ let default_config =
     max_newton = 60;
     step_control = Fixed;
     max_steps = 0;
-    solver = Auto;
     jac_reuse = true;
   }
 
@@ -104,8 +96,9 @@ let with_crossing_levels_if_empty cfg levels =
    change hit a stale cache entry. The full record destructure makes
    adding a field without updating this function a compile error. The
    solver constants (integrator, Newton tolerances, update clamp, gmin,
-   bisection depth) are rendered too, each at a fixed place, so disk
-   caches and checkpoint journals keep their keys. *)
+   bisection depth) and the linear kernel ("dense") are rendered too,
+   each at a fixed place: a key changes exactly when the answers under
+   it do. *)
 let config_fingerprint cfg =
   let {
     dt;
@@ -114,7 +107,6 @@ let config_fingerprint cfg =
     max_newton;
     step_control;
     max_steps;
-    solver;
     jac_reuse;
   } =
     cfg
@@ -159,7 +151,7 @@ let config_fingerprint cfg =
       f gmin;
       string_of_int max_bisection;
       string_of_int max_steps;
-      solver_kind_to_string solver;
+      "dense";
       (if jac_reuse then "reuse" else "noreuse");
       sc;
     ]
@@ -181,7 +173,6 @@ module Stats = struct
     deadline_hits : int;
     factorizations : int;
     jac_reuses : int;
-    banded_solves : int;
     batched_solves : int;
     peeled_solves : int;
   }
@@ -199,7 +190,6 @@ module Stats = struct
   let deadline_hits = Atomic.make 0
   let factorizations = Atomic.make 0
   let jac_reuses = Atomic.make 0
-  let banded_solves = Atomic.make 0
   let batched_solves = Atomic.make 0
 
   let snapshot () =
@@ -215,7 +205,6 @@ module Stats = struct
       deadline_hits = Atomic.get deadline_hits;
       factorizations = Atomic.get factorizations;
       jac_reuses = Atomic.get jac_reuses;
-      banded_solves = Atomic.get banded_solves;
       batched_solves = Atomic.get batched_solves;
       peeled_solves = 0;
     }
@@ -233,7 +222,6 @@ module Stats = struct
       deadline_hits = a.deadline_hits - b.deadline_hits;
       factorizations = a.factorizations - b.factorizations;
       jac_reuses = a.jac_reuses - b.jac_reuses;
-      banded_solves = a.banded_solves - b.banded_solves;
       batched_solves = a.batched_solves - b.batched_solves;
       peeled_solves = a.peeled_solves - b.peeled_solves;
     }
@@ -345,14 +333,9 @@ let getv x i = if is_gnd i then 0.0 else x.(i)
    The Newton/transient kernel is built around a per-solve workspace
    created once in [run] and reused across every step and iteration:
 
-   - The system matrix is either dense or bordered-banded. The MNA
-     sparsity pattern is fixed at compile time, so [Auto] runs
-     [Numerics.Ordering.plan] over it: RCM narrows the band and hub
-     unknowns that no ordering can narrow (the shared supply node and
-     its source branch row) are demoted to a small dense border,
-     giving the arrowhead form [Numerics.Bordered] factors in O(n)
-     per solve. When no narrow plan exists (or the system is tiny)
-     the dense [Numerics.Matrix] path is used.
+   - The system matrix is a dense [Numerics.Matrix] in unknown order.
+     Its LU skips the zero entries of each pivot row, so the sparse
+     MNA rows cost little without a reordering or a second kernel.
    - The matrix is split into a constant linear part — gmin loads,
      resistors, voltage-source rows, plus the dt-dependent capacitor
      companion conductances — stamped only when its (gmin, h,
@@ -366,28 +349,16 @@ let getv x i = if is_gnd i then 0.0 else x.(i)
      tolerances.
    - All vectors ([f], [rhs], trial states, capacitor snapshots) are
      preallocated; the inner loop negates the residual into the rhs
-     buffer and the solvers overwrite it in place, so a Newton
+     buffer and the solve overwrites it in place, so a Newton
      iteration allocates nothing beyond the device-eval results. *)
-
-type sysmat =
-  | MDense of {
-      m : Numerics.Matrix.t;
-      lin : Numerics.Matrix.t;
-      fact : Numerics.Matrix.fact;
-    }
-  | MBord of {
-      m : Numerics.Bordered.t;
-      lin : Numerics.Bordered.t;
-      fact : Numerics.Bordered.fact;
-    }
 
 type ws = {
   nu : int;
-  order : int array; (* unknown -> matrix position (identity for dense) *)
-  mat : sysmat;
-  banded : bool;
-  f : float array; (* residual, unknown order *)
-  rhs : float array; (* negated residual / solution, matrix order *)
+  m : Numerics.Matrix.t; (* Jacobian: [lin] plus the MOSFET stamps *)
+  lin : Numerics.Matrix.t; (* linear part, see [ensure_lin] *)
+  fact : Numerics.Matrix.fact;
+  f : float array; (* residual *)
+  rhs : float array; (* negated residual, then the Newton update *)
   x0 : float array; (* newton entry state, for the pure-Newton restart *)
   vvals : float array; (* per-vsource value at the current solve time *)
   fet_vals : float array; (* per-fet (ids, dg, dd, ds) from the residual *)
@@ -443,86 +414,18 @@ type ws = {
   mutable nw_reused : bool;
 }
 
-(* Banded pays off once the reordered band is decisively narrower than
-   the full system; tiny systems stay dense (the constant factors win). *)
-let auto_min_unknowns = 10
-
-let plan_for cp cfg =
+let make_ws cp =
   let nu = cp.n + cp.m in
-  let want_banded =
-    match cfg.solver with
-    | Dense -> false
-    | Banded -> nu >= 2
-    | Auto -> nu >= auto_min_unknowns
-  in
-  if not want_banded then None
-  else begin
-    let edges = ref [] in
-    let add a b = if a >= 0 && b >= 0 then edges := (a, b) :: !edges in
-    Array.iter (fun (a, b, _) -> add a b) cp.res;
-    Array.iter (fun (a, b, _) -> add a b) cp.caps;
-    Array.iter
-      (fun (g, d, s, _) ->
-        add d g;
-        add d s;
-        add s g)
-      cp.fets;
-    let coupled = ref [] in
-    Array.iteri
-      (fun j (nd, _) ->
-        let row = cp.n + j in
-        add nd row;
-        coupled := (nd, row) :: !coupled)
-      cp.vsrc;
-    let max_bandwidth, max_border =
-      match cfg.solver with
-      | Banded -> (Int.max 2 (nu / 2), Int.max 2 (nu / 4))
-      | _ -> (Int.max 2 (nu / 4), Int.max 2 (nu / 8))
-    in
-    Numerics.Ordering.plan ~n:nu ~edges:!edges ~coupled:!coupled
-      ~max_bandwidth ~max_border ()
-  end
-
-let make_ws cp cfg =
-  let nu = cp.n + cp.m in
-  let order, mat =
-    match plan_for cp cfg with
-    | Some p when p.Numerics.Ordering.core > 0 ->
-        let nb = p.Numerics.Ordering.core in
-        let bw = Int.max 1 p.Numerics.Ordering.bandwidth in
-        let border = nu - nb in
-        let make () =
-          Numerics.Bordered.create ~nb ~kl:bw ~ku:bw ~border
-        in
-        let m = make () in
-        ( p.Numerics.Ordering.order,
-          MBord { m; lin = make (); fact = Numerics.Bordered.fact_create m } )
-    | _ ->
-        let m = Numerics.Matrix.create nu nu in
-        ( Array.init nu (fun i -> i),
-          MDense
-            {
-              m;
-              lin = Numerics.Matrix.create nu nu;
-              fact = Numerics.Matrix.fact_create nu;
-            } )
-  in
-  let banded = match mat with MBord _ -> true | MDense _ -> false in
-  if banded then Atomic.incr Stats.banded_solves;
+  let m = Numerics.Matrix.create nu nu in
   let ncap = Array.length cp.caps in
   let stamps =
-    let slot_of i j =
-      match mat with
-      | MDense d -> Numerics.Matrix.slot d.m order.(i) order.(j)
-      | MBord b -> Numerics.Bordered.slot b.m order.(i) order.(j)
-    in
     let acc = ref [] in
     Array.iteri
       (fun k (g, d, s, _) ->
         let base = 4 * k in
         let entry i j src sign =
           if (not (is_gnd i)) && not (is_gnd j) then begin
-            let arr, idx = slot_of i j in
+            let arr, idx = Numerics.Matrix.slot m i j in
             acc := (arr, idx, src, sign) :: !acc
           end
         in
@@ -537,9 +440,9 @@ let make_ws cp cfg =
   in
   {
     nu;
-    order;
-    mat;
-    banded;
+    m;
+    lin = Numerics.Matrix.create nu nu;
+    fact = Numerics.Matrix.fact_create nu;
     f = Array.make nu 0.0;
     rhs = Array.make nu 0.0;
     x0 = Array.make nu 0.0;
@@ -609,17 +512,8 @@ let ensure_lin ws cp ~gmin ~h ~integ =
     || (not same_h)
     || (h > 0.0 && ws.lin_integ <> integ && Array.length cp.caps > 0)
   then begin
-    let order = ws.order in
-    let add =
-      match ws.mat with
-      | MDense d ->
-          fun i j v -> Numerics.Matrix.add_to d.lin order.(i) order.(j) v
-      | MBord b ->
-          fun i j v -> Numerics.Bordered.add_to b.lin order.(i) order.(j) v
-    in
-    (match ws.mat with
-    | MDense d -> Numerics.Matrix.fill d.lin 0.0
-    | MBord b -> Numerics.Bordered.fill b.lin 0.0);
+    let add = Numerics.Matrix.add_to ws.lin in
+    Numerics.Matrix.fill ws.lin 0.0;
     for i = 0 to cp.n - 1 do
       add i i gmin
     done;
@@ -725,9 +619,7 @@ let residual ws cp ~gmin ~h x =
 (* Full Jacobian = linear baseline copy + MOSFET stamps at the
    derivatives the residual pass just evaluated. *)
 let restamp ws =
-  (match ws.mat with
-  | MDense d -> Numerics.Matrix.blit d.lin d.m
-  | MBord b -> Numerics.Bordered.blit b.lin b.m);
+  Numerics.Matrix.blit ws.lin ws.m;
   let fv = ws.fet_vals in
   let idx = ws.stamp_idx and src = ws.stamp_src and sg = ws.stamp_sign in
   for e = 0 to Array.length idx - 1 do
@@ -738,17 +630,10 @@ let restamp ws =
 
 let factorize ws =
   ws.fact_valid <- false;
-  (match ws.mat with
-  | MDense d -> Numerics.Matrix.factor_into d.m d.fact
-  | MBord b -> Numerics.Bordered.factor_into b.m b.fact);
+  Numerics.Matrix.factor_into ws.m ws.fact;
   ws.fact_valid <- true;
   ws.fact_stale <- 0;
   Atomic.incr Stats.factorizations
-
-let solve_rhs ws =
-  match ws.mat with
-  | MDense d -> Numerics.Matrix.solve_into d.fact ws.rhs
-  | MBord b -> Numerics.Bordered.solve_into b.fact ws.rhs
 
 (* A reused Jacobian must keep the error contracting; once the update
    stops shrinking by at least this factor per iteration, refactor. *)
@@ -768,7 +653,6 @@ let max_stale_iters = 2
    convergence. *)
 let solve_phase ws cp cfg ~gmin ~h ~reuse x =
   let nu = ws.nu in
-  let order = ws.order in
   ws.nw_conv <- false;
   ws.nw_iter <- 0;
   ws.nw_stale <- 0;
@@ -794,14 +678,14 @@ let solve_phase ws cp cfg ~gmin ~h ~reuse x =
          Atomic.incr Stats.jac_reuses
        end;
        for i = 0 to nu - 1 do
-         ws.rhs.(order.(i)) <- -.ws.f.(i)
+         ws.rhs.(i) <- -.ws.f.(i)
        done;
-       solve_rhs ws;
+       Numerics.Matrix.solve_into ws.fact ws.rhs;
        (* Clamp voltage updates for robustness; branch currents
           free. *)
        sc.(0) <- 0.0;
        for i = 0 to cp.n - 1 do
-         let d = ws.rhs.(order.(i)) in
+         let d = ws.rhs.(i) in
          let d =
            if d > vstep_limit then vstep_limit
            else if d < -.vstep_limit then -.vstep_limit
@@ -811,7 +695,7 @@ let solve_phase ws cp cfg ~gmin ~h ~reuse x =
          if abs_float d > sc.(0) then sc.(0) <- abs_float d
        done;
        for i = cp.n to nu - 1 do
-         x.(i) <- x.(i) +. ws.rhs.(order.(i))
+         x.(i) <- x.(i) +. ws.rhs.(i)
        done;
        sc.(1) <- 0.0;
        for i = 0 to cp.n - 1 do
@@ -1259,7 +1143,7 @@ let run ?(config = default_config) ?(ic = []) ckt =
   Deadline.check ~at:cfg.tstart;
   validate_config cfg;
   let cp = compile ckt in
-  let st = case_start cp (make_ws cp cfg) cfg fault ic in
+  let st = case_start cp (make_ws cp) cfg fault ic in
   let grid, data =
     match cfg.step_control with
     | Fixed -> run_fixed st

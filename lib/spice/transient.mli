@@ -39,16 +39,6 @@ type adaptive = {
 
 type step_control = Fixed | Adaptive of adaptive
 
-type solver_kind =
-  | Dense  (** always the dense LU kernel *)
-  | Banded  (** force the reordered banded/bordered kernel *)
-  | Auto
-      (** analyse the MNA sparsity per solve: RCM-reorder, demote hub
-          unknowns (shared supply rail + its source branch) to a small
-          dense border, and use the bordered-banded kernel when the
-          remaining core bandwidth is decisively narrow; dense
-          otherwise *)
-
 type config = {
   dt : float;            (** nominal step, seconds *)
   tstop : float;
@@ -59,7 +49,6 @@ type config = {
       (** accepted-integration-step budget per [run]; 0 = unlimited.
           Exceeding it raises {!Step_budget_exhausted} — the safety net
           against floor-dt grinds under adaptive stepping. *)
-  solver : solver_kind;  (** linear-kernel selection; see {!solver_kind} *)
   jac_reuse : bool;
       (** modified Newton: keep the last LU factorization across
           iterations and accepted steps while the update keeps
@@ -72,7 +61,7 @@ type config = {
 
 val default_config : config
 (** dt = 1 ps, tstop = 4 ns, tstart = 0, 60 Newton iterations, fixed
-    grid, unlimited steps, [Auto] solver with Jacobian reuse on. *)
+    grid, unlimited steps, Jacobian reuse on. *)
 
 val default_adaptive : adaptive
 (** lte_tol = 0.5 mV, dt_min = 10 fs, dt_max = 100 ps, grow 2x,
@@ -143,14 +132,11 @@ module Stats : sig
     deadline_hits : int;
         (** solves cancelled by an expired {!Deadline} budget *)
     factorizations : int;
-        (** LU factorizations (dense or banded) actually performed *)
+        (** LU factorizations actually performed *)
     jac_reuses : int;
         (** Newton iterations served by a kept factorization — the
             modified-Newton win; [newton_iters] =
             [factorizations + jac_reuses] when no solve fails *)
-    banded_solves : int;
-        (** [run]s (and DC solves) that selected the bordered-banded
-            kernel rather than dense *)
     batched_solves : int;
         (** cases run through {!run_batch_outcomes}, whether or not
             they completed *)

@@ -37,14 +37,6 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CODE_DIRS = ("lib", "bin", "bench", "examples")
 
-# The dense references the banded/bordered kernel tests compare against.
-# They go together with the kernels (ROADMAP item 10(a)).
-KEEP = {
-    "Numerics.Banded.solve",
-    "Numerics.Banded.to_dense",
-    "Numerics.Bordered.to_dense",
-}
-
 UIDENT = re.compile(r"[A-Z][A-Za-z0-9_']*")
 LIDENT = re.compile(r"[a-z_][A-Za-z0-9_']*")
 TOKEN = re.compile(
@@ -324,7 +316,7 @@ def main():
     def walk(m):
         for v, (rel, line) in sorted(m.values.items()):
             full = m.path + (v,)
-            if full not in used and ".".join(full) not in KEEP:
+            if full not in used:
                 unused.append((rel, line, ".".join(full[1:])))
         for c in m.children.values():
             walk(c)

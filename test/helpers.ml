@@ -19,6 +19,14 @@ let residual_norm a x b =
   Array.fold_left Float.max 0.0
     (Array.mapi (fun i v -> abs_float (v -. b.(i))) ax)
 
+(* One-shot [a x = b] through the library's workspace LU. *)
+let dense_solve a b =
+  let f = Numerics.Matrix.fact_create (Array.length b) in
+  Numerics.Matrix.factor_into a f;
+  let x = Array.copy b in
+  Numerics.Matrix.solve_into f x;
+  x
+
 (* True when the samples are non-decreasing or non-increasing within
    [eps] (default 0, exact). *)
 let is_monotone ?(eps = 0.0) w =

@@ -268,10 +268,11 @@ let test_adaptive_matches_fixed_delays () =
     fixed.Eval.cases adaptive.Eval.cases
 
 (* The reference engine's receiver delays on the first 20 of Config
-   II's alignments, in ps, as measured when the banded kernel and
-   Jacobian reuse landed and unchanged since. A solver or measurement
-   change that moves any of them by more than 0.01 ps is an answer
-   change. *)
+   II's alignments, in ps, as measured when Jacobian reuse landed with
+   a banded kernel. The one dense kernel that replaced it solves these
+   chains in a different elimination order and still matches them
+   within 0.01 ps. A solver or measurement change that moves any of
+   them by more than 0.01 ps is an answer change. *)
 let config_ii_delays_ps =
   [ 50.404722; 50.404768; 50.404872; 50.404976; 50.405079; 50.404744;
     50.404459; 50.404457; 50.404729; 50.405042; 50.405101; 50.404717;

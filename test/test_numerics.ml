@@ -10,33 +10,33 @@ let test_identity_solve () =
     Matrix.set a i i 1.0
   done;
   let b = [| 1.0; -2.0; 3.5; 0.25 |] in
-  let x = Matrix.solve a b in
+  let x = dense_solve a b in
   Array.iteri (fun i bi -> approx "identity" bi x.(i)) b
 
 let test_known_2x2 () =
   (* [2 1; 1 3] x = [5; 10] -> x = [1; 3] *)
   let a = Matrix.of_arrays [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
-  let x = Matrix.solve a [| 5.0; 10.0 |] in
+  let x = dense_solve a [| 5.0; 10.0 |] in
   approx "x0" 1.0 x.(0);
   approx "x1" 3.0 x.(1)
 
 let test_pivoting_needed () =
   (* Leading zero forces a row swap. *)
   let a = Matrix.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
-  let x = Matrix.solve a [| 2.0; 7.0 |] in
+  let x = dense_solve a [| 2.0; 7.0 |] in
   approx "x0" 7.0 x.(0);
   approx "x1" 2.0 x.(1)
 
 let test_singular_detected () =
   let a = Matrix.of_arrays [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
-  match Matrix.solve a [| 1.0; 2.0 |] with
+  match dense_solve a [| 1.0; 2.0 |] with
   | exception Matrix.Singular _ -> ()
   | _ -> Alcotest.fail "expected Singular"
 
 let test_residual () =
   let a = Matrix.of_arrays [| [| 3.0; 1.0 |]; [| 1.0; 2.0 |] |] in
   let b = [| 9.0; 8.0 |] in
-  let x = Matrix.solve a b in
+  let x = dense_solve a b in
   check_true "small residual" (residual_norm a x b < 1e-12)
 
 let test_random_solve_residual () =
@@ -53,7 +53,7 @@ let test_random_solve_residual () =
       Matrix.add_to a i i 20.0
     done;
     let b = lcg_array (seed * 77) n (-10.0) 10.0 in
-    let x = Matrix.solve a b in
+    let x = dense_solve a b in
     check_true "residual" (residual_norm a x b < 1e-9)
   done
 
@@ -104,26 +104,6 @@ let test_bad_dims () =
 (* ------------------------------------------------------------------ *)
 (* Matrix: preallocated workspace (factor_into / solve_into)           *)
 
-let test_fact_matches_lu () =
-  for seed = 1 to 15 do
-    let n = 2 + (seed mod 9) in
-    let data = lcg_array seed (n * n) (-5.0) 5.0 in
-    let a = Matrix.create n n in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        Matrix.set a i j data.((i * n) + j)
-      done;
-      Matrix.add_to a i i 15.0
-    done;
-    let b = lcg_array (seed * 31) n (-4.0) 4.0 in
-    let expected = Matrix.solve a b in
-    let f = Matrix.fact_create n in
-    Matrix.factor_into a f;
-    let x = Array.copy b in
-    Matrix.solve_into f x;
-    Array.iteri (fun i v -> approx ~eps:1e-12 "fact vs lu" v x.(i)) expected
-  done
-
 let test_fact_reusable () =
   (* One workspace, two different systems in sequence. *)
   let f = Matrix.fact_create 2 in
@@ -148,233 +128,150 @@ let test_fact_singular () =
   | _ -> Alcotest.fail "expected Singular"
 
 (* ------------------------------------------------------------------ *)
-(* Banded                                                              *)
+(* Matrix: a textbook reference for the workspace LU                   *)
 
-(* Deterministic diagonally dominant banded system. *)
-let random_banded seed n kl ku =
-  let bd = Banded.create ~n ~kl ~ku in
-  (* The stored bandwidths, clamped to n - 1 as [create] does. *)
-  let kl = min kl (n - 1) and ku = min ku (n - 1) in
-  let vals = lcg_array seed (n * (kl + ku + 1)) (-3.0) 3.0 in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    for j = max 0 (i - kl) to min (n - 1) (i + ku) do
-      Banded.add_to bd i j vals.(!k);
-      incr k
+(* Partial-pivoting Doolittle LU that updates every column right of
+   the diagonal: the library kernel without its skip of zero pivot-row
+   entries, with the same pivot choice, singularity threshold and
+   operation order. Solves [a x = b] for the n x n row-major [a], or
+   raises [Matrix.Singular k] as the kernel does. *)
+let textbook_solve n a b =
+  let a = Array.copy a and x = Array.copy b in
+  for k = 0 to n - 1 do
+    let p = ref k in
+    for i = k + 1 to n - 1 do
+      if abs_float a.((i * n) + k) > abs_float a.((!p * n) + k) then p := i
     done;
-    Banded.add_to bd i i (if vals.(!k - 1) >= 0.0 then 12.0 else -12.0)
+    if abs_float a.((!p * n) + k) < 1e-300 then raise (Matrix.Singular k);
+    let p = !p in
+    if p <> k then begin
+      for j = 0 to n - 1 do
+        let t = a.((k * n) + j) in
+        a.((k * n) + j) <- a.((p * n) + j);
+        a.((p * n) + j) <- t
+      done;
+      let t = x.(k) in
+      x.(k) <- x.(p);
+      x.(p) <- t
+    end;
+    let akk = a.((k * n) + k) in
+    for i = k + 1 to n - 1 do
+      let f = a.((i * n) + k) /. akk in
+      a.((i * n) + k) <- f;
+      if f <> 0.0 then
+        for j = k + 1 to n - 1 do
+          a.((i * n) + j) <- a.((i * n) + j) -. (f *. a.((k * n) + j))
+        done
+    done
   done;
-  bd
-
-let test_banded_vs_dense () =
-  for seed = 1 to 40 do
-    let n = 1 + (seed mod 25) in
-    let kl = seed mod 5 and ku = (seed / 3) mod 5 in
-    let bd = random_banded seed n kl ku in
-    let b = lcg_array (seed * 13) n (-2.0) 2.0 in
-    let x = Banded.solve bd b in
-    let xd = Matrix.solve (Banded.to_dense bd) b in
-    Array.iteri (fun i v -> approx ~eps:1e-12 "banded vs dense" v x.(i)) xd
-  done
-
-let test_banded_pivoting () =
-  (* Zero diagonal forces a within-band row exchange. *)
-  let bd = Banded.create ~n:2 ~kl:1 ~ku:1 in
-  Banded.add_to bd 0 1 1.0;
-  Banded.add_to bd 1 0 1.0;
-  let x = Banded.solve bd [| 2.0; 7.0 |] in
-  approx "x0" 7.0 x.(0);
-  approx "x1" 2.0 x.(1)
-
-let test_banded_fact_reuse_inplace () =
-  let bd = random_banded 3 12 2 1 in
-  let f = Banded.fact_create bd in
-  Banded.factor_into bd f;
-  let b = lcg_array 99 12 (-1.0) 1.0 in
-  let x = Array.copy b in
-  Banded.solve_into f x;
-  check_true "residual"
-    (residual_norm (Banded.to_dense bd) x b < 1e-10);
-  (* Restamping the matrix must not disturb the old factorization. *)
-  let x2 = Array.copy b in
-  Banded.add_to bd 0 0 1000.0;
-  Banded.solve_into f x2;
-  Array.iteri (fun i v -> approx ~eps:0.0 "snapshot" v x2.(i)) x
-
-let test_banded_solve_pos_offset () =
-  let bd = random_banded 7 6 1 2 in
-  let f = Banded.fact_create bd in
-  Banded.factor_into bd f;
-  let b = lcg_array 41 6 (-2.0) 2.0 in
-  let block = Array.make 18 nan in
-  Array.blit b 0 block 6 6;
-  Banded.solve_into f ~pos:6 block;
-  let x = Banded.solve bd b in
-  for i = 0 to 5 do
-    approx ~eps:0.0 "offset slice" x.(i) block.(6 + i)
+  for i = 1 to n - 1 do
+    let s = ref x.(i) in
+    for j = 0 to i - 1 do
+      s := !s -. (a.((i * n) + j) *. x.(j))
+    done;
+    x.(i) <- !s
   done;
-  check_true "outside untouched"
-    (Float.is_nan block.(0) && Float.is_nan block.(17))
+  for i = n - 1 downto 0 do
+    let s = ref x.(i) in
+    for j = i + 1 to n - 1 do
+      s := !s -. (a.((i * n) + j) *. x.(j))
+    done;
+    x.(i) <- !s /. a.((i * n) + i)
+  done;
+  x
 
-let test_banded_singular () =
-  let bd = Banded.create ~n:3 ~kl:1 ~ku:1 in
-  Banded.add_to bd 0 0 1.0;
-  (* Row 1 entirely zero. *)
-  Banded.add_to bd 2 2 1.0;
-  match Banded.solve bd [| 1.0; 1.0; 1.0 |] with
-  | exception Matrix.Singular _ -> ()
-  | _ -> Alcotest.fail "expected Singular"
-
-let test_banded_out_of_band () =
-  let bd = Banded.create ~n:5 ~kl:1 ~ku:0 in
-  approx "out-of-band reads zero" 0.0 (Banded.get bd 0 4);
-  Alcotest.check_raises "write outside band"
-    (Invalid_argument "Banded.add_to: outside band") (fun () ->
-      Banded.add_to bd 0 4 1.0)
-
-(* ------------------------------------------------------------------ *)
-(* Ordering                                                            *)
-
-let test_rcm_chain_bandwidth () =
-  (* A scrambled path graph must come back with bandwidth 1 and no
-     border. *)
-  let n = 9 in
-  let scramble = [| 4; 7; 0; 8; 2; 5; 1; 6; 3 |] in
-  let edges =
-    List.init (n - 1) (fun i -> (scramble.(i), scramble.(i + 1)))
+(* A random n x n system with structural zeros of both signs. Each
+   entry is zero with probability [zeros] percent; rows marked lower
+   (with probability [lower] percent, or all of them, shuffled, when
+   [shuffle]) are zero right of the diagonal, so pivot rows with no
+   entry right of the diagonal occur. [ints] draws small integers,
+   whose exact cancellations make zeros during elimination too. [diag]
+   adds a dominant diagonal; without it many draws are singular. *)
+let sparse_system (n, seed, (zeros, lower), (ints, diag, shuffle)) =
+  let st = Random.State.make [| seed |] in
+  let zero () = if Random.State.bool st then 0.0 else -0.0 in
+  let value () =
+    if ints then float_of_int (Random.State.int st 7 - 3)
+    else Random.State.float st 10.0 -. 5.0
   in
-  match Ordering.plan ~n ~edges ~max_bandwidth:1 ~max_border:0 () with
-  | None -> Alcotest.fail "expected a plan"
-  | Some p ->
-      Alcotest.(check int) "bandwidth" 1 p.Ordering.bandwidth;
-      Alcotest.(check int) "no border" n p.Ordering.core
-
-let test_rcm_is_permutation () =
-  let edges = [ (0, 5); (5, 2); (2, 7); (1, 4); (4, 6); (3, 3); (9, 0) ] in
-  match Ordering.plan ~n:10 ~edges ~max_bandwidth:10 ~max_border:0 () with
-  | None -> Alcotest.fail "expected a plan"
-  | Some p ->
-      Alcotest.(check int) "all in the core" 10 p.Ordering.core;
-      let sorted = Array.copy p.Ordering.order in
-      Alcotest.(check int) "covers all" 10 (Array.length sorted);
-      Array.sort compare sorted;
-      Array.iteri (fun i v -> Alcotest.(check int) "bijection" i v) sorted
-
-let test_plan_demotes_hub () =
-  (* Path graph plus a hub touching every vertex: bandwidth is only
-     small once the hub is demoted to the border. *)
-  let n = 12 in
-  let hub = n - 1 in
-  let edges =
-    List.init (n - 2) (fun i -> (i, i + 1))
-    @ List.init (n - 1) (fun i -> (hub, i))
+  let is_lower =
+    Array.init n (fun _ -> shuffle || Random.State.int st 100 < lower)
   in
-  match
-    Ordering.plan ~n ~edges ~max_bandwidth:2 ~max_border:3 ()
-  with
-  | None -> Alcotest.fail "expected a plan"
-  | Some p ->
-      check_true "hub in border" (p.Ordering.order.(hub) >= p.Ordering.core);
-      check_true "small core bandwidth" (p.Ordering.bandwidth <= 2);
-      Alcotest.(check int) "core size" (n - 1) p.Ordering.core
-
-let test_plan_coupled_follow () =
-  (* Demoting the hub must drag its coupled partner along. *)
-  let n = 10 in
-  let hub = 8 and partner = 9 in
-  let edges =
-    List.init 7 (fun i -> (i, i + 1)) @ List.init 8 (fun i -> (hub, i))
-    @ [ (hub, partner) ]
-  in
-  match
-    Ordering.plan ~n ~edges ~coupled:[ (hub, partner) ] ~max_bandwidth:2
-      ~max_border:4 ()
-  with
-  | None -> Alcotest.fail "expected a plan"
-  | Some p ->
-      check_true "hub demoted" (p.Ordering.order.(hub) >= p.Ordering.core);
-      check_true "partner follows"
-        (p.Ordering.order.(partner) >= p.Ordering.core)
-
-let test_plan_gives_up () =
-  (* A dense clique cannot be banded within the border budget. *)
-  let n = 8 in
-  let edges =
-    List.concat_map (fun i -> List.init i (fun j -> (i, j))) (List.init n Fun.id)
-  in
-  check_true "no plan"
-    (Ordering.plan ~n ~edges ~max_bandwidth:1 ~max_border:2 () = None)
-
-(* ------------------------------------------------------------------ *)
-(* Bordered                                                            *)
-
-(* Random arrowhead system: banded core + dense border rows. *)
-let random_bordered seed nb border kl ku =
-  let t = Bordered.create ~nb ~kl ~ku ~border in
-  let n = nb + border in
-  let vals = lcg_array seed (n * n) (-2.0) 2.0 in
+  let a = Array.make (n * n) 0.0 in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
-      let core = i < nb && j < nb in
-      let inside = (not core) || (j - i <= ku && i - j <= kl) in
-      if inside then Bordered.add_to t i j vals.((i * n) + j)
-    done;
-    Bordered.add_to t i i 14.0
+      a.((i * n) + j) <-
+        (if (j > i && is_lower.(i)) || Random.State.int st 100 < zeros then
+           zero ()
+         else value ());
+      if diag && i = j then a.((i * n) + j) <- a.((i * n) + j) +. 40.0
+    done
   done;
-  t
+  if shuffle then
+    for i = n - 1 downto 1 do
+      let r = Random.State.int st (i + 1) in
+      for j = 0 to n - 1 do
+        let t = a.((i * n) + j) in
+        a.((i * n) + j) <- a.((r * n) + j);
+        a.((r * n) + j) <- t
+      done
+    done;
+  let b =
+    Array.init n (fun _ ->
+        if Random.State.int st 100 < zeros then zero () else value ())
+  in
+  (a, b)
 
-let test_bordered_vs_dense () =
-  for seed = 1 to 30 do
-    let nb = 2 + (seed mod 12) in
-    let border = seed mod 4 in
-    let kl = 1 + (seed mod 3) and ku = 1 + ((seed / 2) mod 3) in
-    let t = random_bordered seed nb border kl ku in
-    let n = nb + border in
-    let b = lcg_array (seed * 17) n (-3.0) 3.0 in
-    let f = Bordered.fact_create t in
-    Bordered.factor_into t f;
-    let x = Array.copy b in
-    Bordered.solve_into f x;
-    let xd = Matrix.solve (Bordered.to_dense t) b in
-    Array.iteri (fun i v -> approx ~eps:1e-11 "bordered vs dense" v x.(i)) xd
-  done
+let gen_sparse_system =
+  QCheck2.Gen.(
+    tup4 (int_range 1 40) (int_range 0 1_000_000)
+      (pair (int_range 0 95) (int_range 0 100))
+      (triple bool bool bool))
 
-let test_bordered_factor_snapshot () =
-  (* Solves with an old factorization must not see later restamps. *)
-  let t = random_bordered 5 6 2 1 1 in
-  let f = Bordered.fact_create t in
-  Bordered.factor_into t f;
-  let b = lcg_array 23 8 (-1.0) 1.0 in
-  let x1 = Array.copy b in
-  Bordered.solve_into f x1;
-  Bordered.add_to t 7 0 100.0;
-  (* border x core: G changed *)
-  Bordered.add_to t 0 0 100.0;
-  let x2 = Array.copy b in
-  Bordered.solve_into f x2;
-  Array.iteri (fun i v -> approx ~eps:0.0 "stale solves identical" v x2.(i)) x1
-
-let test_bordered_zero_border () =
-  let t = random_bordered 9 5 0 1 2 in
-  let b = lcg_array 31 5 (-2.0) 2.0 in
-  let f = Bordered.fact_create t in
-  Bordered.factor_into t f;
-  let x = Array.copy b in
-  Bordered.solve_into f x;
-  let xd = Matrix.solve (Bordered.to_dense t) b in
-  Array.iteri (fun i v -> approx ~eps:1e-11 "pure banded" v x.(i)) xd
+(* Under [Float.equal], which equates 0.0 and -0.0: the skip may flip
+   the sign of a zero and nothing else. *)
+let kernel_matches_textbook ((n, _, _, _) as spec) =
+  let a, b = sparse_system spec in
+  let kernel () =
+    let m = Matrix.create n n in
+    Array.iteri (fun k v -> Matrix.set m (k / n) (k mod n) v) a;
+    dense_solve m b
+  in
+  match textbook_solve n a b with
+  | exception Matrix.Singular k -> (
+      match kernel () with
+      | exception Matrix.Singular k' -> k = k'
+      | _ -> false)
+  | x -> (
+      match kernel () with
+      | exception Matrix.Singular _ -> false
+      | y -> Array.for_all2 Float.equal x y)
 
 (* ------------------------------------------------------------------ *)
-(* Tridiagonal systems: the banded kernel with one sub- and one
-   superdiagonal, the shape of an RC ladder's nodal matrix.             *)
+(* Tridiagonal systems: the shape of an RC ladder's nodal matrix.      *)
 
 let tridiag ~lower ~diag ~upper =
   let n = Array.length diag in
-  let bd = Banded.create ~n ~kl:1 ~ku:1 in
-  Array.iteri (fun i d -> Banded.add_to bd i i d) diag;
-  Array.iteri (fun i l -> Banded.add_to bd (i + 1) i l) lower;
-  Array.iteri (fun i u -> Banded.add_to bd i (i + 1) u) upper;
-  bd
+  let a = Matrix.create n n in
+  Array.iteri (fun i d -> Matrix.set a i i d) diag;
+  Array.iteri (fun i l -> Matrix.set a (i + 1) i l) lower;
+  Array.iteri (fun i u -> Matrix.set a i (i + 1) u) upper;
+  a
+
+(* The Thomas algorithm, an independent tridiagonal solver. *)
+let thomas ~lower ~diag ~upper rhs =
+  let n = Array.length diag in
+  let c = Array.make n 0.0 and d = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    let l = if i > 0 then lower.(i - 1) else 0.0 in
+    let den = diag.(i) -. (if i > 0 then l *. c.(i - 1) else 0.0) in
+    if i < n - 1 then c.(i) <- upper.(i) /. den;
+    d.(i) <- (rhs.(i) -. (if i > 0 then l *. d.(i - 1) else 0.0)) /. den
+  done;
+  for i = n - 2 downto 0 do
+    d.(i) <- d.(i) -. (c.(i) *. d.(i + 1))
+  done;
+  d
 
 let test_tridiag_vs_dense () =
   for seed = 1 to 10 do
@@ -383,27 +280,24 @@ let test_tridiag_vs_dense () =
     let lower = lcg_array (seed + 100) (n - 1) (-1.0) 1.0 in
     let upper = lcg_array (seed + 200) (n - 1) (-1.0) 1.0 in
     let rhs = lcg_array (seed + 300) n (-3.0) 3.0 in
-    let x = Banded.solve (tridiag ~lower ~diag ~upper) rhs in
-    let a = Matrix.create n n in
-    for i = 0 to n - 1 do
-      Matrix.set a i i diag.(i);
-      if i < n - 1 then begin
-        Matrix.set a i (i + 1) upper.(i);
-        Matrix.set a (i + 1) i lower.(i)
-      end
-    done;
-    let xd = Matrix.solve a rhs in
-    Array.iteri (fun i v -> approx ~eps:1e-9 "tridiag" v x.(i)) xd
+    let x = dense_solve (tridiag ~lower ~diag ~upper) rhs in
+    let xt = thomas ~lower ~diag ~upper rhs in
+    Array.iteri (fun i v -> approx ~eps:1e-9 "tridiag" v x.(i)) xt
   done
 
 let test_tridiag_size_checks () =
-  let bd = tridiag ~lower:[| 1.0 |] ~diag:[| 4.0; 4.0 |] ~upper:[| 1.0 |] in
-  Alcotest.check_raises "mismatch"
-    (Invalid_argument "Banded.solve: size mismatch") (fun () ->
-      ignore (Banded.solve bd [| 1.0 |]))
+  let a = tridiag ~lower:[| 1.0 |] ~diag:[| 4.0; 4.0 |] ~upper:[| 1.0 |] in
+  Alcotest.check_raises "factor mismatch"
+    (Invalid_argument "Matrix.factor_into: size mismatch") (fun () ->
+      Matrix.factor_into a (Matrix.fact_create 3));
+  let f = Matrix.fact_create 2 in
+  Matrix.factor_into a f;
+  Alcotest.check_raises "solve mismatch"
+    (Invalid_argument "Matrix.solve_into: size mismatch") (fun () ->
+      Matrix.solve_into f [| 1.0 |])
 
 let test_tridiag_single () =
-  let x = Banded.solve (tridiag ~lower:[||] ~diag:[| 4.0 |] ~upper:[||]) [| 8.0 |] in
+  let x = dense_solve (tridiag ~lower:[||] ~diag:[| 4.0 |] ~upper:[||]) [| 8.0 |] in
   approx "single" 2.0 x.(0)
 
 (* ------------------------------------------------------------------ *)
@@ -684,35 +578,8 @@ let qcheck_tests =
         let m = Stats.mean xs in
         Array.fold_left Float.min infinity xs <= m +. 1e-9
         && m <= Array.fold_left Float.max neg_infinity xs +. 1e-9);
-    qcase "banded: random SPD-ish systems match dense LU"
-      QCheck2.Gen.(triple (int_range 1 24) (int_range 0 4) (int_range 0 999))
-      (fun (n, band, seed) ->
-        (* Symmetric bandwidth + strong diagonal: comfortably regular. *)
-        let bd = random_banded (seed + (7 * n)) n band band in
-        let b = lcg_array (seed + 1) n (-2.0) 2.0 in
-        let x = Banded.solve bd b in
-        let xd = Matrix.solve (Banded.to_dense bd) b in
-        let ok = ref true in
-        Array.iteri
-          (fun i v -> if abs_float (v -. x.(i)) > 1e-12 then ok := false)
-          xd;
-        !ok);
-    qcase "bordered: arrowhead systems match dense LU"
-      QCheck2.Gen.(triple (int_range 2 14) (int_range 0 3) (int_range 0 999))
-      (fun (nb, border, seed) ->
-        let t = random_bordered (seed + 3) nb border 2 2 in
-        let n = nb + border in
-        let b = lcg_array (seed + 11) n (-3.0) 3.0 in
-        let f = Bordered.fact_create t in
-        Bordered.factor_into t f;
-        let x = Array.copy b in
-        Bordered.solve_into f x;
-        let xd = Matrix.solve (Bordered.to_dense t) b in
-        let ok = ref true in
-        Array.iteri
-          (fun i v -> if abs_float (v -. x.(i)) > 1e-11 then ok := false)
-          xd;
-        !ok);
+    qcase ~count:500 "matrix: workspace LU equals the textbook LU"
+      gen_sparse_system kernel_matches_textbook;
     qcase "tridiag: solution satisfies the system"
       QCheck2.Gen.(int_range 2 12)
       (fun n ->
@@ -720,7 +587,7 @@ let qcheck_tests =
         let lower = Array.make (n - 1) (-1.0) in
         let upper = Array.make (n - 1) (-1.0) in
         let rhs = Array.init n (fun i -> float_of_int (i + 1)) in
-        let x = Banded.solve (tridiag ~lower ~diag ~upper) rhs in
+        let x = dense_solve (tridiag ~lower ~diag ~upper) rhs in
         let ok = ref true in
         for i = 0 to n - 1 do
           let v =
@@ -745,26 +612,8 @@ let suite =
       case "matrix: mul_vec" test_mul_vec;
       case "matrix: transpose & mul" test_transpose_mul;
       case "matrix: dimension checks" test_bad_dims;
-      case "matrix: workspace factor/solve matches lu" test_fact_matches_lu;
       case "matrix: workspace reusable" test_fact_reusable;
       case "matrix: workspace singular detected" test_fact_singular;
-      case "banded: 40 random systems match dense" test_banded_vs_dense;
-      case "banded: pivoting" test_banded_pivoting;
-      case "banded: factorization snapshot semantics"
-        test_banded_fact_reuse_inplace;
-      case "banded: offset in-place solve" test_banded_solve_pos_offset;
-      case "banded: singular detected" test_banded_singular;
-      case "banded: out-of-band access" test_banded_out_of_band;
-      case "ordering: rcm path bandwidth" test_rcm_chain_bandwidth;
-      case "ordering: rcm is a permutation" test_rcm_is_permutation;
-      case "ordering: plan demotes hub" test_plan_demotes_hub;
-      case "ordering: coupled vertices follow" test_plan_coupled_follow;
-      case "ordering: clique has no plan" test_plan_gives_up;
-      case "bordered: 30 random arrowheads match dense" test_bordered_vs_dense;
-      case "bordered: factorization snapshot semantics"
-        test_bordered_factor_snapshot;
-      case "bordered: zero border degenerates to banded"
-        test_bordered_zero_border;
       case "tridiag: matches dense LU" test_tridiag_vs_dense;
       case "tridiag: size checks" test_tridiag_size_checks;
       case "tridiag: 1x1" test_tridiag_single;

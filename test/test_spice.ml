@@ -421,8 +421,8 @@ let step_controls =
     ("fast", Runtime.Engine.solver Runtime.Engine.fast);
   ]
 
-let run_noisy_chain (ckt, ic, config, node, _) kind reuse =
-  let config = { config with Transient.solver = kind; jac_reuse = reuse } in
+let run_noisy_chain (ckt, ic, config, node, _) reuse =
+  let config = { config with Transient.jac_reuse = reuse } in
   let r, s = stats_of (fun () -> Transient.run ~config ~ic ckt) in
   (Transient.probe r node, s)
 
@@ -441,7 +441,7 @@ let wave_max_diff tag wa wb =
   !worst
 
 (* Two runs of the chain agree: sample by sample on the fixed grid;
-   under adaptive stepping, whose grid depends on the kernel's
+   under adaptive stepping, whose grid depends on the solve's
    rounding, at the receiver's 0.5 Vdd arrival within 0.01 ps. *)
 let check_agree tag (_, _, config, _, th) wa wb =
   if Transient.is_adaptive config then
@@ -452,31 +452,13 @@ let check_agree tag (_, _, config, _, th) wa wb =
     | _ -> Alcotest.failf "%s: no 0.5 Vdd arrival" tag
   else check_true tag (wave_max_diff tag wa wb < 1e-5)
 
-let test_solver_kinds_agree () =
-  List.iter
-    (fun (name, base) ->
-      let case = noisy_chain base in
-      let tag what = name ^ ": " ^ what in
-      let w_dense, _ = run_noisy_chain case Transient.Dense false in
-      let w_banded, s_banded = run_noisy_chain case Transient.Banded false in
-      let w_auto, s_auto = run_noisy_chain case Transient.Auto false in
-      check_true (tag "banded kernel selected")
-        (s_banded.Transient.Stats.banded_solves > 0);
-      check_true (tag "auto picked banded")
-        (s_auto.Transient.Stats.banded_solves > 0);
-      check_agree (tag "banded matches dense") case w_dense w_banded;
-      check_agree (tag "auto matches dense") case w_dense w_auto)
-    step_controls
-
 let test_jac_reuse_agrees_and_wins () =
   List.iter
     (fun (name, base) ->
       let case = noisy_chain base in
       let tag what = name ^ ": " ^ what in
-      let w_full, s_full = run_noisy_chain case Transient.Auto false in
-      let w_reuse, s_reuse =
-        run_noisy_chain case Transient.Auto base.Transient.jac_reuse
-      in
+      let w_full, s_full = run_noisy_chain case false in
+      let w_reuse, s_reuse = run_noisy_chain case base.Transient.jac_reuse in
       check_agree (tag "reuse matches full Newton") case w_full w_reuse;
       check_true (tag "reuse happened")
         (s_reuse.Transient.Stats.jac_reuses > 0);
@@ -493,29 +475,6 @@ let test_jac_reuse_agrees_and_wins () =
          + s_reuse.Transient.Stats.jac_reuses
         = s_reuse.Transient.Stats.newton_iters))
     step_controls
-
-let test_forced_banded_tiny_circuit () =
-  (* A 2-node RC is far below the auto threshold; forcing Banded must
-     still give the dense answer, and Auto must stay dense. *)
-  let run kind =
-    let config =
-      {
-        Transient.default_config with
-        dt = 10e-12;
-        tstop = 2e-9;
-        solver = kind;
-      }
-    in
-    stats_of (fun () ->
-        Transient.probe (Transient.run ~config (rc_step_circuit ())) "out")
-  in
-  let w_dense, _ = run Transient.Dense in
-  let w_banded, s_banded = run Transient.Banded in
-  let _, s_auto = run Transient.Auto in
-  check_true "banded forced on" (s_banded.Transient.Stats.banded_solves > 0);
-  check_true "auto stays dense" (s_auto.Transient.Stats.banded_solves = 0);
-  check_true "tiny banded matches dense"
-    (wave_max_diff "tiny" w_dense w_banded < 1e-9)
 
 let test_newton_loop_allocation_free () =
   (* A 20-node RC ladder over 1000 fixed steps. The Newton inner loop
@@ -583,11 +542,8 @@ let suite =
       case "adaptive: tight tol rejects" test_adaptive_tight_tol_rejects;
       case "adaptive: crossing refinement" test_adaptive_crossing_refinement;
       case "adaptive: invalid config rejected" test_adaptive_validation;
-      case "solver: dense/banded/auto kernels agree" test_solver_kinds_agree;
       case "solver: jacobian reuse agrees and wins"
         test_jac_reuse_agrees_and_wins;
-      case "solver: forced banded on tiny circuit"
-        test_forced_banded_tiny_circuit;
       case "solver: newton loop is allocation-free"
         test_newton_loop_allocation_free;
     ] )
