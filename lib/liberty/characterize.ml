@@ -7,18 +7,20 @@ let default_grid proc cell =
     loads = Array.map (fun k -> k *. cin) [| 0.5; 1.0; 2.0; 4.0; 8.0; 16.0; 24.0 |];
   }
 
-(* Engine solver config with the characterization grid layered on top;
-   under adaptive stepping the process 10/50/90 thresholds become
-   crossing-refinement levels so delay/slew measurement keeps its
-   resolution (unless the engine brought its own levels). *)
+(* Engine solver config with the characterization grid layered on top.
+   Only the process 10/50/90 thresholds' crossings are read, so they
+   are the settle levels (the run stops once both pins have settled
+   away from them) and, under adaptive stepping, the crossing-refinement
+   levels that keep delay/slew measurement at grid resolution (unless
+   the engine brought its own levels). *)
 let solver_config engine proc ~dt ~tstop =
   let th = Device.Process.thresholds proc in
+  let levels = Waveform.Thresholds.[ v_low th; v_mid th; v_high th ] in
   let open Spice.Transient in
   let c = Runtime.Engine.solver engine in
   let c = with_dt c dt in
   let c = with_tstop c tstop in
-  with_crossing_levels_if_empty c
-    Waveform.Thresholds.[ v_low th; v_mid th; v_high th ]
+  { (with_crossing_levels_if_empty c levels) with settle_levels = levels }
 
 let measure_gate ?(dt = 0.5e-12) ?(extra_load = 0.0) ?engine proc cell
     ~input ~tstop =

@@ -35,7 +35,10 @@ val measure_gate :
   input:Spice.Source.t -> tstop:float -> Waveform.Wave.t * Waveform.Wave.t
 (** [measure_gate proc cell ~input ~tstop] simulates the cell alone
     driven by [input] with [extra_load] farads at the output (default
-    0) and returns (input waveform, output waveform) at the pins. The
+    0) and returns (input waveform, output waveform) at the pins.
+    [tstop] is a cap: the run stops once the cell has settled away from
+    the process 10/50/90 thresholds (see {!Spice.Transient.run}), so
+    the waves may end earlier, holding their settled value beyond. The
     shared primitive behind characterization and behind the
     equivalent-waveform evaluation harness. Runs under the engine's
     {!Runtime.Resilience} policy: failed or invalid solves walk the

@@ -31,10 +31,6 @@ type cell_timing = {
   out_fall : arc;   (** arc producing a falling output *)
 }
 
-val arc_for_input : cell_timing -> Waveform.Wave.direction -> arc
-(** The arc exercised by an input edge of the given direction, honoring
-    the cell's unateness. *)
-
 val output_dir :
   cell_timing -> Waveform.Wave.direction -> Waveform.Wave.direction
 (** Output edge direction for a given input edge. *)

@@ -1,18 +1,22 @@
 type run = { far : Waveform.Wave.t; rcv : Waveform.Wave.t }
 
+(* The process 10/50/90 thresholds: the levels delay and slew are
+   measured at. *)
+let threshold_levels scenario =
+  let th = Device.Process.thresholds scenario.Scenario.proc in
+  Waveform.Thresholds.[ v_low th; v_mid th; v_high th ]
+
 (* All entry points take the unified [?engine] (absent = the reference
    engine). The solver config comes from the engine with the scenario's
    grid parameters layered on top, and — under adaptive stepping — the
-   process 10/50/90 thresholds as crossing-refinement levels, so
-   delay/slew measurement points keep fixed-grid resolution. *)
+   thresholds as crossing-refinement levels, so delay/slew measurement
+   points keep fixed-grid resolution. *)
 let solver_config engine scenario ~dt ~tstop =
-  let th = Device.Process.thresholds scenario.Scenario.proc in
   let open Spice.Transient in
   let c = Runtime.Engine.solver engine in
   let c = with_dt c dt in
   let c = with_tstop c tstop in
-  with_crossing_levels_if_empty c
-    Waveform.Thresholds.[ v_low th; v_mid th; v_high th ]
+  with_crossing_levels_if_empty c (threshold_levels scenario)
 
 (* Cached simulations store their probed waveforms as a wave list; the
    key covers the scenario content, everything case-specific, and the
@@ -179,7 +183,15 @@ let receiver_response ?dt ?engine scenario ~input ~tstop =
   let dt =
     match dt with Some d -> d | None -> scenario.Scenario.dt /. 2.0
   in
-  let base_config = solver_config engine scenario ~dt ~tstop in
+  (* Only the thresholds' crossings are read from a replay, so it may
+     stop once the receiver has settled away from them. Chain solves
+     keep their full span: E4 integrates the noisy wave to its end. *)
+  let base_config =
+    {
+      (solver_config engine scenario ~dt ~tstop) with
+      Transient.settle_levels = threshold_levels scenario;
+    }
+  in
   let compute config () =
     let proc = scenario.Scenario.proc in
     let _, _, rcv_cell, load_cell = Scenario.chain_cells scenario in
@@ -204,7 +216,6 @@ let receiver_response ?dt ?engine scenario ~input ~tstop =
           str (Scenario.fingerprint scenario);
           str (Source.fingerprint input);
           str (Transient.config_fingerprint config);
-          float tstop;
         ])
   in
   let deadline_ms = Runtime.Engine.deadline_ms engine in

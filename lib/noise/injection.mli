@@ -53,8 +53,13 @@ val receiver_response :
   Waveform.Wave.t
 (** Drive the victim receiver (INVx16 loaded by INVx64) with an ideal
     source and return the INVx16 output waveform. [dt] defaults to half
-    the scenario's full-chain step. Cacheable for every stimulus with a
-    content fingerprint; opaque [Source.fn] stimuli always simulate. *)
+    the scenario's full-chain step. [tstop] is a cap: the replay stops
+    once the receiver has settled away from the process 10/50/90
+    thresholds (see {!Spice.Transient.run}), so the returned wave may
+    end earlier. Every threshold crossing is the one a run to [tstop]
+    gives; past its end the wave holds its last, settled sample.
+    Cached under the scenario, the stimulus's content fingerprint and
+    the solver-config fingerprint. *)
 
 val ctx_of_runs :
   ?samples:int -> Scenario.t -> noiseless:run -> noisy:run ->

@@ -55,10 +55,6 @@ val taus : t -> float array
 (** The aggressor input start times: [cases] values uniformly covering
     [victim_t0 - window/2, victim_t0 + window/2]. *)
 
-val victim_line_index : t -> int
-(** Index of the victim in the coupled-bus line ordering (the victim
-    sits between the aggressors in Config II). *)
-
 (** Node names of interest in the built circuit. *)
 
 val victim_far_node : t -> string

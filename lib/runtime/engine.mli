@@ -48,12 +48,10 @@ val reference : t
 val accurate : t
 val fast : t
 
-val presets : t list
-val names : string list
-
 val of_name : string -> t
-(** Look up a preset by name; raises [Invalid_argument] otherwise.
-    This backs the CLI [--engine] flag. *)
+(** Look up a preset by name ("reference", "accurate" or "fast");
+    raises [Invalid_argument] otherwise. This backs the CLI [--engine]
+    flag. *)
 
 val name : t -> string
 val solver : t -> Spice.Transient.config

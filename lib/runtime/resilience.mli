@@ -45,13 +45,9 @@ val standard : policy
     0.5 x swing (generous enough that legitimate crosstalk over- and
     undershoot never rejects). *)
 
-val disabled : policy
-(** Single attempt, no validation — the pre-supervision behavior. *)
-
-val names : string list
-
 val of_name : string -> policy
-(** ["standard"] or ["none"]; backs the CLI [--fallback] flag. Raises
+(** ["standard"], or ["none"]: a single attempt with no validation, the
+    pre-supervision behavior. Backs the CLI [--fallback] flag. Raises
     [Invalid_argument] otherwise. *)
 
 val with_max_attempts : policy -> int -> policy

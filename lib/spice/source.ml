@@ -56,6 +56,22 @@ let fingerprint = function
         (Waveform.Ramp.value_at r t0)
         (Waveform.Ramp.value_at r t1)
 
+let quiet_from ~tol = function
+  | Dc _ -> neg_infinity
+  | Pwl a -> fst a.(Array.length a - 1)
+  | Ramp r -> Waveform.Ramp.t_settle r
+  | Wave w ->
+      let ts = Waveform.Wave.times w and vs = Waveform.Wave.values w in
+      let final = vs.(Array.length vs - 1) in
+      (* The last sample farther than [tol] from the final value; the
+         interpolant is within [tol] from the sample after it on. *)
+      let rec last_far i =
+        if i < 0 then neg_infinity
+        else if abs_float (vs.(i) -. final) > tol then ts.(i + 1)
+        else last_far (i - 1)
+      in
+      last_far (Array.length vs - 1)
+
 let breakpoints = function
   | Dc _ | Wave _ -> []
   | Pwl a -> Array.to_list (Array.map fst a)

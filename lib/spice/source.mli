@@ -26,6 +26,14 @@ val fingerprint : t -> string
 (** Content digest for simulation caching: two sources with equal
     fingerprints produce bit-identical stimuli. *)
 
+val quiet_from : tol:float -> t -> float
+(** The time from which the stimulus holds still: [neg_infinity] for
+    [dc], the last point of [pwl] and [ramp], the settle time of
+    [of_ramp]. A recorded wave counts as still from the first sample
+    after which every sample lies within [tol] of its final value
+    ([neg_infinity] when all do). Computed from the stimulus itself,
+    so it is exact, not an estimate. *)
+
 val breakpoints : t -> float list
 (** Times at which the source has slope discontinuities; the transient
     engine aligns steps to these for accuracy. *)

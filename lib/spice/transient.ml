@@ -20,6 +20,7 @@ type config = {
   step_control : step_control;
   max_steps : int;
   jac_reuse : bool;
+  settle_levels : float list;
 }
 
 (* Solver constants. Every step integrates with the trapezoidal
@@ -30,6 +31,18 @@ let newton_tol_i = 1e-9 (* KCL residual convergence bound, A *)
 let vstep_limit = 0.6 (* per-iteration voltage update clamp, V *)
 let gmin = 1e-12 (* conductance to ground on every node, S *)
 let max_bisection = 10 (* step-halving depth on Newton failure *)
+
+(* The settle stop ([settle_levels] non-empty): a run ends at the
+   first accepted step after [settle_steps] steps in a row in which
+   every node moved less than [settle_slope] V per ps of step, once
+   every source is quiet (a recorded wave: within [settle_delta] V of
+   its final value) and every node lies at least [settle_margin] V
+   from each settle level. DESIGN §9 item 8 argues why no crossing of
+   a level can follow. *)
+let settle_slope = 1e-5
+let settle_steps = 10
+let settle_margin = 0.05
+let settle_delta = 1e-4
 
 let default_adaptive =
   {
@@ -51,6 +64,7 @@ let default_config =
     step_control = Fixed;
     max_steps = 0;
     jac_reuse = true;
+    settle_levels = [];
   }
 
 let with_dt cfg dt = { cfg with dt }
@@ -98,7 +112,9 @@ let with_crossing_levels_if_empty cfg levels =
    solver constants (integrator, Newton tolerances, update clamp, gmin,
    bisection depth) and the linear kernel ("dense") are rendered too,
    each at a fixed place: a key changes exactly when the answers under
-   it do. *)
+   it do. The settle levels and their four constants are appended only
+   when the list is non-empty, so configs without them keep the keys
+   they had before the stop existed. *)
 let config_fingerprint cfg =
   let {
     dt;
@@ -108,6 +124,7 @@ let config_fingerprint cfg =
     step_control;
     max_steps;
     jac_reuse;
+    settle_levels;
   } =
     cfg
   in
@@ -137,8 +154,18 @@ let config_fingerprint cfg =
            ]
           @ List.map f crossing_levels)
   in
+  let settle =
+    match settle_levels with
+    | [] -> []
+    | levels ->
+        [
+          String.concat ","
+            ("settle" :: f settle_slope :: string_of_int settle_steps
+           :: f settle_margin :: f settle_delta :: List.map f levels);
+        ]
+  in
   String.concat "|"
-    [
+    ([
       "tran.config";
       f dt;
       f tstop;
@@ -155,6 +182,7 @@ let config_fingerprint cfg =
       (if jac_reuse then "reuse" else "noreuse");
       sc;
     ]
+    @ settle)
 
 exception No_convergence of float
 exception Step_budget_exhausted of { at : float; budget : int }
@@ -862,6 +890,10 @@ type case_state = {
   c_vcap : float array;
   c_icap : float array;
   mutable c_steps : int; (* accepted steps; 0 = nothing charged yet *)
+  c_levels : float array; (* [settle_levels]; empty = no settle stop *)
+  c_quiet : float; (* every source is quiet from here on *)
+  mutable c_calm : int; (* accepted steps in a row that moved no node
+                            by [settle_slope] or more *)
 }
 
 let case_load_caps st =
@@ -880,6 +912,34 @@ let case_charge_step st ~at =
   | _ -> ());
   if st.c_cfg.max_steps > 0 && st.c_steps > st.c_cfg.max_steps then
     raise (Step_budget_exhausted { at; budget = st.c_cfg.max_steps })
+
+(* The settle stop, called after every accepted step of length [h]
+   that took the nodes from [x0] to [x1] at time [t]: true when the run
+   may end here (see [settle_slope]). It only reads the state, so the
+   steps before a stop are the ones a run to [tstop] takes. *)
+let settled st ~t ~h x0 x1 =
+  let n = st.c_cp.n and levels = st.c_levels in
+  Array.length levels > 0
+  && begin
+       let bound = settle_slope *. (h /. 1e-12) in
+       let calm = ref true in
+       for i = 0 to n - 1 do
+         if abs_float (x1.(i) -. x0.(i)) >= bound then calm := false
+       done;
+       st.c_calm <- (if !calm then st.c_calm + 1 else 0);
+       st.c_calm >= settle_steps && t >= st.c_quiet
+       && begin
+            let away = ref true in
+            for i = 0 to n - 1 do
+              Array.iter
+                (fun lv ->
+                  if abs_float (x1.(i) -. lv) < settle_margin then
+                    away := false)
+                levels
+            done;
+            !away
+          end
+     end
 
 (* Commit the trapezoidal capacitor state of an accepted step. *)
 let case_commit st ~h xnew =
@@ -950,16 +1010,22 @@ let rec fixed_advance st depth t0 t1 =
   end
 
 (* Walk the fixed grid one interval at a time, recording each
-   committed sample. *)
+   committed sample, up to the settle stop. *)
 let run_fixed st =
   let grid = build_grid st.c_cp st.c_cfg in
   let data = Array.make (Array.length grid) [||] in
   data.(0) <- Array.copy st.c_x;
-  for k = 1 to Array.length grid - 1 do
-    fixed_advance st 0 grid.(k - 1) grid.(k);
-    data.(k) <- Array.copy st.c_x
+  let last = ref (Array.length grid - 1) in
+  let k = ref 1 in
+  while !k <= !last do
+    let t0 = grid.(!k - 1) and t1 = grid.(!k) in
+    fixed_advance st 0 t0 t1;
+    data.(!k) <- Array.copy st.c_x;
+    if settled st ~t:t1 ~h:(t1 -. t0) data.(!k - 1) data.(!k) then last := !k;
+    incr k
   done;
-  (grid, data)
+  if !last = Array.length grid - 1 then (grid, data)
+  else (Array.sub grid 0 (!last + 1), Array.sub data 0 (!last + 1))
 
 (* DC-solve the case at [tstart] and initialise the capacitor state
    (voltage across and, for trapezoidal, current). Raises
@@ -974,6 +1040,11 @@ let case_start cp ws cfg fault ic =
     ic;
   if not (dc_solve ws cp cfg ~at:cfg.tstart x) then
     raise (No_convergence cfg.tstart);
+  let quiet =
+    Array.fold_left
+      (fun q (_, s) -> Float.max q (Source.quiet_from ~tol:settle_delta s))
+      neg_infinity cp.vsrc
+  in
   {
     c_cp = cp;
     c_ws = ws;
@@ -983,6 +1054,9 @@ let case_start cp ws cfg fault ic =
     c_vcap = Array.map (fun (a, b, _) -> getv x a -. getv x b) cp.caps;
     c_icap = Array.make (Array.length cp.caps) 0.0;
     c_steps = 0;
+    c_levels = Array.of_list cfg.settle_levels;
+    c_quiet = quiet;
+    c_calm = 0;
   }
 
 (* -------------- adaptive local-truncation-error grid ------------- *)
@@ -1026,7 +1100,8 @@ let run_adaptive st a =
   let xs_rev = ref [ Array.copy x ] in
   let t = ref cfg.tstart in
   let dt = ref (Float.min dt_max (Float.max dt_min cfg.dt)) in
-  while !t < cfg.tstop do
+  let stopped = ref false in
+  while !t < cfg.tstop && not !stopped do
     (match !breaks with
     | b :: rest when b <= !t -> breaks := rest
     | _ -> ());
@@ -1074,6 +1149,7 @@ let run_adaptive st a =
         Atomic.incr Stats.steps;
         case_charge_step st ~at:t1;
         case_commit st ~h xtrial;
+        stopped := settled st ~t:t1 ~h x xtrial;
         Array.blit xtrial 0 x 0 nu;
         t := t1;
         ts_rev := t1 :: !ts_rev;

@@ -57,15 +57,15 @@ type config = {
           change, never converged answers beyond the Newton
           tolerances. A solve that fails under reuse is retried as
           pure Newton before being reported non-convergent. *)
+  settle_levels : float list;
+      (** absolute voltages. Empty (the default): run to [tstop].
+          Otherwise [tstop] is a cap, and {!run} stops early once the
+          circuit has settled away from every level. *)
 }
 
 val default_config : config
 (** dt = 1 ps, tstop = 4 ns, tstart = 0, 60 Newton iterations, fixed
-    grid, unlimited steps, Jacobian reuse on. *)
-
-val default_adaptive : adaptive
-(** lte_tol = 0.5 mV, dt_min = 10 fs, dt_max = 100 ps, grow 2x,
-    safety 0.9, no crossing levels, crossing_dt = [dt]. *)
+    grid, unlimited steps, Jacobian reuse on, no settle levels. *)
 
 (** Functional setters, for building configs fluently (notably from
     [Runtime.Engine] presets). *)
@@ -85,8 +85,9 @@ val with_adaptive :
   config ->
   config
 (** Switch to adaptive stepping, overriding selected fields of the
-    current adaptive settings (or {!default_adaptive} when coming from
-    [Fixed]). *)
+    current adaptive settings, or, coming from [Fixed], of the defaults:
+    lte_tol = 0.5 mV, dt_min = 10 fs, dt_max = 100 ps, grow 2x,
+    safety 0.9, no crossing levels, crossing_dt = [dt]. *)
 
 val is_adaptive : config -> bool
 
@@ -192,7 +193,19 @@ val run : ?config:config -> ?ic:(string * float) list -> Circuit.t -> result
 (** Simulate. The initial state is the DC operating point at [tstart]
     (with sources evaluated there); [ic] entries override individual
     node voltages as Newton starting guesses for the DC solve, which is
-    how logic-level hints are passed in. *)
+    how logic-level hints are passed in.
+
+    With [config.settle_levels] non-empty, [tstop] is a cap and the
+    returned waveforms may end earlier: the run stops at the first
+    accepted step at which every source is quiet (see
+    {!Source.quiet_from}; a recorded wave within 0.1 mV of its final
+    value), every node moved less than 10 uV per ps of step in each of
+    the last 10 accepted steps, and every node lies at least 50 mV from
+    each level. The samples up to the stop are bit-identical to those
+    of a run to [tstop], and no crossing of a settle level follows it
+    (DESIGN §9 item 8 gives the argument).
+    Waveforms hold their last sample beyond their end, so a reader
+    that needs values past the stop sees the settled value. *)
 
 val run_batch_outcomes :
   ?config:config ->

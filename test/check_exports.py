@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Print every value a lib/*/*.mli exports that no code calls, and exit 1
-if there is any.
+"""Print every value a lib/*/*.mli exports that no other module's code
+calls, and exit 1 if there is any.
 
 Run from anywhere: python3 test/check_exports.py
 
@@ -15,9 +15,15 @@ is defined, in one of three ways:
     (open M, let open M in, M.( ... ), M.[ ... ], M.{ ... });
   - through a module alias (module W = Waveform.Wave, then W.value_at).
 
-A module's own .ml counts as an open of it, so a value that another
-function of its module uses is called; a word that merely matches the
-name in a comment or in an unrelated module is not.
+Uses inside the value's own .ml do not count: a value only its own
+module calls need not be exported.  A module nested in that file
+(module M = struct ... end) is a module of its own, so the enclosing
+code's uses of M's values count.  A word that merely matches the name in
+a comment or in an unrelated module is not a call either.
+
+SEAMS names the few exports kept only because a unit test pins them
+directly, each with the test's use.  A seam that gains a caller, or
+whose export goes away, is reported too, so the list stays exact.
 
 A module path resolves through the file's aliases and opens, its own
 library's sibling modules and the wrapped library names, innermost scope
@@ -36,6 +42,28 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CODE_DIRS = ("lib", "bin", "bench", "examples")
+
+SEAMS = {
+    "Awe.step_response": "AWE step response against the transient engine",
+    "Characterize.default_grid": "full-span reference tables on the default grid",
+    "Coupled.victim_coupling_per_boundary": "coupling split per line boundary",
+    "Engine.accurate": "pinned preset cache keys",
+    "Fuzz.run_one": "each fuzz-corpus payload replayed",
+    "Journal.encode_admit": "hostile journals built record by record",
+    "Journal.magic": "hostile journals built record by record",
+    "Ladder.make": "ladder validation and custom rung orders",
+    "Libfile.of_string": "Liberty round trip and parse errors without files",
+    "Libfile.to_string": "Liberty round trip without files",
+    "Listener.drain_s": "shutdown bounded by the drain time",
+    "Netlist_io.of_string": "netlist round trip and parse errors without files",
+    "Nldm.lookup": "bilinear interpolation and clamping",
+    "Pool.map": "in-order results, chunking and reuse after a failed map",
+    "Process.scale_corner": "corner scaling on a custom corner",
+    "Propagate.net_load": "lumped load of a net",
+    "Propagate.wire_delay": "wire delay of a line-loaded net",
+    "Wave.crossings": "every crossing of a multi-crossing wave",
+    "Worst_case.delay_at": "search result against the delay at its alignment",
+}
 
 UIDENT = re.compile(r"[A-Z][A-Za-z0-9_']*")
 LIDENT = re.compile(r"[a-z_][A-Za-z0-9_']*")
@@ -210,9 +238,8 @@ def scan_file(path, root_mod, libs, used):
             base[name] = lib.children.get(name) if lib else None
     # Scoped entries, innermost last: (depth, kind, name, module). A
     # None name opens the module; otherwise the entry binds the name to
-    # it (None for a module this file defines). A library module's own
-    # file is an open of it.
-    env = [(0, "file", None, own)] if own else []
+    # it (None for a module this file defines).
+    env = []
     depth = 0
     struct_of = None  # module whose "struct" comes next
 
@@ -322,9 +349,13 @@ def main():
             walk(c)
 
     walk(root_mod)
-    for rel, line, name in sorted(unused):
+    flagged = [u for u in sorted(unused) if u[2] not in SEAMS]
+    for rel, line, name in flagged:
         print(f"{rel}:{line}: {name}")
-    return 1 if unused else 0
+    stale = sorted(set(SEAMS) - {name for _, _, name in unused})
+    for name in stale:
+        print(f"test/check_exports.py: seam {name} has a caller or is gone")
+    return 1 if flagged or stale else 0
 
 
 if __name__ == "__main__":

@@ -92,12 +92,10 @@ let test_gate_delay_arc_choice () =
       ~load:(4.0 *. ct.Nldm.input_cap)
   in
   check_true "rising input -> fall arc" (d_r > 0.0 && s_r > 0.0);
-  let arc = Nldm.arc_for_input ct Waveform.Wave.Rising in
   approx "matches out_fall"
     (Nldm.lookup ct.Nldm.out_fall.Nldm.delay ~slew:150e-12
        ~load:(4.0 *. ct.Nldm.input_cap))
-    (Nldm.lookup arc.Nldm.delay ~slew:150e-12 ~load:(4.0 *. ct.Nldm.input_cap));
-  ignore d_r
+    d_r
 
 let test_measure_gate_waveforms () =
   let input =
@@ -109,7 +107,60 @@ let test_measure_gate_waveforms () =
       ~input ~tstop:2e-9
   in
   check_true "input rising" (Waveform.Wave.direction wa = Waveform.Wave.Rising);
-  check_true "output falling" (Waveform.Wave.direction wy = Waveform.Wave.Falling)
+  check_true "output falling" (Waveform.Wave.direction wy = Waveform.Wave.Falling);
+  check_true "stops once settled" (Waveform.Wave.t_end wy < 2e-9)
+
+(* [Characterize]'s measurement of one grid point, run to [tstop]
+   without settle levels: the same input ramp, circuit, config and
+   crossings as [Characterize.run] at its default dt. *)
+let full_span_point cell ~slew ~load ~input_rising =
+  let open Spice in
+  let th = Device.Process.thresholds proc in
+  let vdd = proc.Device.Process.vdd in
+  let t0 = 100e-12 in
+  let trans = slew /. (th.Waveform.Thresholds.high_frac -. th.Waveform.Thresholds.low_frac) in
+  let v0, v1 = if input_rising then (0.0, vdd) else (vdd, 0.0) in
+  let ckt = Circuit.create () in
+  let vdd_node = Device.Cell.attach_supply proc ckt in
+  let a = Circuit.node ckt "a" and y = Circuit.node ckt "y" in
+  Device.Cell.instantiate proc cell ~ckt ~input:a ~output:y ~vdd_node ~name:"dut";
+  Circuit.capacitor ckt y (Circuit.gnd ckt) load;
+  Circuit.vsource ckt a (Source.ramp ~t0 ~v0 ~v1 ~trans);
+  let config =
+    { Transient.default_config with dt = 0.5e-12; tstop = t0 +. trans +. 3e-9 }
+  in
+  let res = Transient.run ~config ckt in
+  let wa = Transient.probe res "a" and wy = Transient.probe res "y" in
+  match
+    (Waveform.Wave.arrival wa th, Waveform.Wave.arrival wy th, Waveform.Wave.slew wy th)
+  with
+  | Some ti, Some ty, Some s -> (ty -. ti, s)
+  | _ -> Alcotest.fail "full-span point has no output transition"
+
+(* The settle stop ends every characterization run early; the tables
+   must still be the full-span ones bit for bit. *)
+let test_characterize_settle_stop_exact () =
+  let cell = Device.Cell.inv_x4 in
+  let ct = Characterize.run proc cell in
+  let grid = Characterize.default_grid proc cell in
+  let bits = Int64.bits_of_float in
+  let check (arc : Nldm.arc) ~input_rising what =
+    Array.iteri
+      (fun i slew ->
+        Array.iteri
+          (fun j load ->
+            let d, s = full_span_point cell ~slew ~load ~input_rising in
+            let got_d = arc.Nldm.delay.Nldm.values.(i).(j) in
+            let got_s = arc.Nldm.trans.Nldm.values.(i).(j) in
+            if bits got_d <> bits d || bits got_s <> bits s then
+              Alcotest.failf
+                "%s (%d, %d): delay %h / %h, transition %h / %h (table / full span)"
+                what i j got_d d got_s s)
+          grid.Characterize.loads)
+      grid.Characterize.slews
+  in
+  check ct.Nldm.out_fall ~input_rising:true "out_fall";
+  check ct.Nldm.out_rise ~input_rising:false "out_rise"
 
 (* ------------------------------------------------------------------ *)
 (* Libfile round trip                                                  *)
@@ -188,6 +239,8 @@ let suite =
       slow_case "characterize: rise/fall balance" test_characterize_rise_slower;
       slow_case "characterize: arc choice" test_gate_delay_arc_choice;
       case "characterize: measure_gate directions" test_measure_gate_waveforms;
+      slow_case "characterize: settle stop keeps tables exact"
+        test_characterize_settle_stop_exact;
       slow_case "libfile: roundtrip" test_libfile_roundtrip;
       slow_case "libfile: multi-cell" test_libfile_multi_cell_roundtrip;
       slow_case "libfile: save/load" test_libfile_save_load;

@@ -31,11 +31,14 @@ let test_taus_span_window () =
     check_true "increasing" (taus.(i + 1) > taus.(i))
   done
 
+(* The victim's line index is the bus number in its far-end node. *)
 let test_victim_position () =
-  Alcotest.(check int) "config I victim first" 0
-    (Scenario.victim_line_index Scenario.config_i);
-  Alcotest.(check int) "config II victim middle" 1
-    (Scenario.victim_line_index Scenario.config_ii)
+  check_true "config I victim first"
+    (String.starts_with ~prefix:"bus0."
+       (Scenario.victim_far_node Scenario.config_i));
+  check_true "config II victim middle"
+    (String.starts_with ~prefix:"bus1."
+       (Scenario.victim_far_node Scenario.config_ii))
 
 let test_build_circuit_shape () =
   let ckt, hints = Scenario.build Scenario.config_i ~aggressor_active:true ~tau:0.5e-9 in
@@ -290,6 +293,120 @@ let test_config_ii_delays_golden () =
           expected)
     (List.combine table.Eval.cases config_ii_delays_ps)
 
+(* ------------------------------------------------------------------ *)
+(* Settle stop: a receiver replay ends once the receiver has settled,
+   and what it returns is exactly a run to [tstop] cut at that point. *)
+
+(* The replay circuit and solver config of [Injection.receiver_response]
+   under [engine], run to [tstop] without settle levels. *)
+let full_span_replay engine scen input ~tstop =
+  let open Spice in
+  let proc = scen.Scenario.proc in
+  let _, _, rcv_cell, load_cell = Scenario.chain_cells scen in
+  let ckt = Circuit.create () in
+  let vdd = Device.Cell.attach_supply proc ckt in
+  let pin = Circuit.node ckt "pin" in
+  let rcv = Circuit.node ckt "rcv" in
+  let buf = Circuit.node ckt "buf" in
+  Device.Cell.instantiate proc rcv_cell ~ckt ~input:pin ~output:rcv
+    ~vdd_node:vdd ~name:"u16";
+  Device.Cell.instantiate proc load_cell ~ckt ~input:rcv ~output:buf
+    ~vdd_node:vdd ~name:"u64";
+  Circuit.vsource ckt pin input;
+  let th = Device.Process.thresholds proc in
+  let config =
+    Transient.with_crossing_levels_if_empty
+      { (Runtime.Engine.solver engine) with dt = scen.Scenario.dt /. 2.0; tstop }
+      Waveform.Thresholds.[ v_low th; v_mid th; v_high th ]
+  in
+  assert (config.Transient.settle_levels = []);
+  Transient.probe (Transient.run ~config ckt) "rcv"
+
+(* The stopped replay of [input], or the reason it is not the full-span
+   replay's prefix: its samples must equal the full wave's first ones
+   bit for bit, and the full wave must cross no 10/50/90 threshold
+   after its end. On the fixed grid it must also end before the full
+   wave does; adaptive steps grow to [dt_max] once the input is quiet,
+   so ten settled steps may not fit before [tstop]. *)
+let stop_mismatch ?(engine = Runtime.Engine.reference) scen input ~tstop =
+  let stopped = Injection.receiver_response ~engine scen ~input ~tstop in
+  let full = full_span_replay engine scen input ~tstop in
+  let open Waveform.Wave in
+  let ts = times stopped and vs = values stopped in
+  let tf = times full and vf = values full in
+  let n = Array.length ts in
+  let bits = Int64.bits_of_float in
+  let t_stop = ts.(n - 1) in
+  let late level =
+    List.filter (fun t -> t > t_stop) (crossings full level)
+  in
+  let th = Device.Process.thresholds scen.Scenario.proc in
+  if n > Array.length tf
+     || (n = Array.length tf && not (Runtime.Engine.is_adaptive engine))
+  then Some (Printf.sprintf "no stop: %d of %d samples" n (Array.length tf))
+  else if
+    not
+      (Seq.for_all
+         (fun i ->
+           bits ts.(i) = bits tf.(i) && bits vs.(i) = bits vf.(i))
+         (Seq.init n Fun.id))
+  then Some "stopped samples differ from the full-span prefix"
+  else
+    match
+      List.concat_map late
+        Waveform.Thresholds.[ v_low th; v_mid th; v_high th ]
+    with
+    | [] -> None
+    | t :: _ ->
+        Some
+          (Printf.sprintf "crossing at %.1f ps after the stop at %.1f ps"
+             (t *. 1e12) (t_stop *. 1e12))
+
+let test_settle_stop_ramps =
+  qcase ~count:60 "settle stop: ramp replays are exact prefixes"
+    QCheck2.Gen.(
+      pair (triple bool bool bool)
+        (pair (float_range 10e-12 600e-12) (float_range 0.2e-9 2e-9)))
+    (fun ((buffer, adaptive, rising), (slew, start)) ->
+      let scen = if buffer then Scenario.config_i_buffer else Scenario.config_i in
+      let engine =
+        if adaptive then Runtime.Engine.fast else Runtime.Engine.reference
+      in
+      let dir = if rising then Waveform.Wave.Rising else Waveform.Wave.Falling in
+      (* A 10-90 slew is 0.8 of the full swing, whose middle is the
+         arrival. *)
+      let ramp =
+        Waveform.Ramp.of_arrival_slew ~arrival:(start +. (slew /. 1.6)) ~slew
+          ~dir th
+      in
+      let tstop =
+        Float.max scen.Scenario.tstop (Waveform.Ramp.t_settle ramp +. 1.5e-9)
+      in
+      match stop_mismatch ~engine scen (Spice.Source.of_ramp ramp) ~tstop with
+      | None -> true
+      | Some why -> QCheck2.Test.fail_report why)
+
+(* Table 1's reference replays: the recorded noisy wave of every 4th
+   alignment of Config I and Config II. *)
+let test_settle_stop_reference_replays () =
+  List.iter
+    (fun scen ->
+      Array.iteri
+        (fun i tau ->
+          if i mod 4 = 0 then begin
+            let noisy = Injection.noisy scen ~tau in
+            match
+              stop_mismatch scen
+                (Spice.Source.of_wave noisy.Injection.far)
+                ~tstop:scen.Scenario.tstop
+            with
+            | None -> ()
+            | Some why ->
+                Alcotest.failf "%s alignment %d: %s" scen.Scenario.name i why
+          end)
+        (Scenario.taus scen))
+    Scenario.[ config_i; config_ii ]
+
 let suite =
   ( "noise",
     [
@@ -314,4 +431,7 @@ let suite =
         test_adaptive_matches_fixed_delays;
       slow_case "eval: Config II reference delays golden"
         test_config_ii_delays_golden;
+      test_settle_stop_ramps;
+      slow_case "settle stop: reference replays are exact prefixes"
+        test_settle_stop_reference_replays;
     ] )

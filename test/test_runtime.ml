@@ -264,12 +264,14 @@ let test_config_fingerprint_exhaustive () =
   differs "max_steps" { base with max_steps = 10_000 };
   differs "step_control" { base with step_control = Fixed };
   differs "jac_reuse" { base with jac_reuse = not base.jac_reuse };
-  differs "lte_tol" (with_adaptive ~lte_tol:(default_adaptive.lte_tol *. 2.0) base);
-  differs "dt_min" (with_adaptive ~dt_min:(default_adaptive.dt_min *. 2.0) base);
-  differs "dt_max" (with_adaptive ~dt_max:(default_adaptive.dt_max *. 2.0) base);
-  differs "grow_limit"
-    (with_adaptive ~grow_limit:(default_adaptive.grow_limit +. 1.0) base);
-  differs "safety" (with_adaptive ~safety:(default_adaptive.safety /. 2.0) base);
+  differs "settle_levels" { base with settle_levels = [ 0.6 ] };
+  (* [base] holds the adaptive defaults (mli of [with_adaptive]); each
+     value below differs from its default. *)
+  differs "lte_tol" (with_adaptive ~lte_tol:1e-3 base);
+  differs "dt_min" (with_adaptive ~dt_min:20e-15 base);
+  differs "dt_max" (with_adaptive ~dt_max:200e-12 base);
+  differs "grow_limit" (with_adaptive ~grow_limit:3.0 base);
+  differs "safety" (with_adaptive ~safety:0.45 base);
   differs "crossing_levels" (with_adaptive ~crossing_levels:[ 0.6 ] base);
   differs "crossing_dt" (with_adaptive ~crossing_dt:3e-12 base);
   (* The levels list must not be boundary-ambiguous. *)
@@ -319,12 +321,13 @@ let test_config_fingerprint_pinned () =
 (* Engine                                                              *)
 
 let test_engine_presets_and_of_name () =
+  let names = [ "reference"; "accurate"; "fast" ] in
   List.iter
     (fun name ->
       Alcotest.(check string)
         "of_name round-trips" name
         (Runtime.Engine.name (Runtime.Engine.of_name name)))
-    Runtime.Engine.names;
+    names;
   check_true "reference is fixed-grid"
     (not (Runtime.Engine.is_adaptive Runtime.Engine.reference));
   check_true "accurate is adaptive"
@@ -332,9 +335,10 @@ let test_engine_presets_and_of_name () =
   check_true "fast is adaptive" (Runtime.Engine.is_adaptive Runtime.Engine.fast);
   check_true "presets carry no pool/cache"
     (List.for_all
-       (fun e ->
+       (fun name ->
+         let e = Runtime.Engine.of_name name in
          Runtime.Engine.pool e = None && Runtime.Engine.cache e = None)
-       Runtime.Engine.presets);
+       names);
   (match Runtime.Engine.of_name "warp9" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown engine accepted");
