@@ -61,6 +61,7 @@ let capture_spice ?since t =
   in
   set t "spice.sims" s.Spice.Transient.Stats.sims;
   set t "spice.steps" s.Spice.Transient.Stats.steps;
+  set t "spice.skipped_steps" s.Spice.Transient.Stats.skipped_steps;
   set t "spice.newton_iters" s.Spice.Transient.Stats.newton_iters;
   set t "spice.bisections" s.Spice.Transient.Stats.bisections;
   set t "spice.gmin_retries" s.Spice.Transient.Stats.gmin_retries;

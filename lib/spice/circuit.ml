@@ -1,7 +1,8 @@
 type node = int
 (* -1 is ground; 0.. index the unknown nodes. *)
 
-type mosfet_eval = vg:float -> vd:float -> vs:float -> float * float * float * float
+type mosfet_eval =
+  float array -> g:int -> d:int -> s:int -> float array -> int -> unit
 
 type t = {
   names : (string, node) Hashtbl.t;

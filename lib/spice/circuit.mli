@@ -13,12 +13,17 @@ type node = private int
     in [0 .. num_nodes-1]. The representation is exposed read-only so
     the analysis engine can index arrays directly. *)
 
-type mosfet_eval = vg:float -> vd:float -> vs:float -> float * float * float * float
-(** [eval ~vg ~vd ~vs] returns [(ids, dids_dvg, dids_dvd, dids_dvs)]
-    where [ids] is the channel current flowing from the drain terminal
-    into the device (and out of the source terminal). The closure must
-    handle arbitrary terminal orderings (vd < vs included) and be
-    C1-smooth enough for Newton iteration. *)
+type mosfet_eval =
+  float array -> g:int -> d:int -> s:int -> float array -> int -> unit
+(** [eval x ~g ~d ~s out k] reads the gate, drain and source voltages
+    from the state vector [x] at indices [g], [d] and [s] (a negative
+    index is ground, 0 V) and writes [ids], [dids_dvg], [dids_dvd] and
+    [dids_dvs] to [out.(k)] .. [out.(k+3)], where [ids] is the channel
+    current flowing from the drain terminal into the device (and out of
+    the source terminal). Writing in place keeps the solver's per-device
+    evaluation free of boxed floats and tuples. The closure must handle
+    arbitrary terminal orderings (vd < vs included) and be C1-smooth
+    enough for Newton iteration. *)
 
 val create : unit -> t
 

@@ -33,14 +33,19 @@ let gmin = 1e-12 (* conductance to ground on every node, S *)
 let max_bisection = 10 (* step-halving depth on Newton failure *)
 
 (* The settle stop ([settle_levels] non-empty): a run ends at the
-   first accepted step after [settle_steps] steps in a row in which
-   every node moved less than [settle_slope] V per ps of step, once
-   every source is quiet (a recorded wave: within [settle_delta] V of
-   its final value) and every node lies at least [settle_margin] V
-   from each settle level. DESIGN §9 item 8 argues why no crossing of
-   a level can follow. *)
+   first accepted step after a calm span worth [settle_steps] grid
+   steps, in which every node moved less than [settle_slope] V per ps
+   of step, once every source is quiet (a recorded wave: within
+   [settle_delta] V of its final value) and every node lies at least
+   [settle_margin] V from each settle level. A calm step of length h
+   earns max(1, floor(h/dt)) grid steps, and the span holds at least
+   [settle_min_steps] accepted steps: a fixed-grid step earns one, so
+   the fixed grid counts steps, while adaptive steps that grow to
+   [dt_max] still stop soon after the input settles. DESIGN §9 item 8
+   argues why no crossing of a level can follow. *)
 let settle_slope = 1e-5
 let settle_steps = 10
+let settle_min_steps = 2
 let settle_margin = 0.05
 let settle_delta = 1e-4
 
@@ -154,6 +159,9 @@ let config_fingerprint cfg =
            ]
           @ List.map f crossing_levels)
   in
+  (* Every fixed-grid step earns one calm credit, so the fixed grid
+     stops where the step-counting rule did and keeps its key; only
+     adaptive keys render [settle_min_steps]. *)
   let settle =
     match settle_levels with
     | [] -> []
@@ -163,6 +171,10 @@ let config_fingerprint cfg =
             ("settle" :: f settle_slope :: string_of_int settle_steps
            :: f settle_margin :: f settle_delta :: List.map f levels);
         ]
+        @
+        match step_control with
+        | Fixed -> []
+        | Adaptive _ -> [ "calm-time," ^ string_of_int settle_min_steps ]
   in
   String.concat "|"
     ([
@@ -192,6 +204,7 @@ module Stats = struct
   type snapshot = {
     sims : int;
     steps : int;
+    skipped_steps : int;
     newton_iters : int;
     bisections : int;
     gmin_retries : int;
@@ -209,6 +222,7 @@ module Stats = struct
      concurrent simulations account correctly. *)
   let sims = Atomic.make 0
   let steps = Atomic.make 0
+  let skipped_steps = Atomic.make 0
   let newton_iters = Atomic.make 0
   let bisections = Atomic.make 0
   let gmin_retries = Atomic.make 0
@@ -224,6 +238,7 @@ module Stats = struct
     {
       sims = Atomic.get sims;
       steps = Atomic.get steps;
+      skipped_steps = Atomic.get skipped_steps;
       newton_iters = Atomic.get newton_iters;
       bisections = Atomic.get bisections;
       gmin_retries = Atomic.get gmin_retries;
@@ -241,6 +256,7 @@ module Stats = struct
     {
       sims = a.sims - b.sims;
       steps = a.steps - b.steps;
+      skipped_steps = a.skipped_steps - b.skipped_steps;
       newton_iters = a.newton_iters - b.newton_iters;
       bisections = a.bisections - b.bisections;
       gmin_retries = a.gmin_retries - b.gmin_retries;
@@ -377,8 +393,9 @@ let getv x i = if is_gnd i then 0.0 else x.(i)
      tolerances.
    - All vectors ([f], [rhs], trial states, capacitor snapshots) are
      preallocated; the inner loop negates the residual into the rhs
-     buffer and the solve overwrites it in place, so a Newton
-     iteration allocates nothing beyond the device-eval results. *)
+     buffer and the solve overwrites it in place, and each device
+     evaluation writes its current and derivatives into [fet_vals], so
+     a Newton iteration allocates nothing. *)
 
 type ws = {
   nu : int;
@@ -424,11 +441,22 @@ type ws = {
   icap0 : float array;
   xtrial : float array;
   xcomp : float array;
-  (* Predictor state: the last accepted solution and its step size,
-     for the linear-extrapolation initial guess on the next step. *)
+  (* Predictor state: the last accepted solution and its step size
+     (one slot, so a store does not box), for the linear-extrapolation
+     initial guess on the next step. *)
   xprev : float array;
-  mutable hprev : float;
+  hprev : float array;
   mutable have_prev : bool;
+  (* Verified fixed points of the fixed-grid step, one entry per
+     capacitor-current vector of the period-2 orbit (see
+     [repeated_entry]): the Newton iterate the verified solve started
+     from, and per entry the capacitor currents it entered with, the
+     source values and each capacitor's companion term. *)
+  fp_xit : float array;
+  fp_icap : float array; (* 2 x ncap *)
+  fp_vv : float array; (* 2 x nsrc *)
+  fp_term : float array; (* 2 x ncap *)
+  mutable fp_n : int; (* live entries: 0, 1 or 2 *)
   nscr : float array;
       (* Newton loop float state (max dv / max f / previous dv): a
          float array instead of refs so stores stay unboxed. *)
@@ -504,8 +532,13 @@ let make_ws cp =
     xtrial = Array.make nu 0.0;
     xcomp = Array.make nu 0.0;
     xprev = Array.make nu 0.0;
-    hprev = 0.0;
+    hprev = [| 0.0 |];
     have_prev = false;
+    fp_xit = Array.make nu 0.0;
+    fp_icap = Array.make (2 * ncap) 0.0;
+    fp_vv = Array.make (2 * Array.length cp.vsrc) 0.0;
+    fp_term = Array.make (2 * ncap) 0.0;
+    fp_n = 0;
     nscr = Array.make 3 0.0;
     nw_iter = 0;
     nw_stale = 0;
@@ -514,17 +547,26 @@ let make_ws cp =
     nw_reused = false;
   }
 
+(* Trapezoidal companion of a capacitor [c] over a step [h] from state
+   (v0, i0): conductance [g] and current [ieq]; its current at branch
+   voltage [v] is [cap_term ~g ~ieq v]. The stamp, the Newton call, the
+   residual and the fixed-point skip all go through these, so the skip
+   compares exactly the floats the residual would compute. *)
+let[@inline] trap_g c h = 2.0 *. c /. h
+let[@inline] trap_ieq ~g v0 i0 = -.((g *. v0) +. i0)
+let[@inline] cap_term ~g ~ieq v = (g *. v) +. ieq
+
 let geq_of ~integ ~h c =
   match integ with
   | Backward_euler -> c /. h
-  | Trapezoidal -> 2.0 *. c /. h
+  | Trapezoidal -> trap_g c h
 
 (* Restamp the linear baseline — gmin loads, resistors, capacitor
    companion conductances for the current step size, voltage-source
    rows — when its key changes. On a fixed grid this happens once per
    solve; adaptive stepping restamps when h or the companion model
    changes. Any change invalidates the kept factorization. *)
-let ensure_lin ws cp ~gmin ~h ~integ =
+let[@inline] lin_stale ws cp ~gmin ~h ~integ =
   (* Grid arithmetic jitters [h] by a few ulps between nominally equal
      fixed-grid steps; stamping the companion conductances at a step
      size within 1e-9 relative of the last one leaves the Jacobian
@@ -534,12 +576,13 @@ let ensure_lin ws cp ~gmin ~h ~integ =
   let same_h =
     h = ws.lin_h || abs_float (h -. ws.lin_h) <= 1e-9 *. abs_float h
   in
-  if
-    (not ws.lin_valid)
-    || ws.lin_gmin <> gmin
-    || (not same_h)
-    || (h > 0.0 && ws.lin_integ <> integ && Array.length cp.caps > 0)
-  then begin
+  (not ws.lin_valid)
+  || ws.lin_gmin <> gmin
+  || (not same_h)
+  || (h > 0.0 && ws.lin_integ <> integ && Array.length cp.caps > 0)
+
+let ensure_lin ws cp ~gmin ~h ~integ =
+  if lin_stale ws cp ~gmin ~h ~integ then begin
     let add = Numerics.Matrix.add_to ws.lin in
     Numerics.Matrix.fill ws.lin 0.0;
     for i = 0 to cp.n - 1 do
@@ -614,8 +657,8 @@ let residual ws cp ~gmin ~h x =
     for k = 0 to Array.length ca - 1 do
       let a = Array.unsafe_get ca k and b = Array.unsafe_get cb k in
       let i =
-        (Array.unsafe_get geq k *. (ugetv x a -. ugetv x b))
-        +. Array.unsafe_get ieq k
+        cap_term ~g:(Array.unsafe_get geq k) ~ieq:(Array.unsafe_get ieq k)
+          (ugetv x a -. ugetv x b)
       in
       if not (is_gnd a) then uacc f a i;
       if not (is_gnd b) then uacc f b (-.i)
@@ -625,14 +668,9 @@ let residual ws cp ~gmin ~h x =
   let fe = ws.fet_eval and fv = ws.fet_vals in
   for k = 0 to Array.length fe - 1 do
     let d = fd.(k) and s = fs.(k) in
-    let ids, dg, dd, ds =
-      fe.(k) ~vg:(ugetv x fg.(k)) ~vd:(ugetv x d) ~vs:(ugetv x s)
-    in
     let base = 4 * k in
-    Array.unsafe_set fv base ids;
-    Array.unsafe_set fv (base + 1) dg;
-    Array.unsafe_set fv (base + 2) dd;
-    Array.unsafe_set fv (base + 3) ds;
+    fe.(k) x ~g:fg.(k) ~d ~s fv base;
+    let ids = Array.unsafe_get fv base in
     if not (is_gnd d) then uacc f d ids;
     if not (is_gnd s) then uacc f s (-.ids)
   done;
@@ -776,9 +814,9 @@ let newton ws cp cfg ~gmin ~t ~h ~integ x =
          done
      | Trapezoidal ->
          for k = 0 to Array.length cc - 1 do
-           let g = 2.0 *. cc.(k) /. h in
+           let g = trap_g cc.(k) h in
            geq.(k) <- g;
-           ieq.(k) <- -.((g *. v0.(k)) +. i0.(k))
+           ieq.(k) <- trap_ieq ~g v0.(k) i0.(k)
          done);
   Array.blit x 0 ws.x0 0 nu;
   ws.nw_total <- 0;
@@ -892,8 +930,10 @@ type case_state = {
   mutable c_steps : int; (* accepted steps; 0 = nothing charged yet *)
   c_levels : float array; (* [settle_levels]; empty = no settle stop *)
   c_quiet : float; (* every source is quiet from here on *)
-  mutable c_calm : int; (* accepted steps in a row that moved no node
-                            by [settle_slope] or more *)
+  mutable c_calm : int; (* grid steps' worth of calm time in a row: the
+                            accepted steps that moved no node by
+                            [settle_slope] per ps or more *)
+  mutable c_calm_steps : int; (* accepted steps in that calm span *)
 }
 
 let case_load_caps st =
@@ -926,8 +966,17 @@ let settled st ~t ~h x0 x1 =
        for i = 0 to n - 1 do
          if abs_float (x1.(i) -. x0.(i)) >= bound then calm := false
        done;
-       st.c_calm <- (if !calm then st.c_calm + 1 else 0);
-       st.c_calm >= settle_steps && t >= st.c_quiet
+       if !calm then begin
+         st.c_calm <- st.c_calm + max 1 (int_of_float (h /. st.c_cfg.dt));
+         st.c_calm_steps <- st.c_calm_steps + 1
+       end
+       else begin
+         st.c_calm <- 0;
+         st.c_calm_steps <- 0
+       end;
+       st.c_calm >= settle_steps
+       && st.c_calm_steps >= settle_min_steps
+       && t >= st.c_quiet
        && begin
             let away = ref true in
             for i = 0 to n - 1 do
@@ -960,6 +1009,105 @@ let case_commit st ~h xnew =
 let case_attempt st ~integ ~t ~h xtrial =
   newton st.c_ws st.c_cp st.c_cfg ~gmin ~t ~h ~integ xtrial
 
+(* ------------------------------------------------------------------ *)
+(* The fixed-point skip (DESIGN §9 item 9). Before its stimulus moves,
+   a fixed-grid replay sits at a state that the trapezoidal step maps to
+   itself bit for bit: Newton, seeded with the state, converges in one
+   iteration on the kept factorization and commits the state again,
+   with every capacitor current negated ([0.0 -. i0]). A step that
+   provably repeats such a verified solve commits what the solve would
+   commit without running it. Entries live only while every step since
+   their verification was verified or skipped, so the state is the
+   verified one, [xprev] equals it and the kept factorization is the
+   one the verified solve used. *)
+
+(* Floats compared by their bits: value and sign, so -0.0 <> 0.0. *)
+let[@inline] same_bits (a : float) b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let rec same_slice a ia b ib n =
+  n = 0 || (same_bits a.(ia) b.(ib) && same_slice a (ia + 1) b (ib + 1) (n - 1))
+
+let rec negated a b n =
+  n = 0 || (same_bits a.(n - 1) (0.0 -. b.(n - 1)) && negated a b (n - 1))
+
+(* The entry a step of size [t1 - t0] ending at [t1] repeats, or -1:
+   [ensure_lin] would keep the factorization, the capacitor currents
+   equal the entry's, and each capacitor's companion term at this step
+   size and every source value at [t1] equal the verified solve's. The
+   solve would then evaluate the same residual at the same iterate and
+   take the same update. *)
+let repeated_entry st t0 t1 =
+  let ws = st.c_ws and cp = st.c_cp in
+  let h = t1 -. t0 in
+  if ws.fp_n = 0 || (not ws.fact_valid)
+     || lin_stale ws cp ~gmin ~h ~integ:Trapezoidal
+  then -1
+  else begin
+    let ncap = Array.length st.c_icap and i0 = st.c_icap in
+    let e =
+      if same_slice i0 0 ws.fp_icap 0 ncap then 0
+      else if ws.fp_n = 2 && same_slice i0 0 ws.fp_icap ncap ncap then 1
+      else -1
+    in
+    let ok = ref (e >= 0) in
+    (* Recomputing the terms costs no more than looking them up in a
+       table of the grid's distinct step sizes. *)
+    let xi = ws.fp_xit and v0 = st.c_vcap and cc = ws.cap_c in
+    for k = 0 to ncap - 1 do
+      if !ok then begin
+        let g = trap_g cc.(k) h in
+        let ieq = trap_ieq ~g v0.(k) i0.(k) in
+        let term =
+          cap_term ~g ~ieq (ugetv xi ws.cap_a.(k) -. ugetv xi ws.cap_b.(k))
+        in
+        if not (same_bits term ws.fp_term.((e * ncap) + k)) then ok := false
+      end
+    done;
+    let nsrc = Array.length cp.vsrc in
+    for j = 0 to nsrc - 1 do
+      let _, src = cp.vsrc.(j) in
+      if !ok && not (same_bits (Source.value src t1) ws.fp_vv.((e * nsrc) + j))
+      then ok := false
+    done;
+    if !ok then e else -1
+  end
+
+(* After a solved step's commit: record it as an entry when it verifies
+   as a fixed point, else drop every entry. [candidate] says the step's
+   first Newton call converged in one iteration on the kept
+   factorization from the predicted iterate. It verifies when it also
+   entered with [xprev] equal to the state and committed the entry
+   state, capacitor voltages and negated currents. *)
+let note_fixed_point st ~candidate =
+  let ws = st.c_ws and x = st.c_x in
+  let nu = ws.nu and ncap = Array.length st.c_icap in
+  if
+    not
+      (candidate
+      && same_slice ws.xprev 0 x 0 nu
+      && same_slice ws.xtrial 0 x 0 nu
+      && same_slice st.c_vcap 0 ws.vcap0 0 ncap
+      && negated st.c_icap ws.icap0 ncap)
+  then ws.fp_n <- 0
+  else begin
+    let e =
+      if ws.fp_n >= 1 && same_slice ws.icap0 0 ws.fp_icap 0 ncap then 0
+      else if ws.fp_n = 2 && same_slice ws.icap0 0 ws.fp_icap ncap ncap then 1
+      else if ws.fp_n = 1 then (ws.fp_n <- 2; 1)
+      else (ws.fp_n <- 1; 0)
+    in
+    let nsrc = Array.length ws.vvals in
+    Array.blit ws.x0 0 ws.fp_xit 0 nu;
+    Array.blit ws.icap0 0 ws.fp_icap (e * ncap) ncap;
+    Array.blit ws.vvals 0 ws.fp_vv (e * nsrc) nsrc;
+    let xi = ws.x0 in
+    for k = 0 to ncap - 1 do
+      ws.fp_term.((e * ncap) + k) <-
+        cap_term ~g:ws.cap_geq.(k) ~ieq:ws.cap_ieq.(k)
+          (ugetv xi ws.cap_a.(k) -. ugetv xi ws.cap_b.(k))
+    done
+  end
+
 (* Advance from t0 to t1, bisecting on failure. The ws scratch buffers
    are safe across the recursion: a failed attempt's parent state is
    dead by the time a child reloads them. *)
@@ -967,46 +1115,64 @@ let rec fixed_advance st depth t0 t1 =
   let ws = st.c_ws and x = st.c_x in
   let nu = ws.nu in
   let h = t1 -. t0 in
-  case_load_caps st;
-  let xtrial = ws.xtrial in
-  (* Linear-extrapolation predictor: seed Newton with the solution
-     continued along the last accepted step's slope. Near-free on
-     quiescent spans and typically saves an iteration through
-     transitions; a failed predicted solve retries once from the
-     flat (previous-solution) guess before bisecting. *)
-  let predicted = ws.have_prev && ws.hprev > 0.0 in
-  if predicted then begin
-    let r = h /. ws.hprev in
-    let xp = ws.xprev in
-    for i = 0 to nu - 1 do
-      xtrial.(i) <- x.(i) +. ((x.(i) -. xp.(i)) *. r)
-    done
-  end
-  else Array.blit x 0 xtrial 0 nu;
-  let ok =
-    case_attempt st ~integ:Trapezoidal ~t:t1 ~h xtrial
-    ||
-    (predicted
-    &&
-    (case_load_caps st;
-     Array.blit x 0 xtrial 0 nu;
-     case_attempt st ~integ:Trapezoidal ~t:t1 ~h xtrial))
-  in
-  if ok then begin
+  if repeated_entry st t0 t1 >= 0 then begin
+    (* What the solve would leave: the same state and capacitor
+       voltages, negated currents, [xprev] (already the state), the
+       step size and one more iteration on the kept factorization. *)
     Atomic.incr Stats.steps;
+    Atomic.incr Stats.skipped_steps;
     case_charge_step st ~at:t1;
-    case_commit st ~h xtrial;
-    Array.blit x 0 ws.xprev 0 nu;
-    ws.hprev <- h;
-    ws.have_prev <- true;
-    Array.blit xtrial 0 x 0 nu
+    let icap = st.c_icap in
+    for k = 0 to Array.length icap - 1 do
+      icap.(k) <- 0.0 -. icap.(k)
+    done;
+    ws.hprev.(0) <- h;
+    ws.fact_stale <- ws.fact_stale + 1
   end
-  else if depth >= max_bisection then raise (No_convergence t1)
   else begin
-    Atomic.incr Stats.bisections;
-    let tm = 0.5 *. (t0 +. t1) in
-    fixed_advance st (depth + 1) t0 tm;
-    fixed_advance st (depth + 1) tm t1
+    case_load_caps st;
+    let xtrial = ws.xtrial in
+    (* Linear-extrapolation predictor: seed Newton with the solution
+       continued along the last accepted step's slope. Near-free on
+       quiescent spans and typically saves an iteration through
+       transitions; a failed predicted solve retries once from the
+       flat (previous-solution) guess before bisecting. *)
+    let predicted = ws.have_prev && ws.hprev.(0) > 0.0 in
+    if predicted then begin
+      let r = h /. ws.hprev.(0) in
+      let xp = ws.xprev in
+      for i = 0 to nu - 1 do
+        xtrial.(i) <- x.(i) +. ((x.(i) -. xp.(i)) *. r)
+      done
+    end
+    else Array.blit x 0 xtrial 0 nu;
+    let first = case_attempt st ~integ:Trapezoidal ~t:t1 ~h xtrial in
+    let candidate = first && predicted && ws.nw_total = 1 && ws.nw_reused in
+    let ok =
+      first
+      || predicted
+         && (case_load_caps st;
+             Array.blit x 0 xtrial 0 nu;
+             case_attempt st ~integ:Trapezoidal ~t:t1 ~h xtrial)
+    in
+    if ok then begin
+      Atomic.incr Stats.steps;
+      case_charge_step st ~at:t1;
+      case_commit st ~h xtrial;
+      note_fixed_point st ~candidate;
+      Array.blit x 0 ws.xprev 0 nu;
+      ws.hprev.(0) <- h;
+      ws.have_prev <- true;
+      Array.blit xtrial 0 x 0 nu
+    end
+    else begin
+      ws.fp_n <- 0;
+      if depth >= max_bisection then raise (No_convergence t1);
+      Atomic.incr Stats.bisections;
+      let tm = 0.5 *. (t0 +. t1) in
+      fixed_advance st (depth + 1) t0 tm;
+      fixed_advance st (depth + 1) tm t1
+    end
   end
 
 (* Walk the fixed grid one interval at a time, recording each
@@ -1057,6 +1223,7 @@ let case_start cp ws cfg fault ic =
     c_levels = Array.of_list cfg.settle_levels;
     c_quiet = quiet;
     c_calm = 0;
+    c_calm_steps = 0;
   }
 
 (* -------------- adaptive local-truncation-error grid ------------- *)

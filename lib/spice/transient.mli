@@ -120,7 +120,11 @@ exception Deadline_exceeded of { at : float; budget_ms : float }
 module Stats : sig
   type snapshot = {
     sims : int;          (** [run] invocations *)
-    steps : int;         (** accepted integration steps *)
+    steps : int;
+        (** accepted integration steps, skipped ones included *)
+    skipped_steps : int;
+        (** fixed-grid steps committed without a Newton solve because
+            they repeat a verified fixed point (see {!run}) *)
     newton_iters : int;  (** Newton iterations across all solves *)
     bisections : int;    (** step halvings after Newton failure *)
     gmin_retries : int;  (** DC solves that needed gmin stepping *)
@@ -199,13 +203,29 @@ val run : ?config:config -> ?ic:(string * float) list -> Circuit.t -> result
     returned waveforms may end earlier: the run stops at the first
     accepted step at which every source is quiet (see
     {!Source.quiet_from}; a recorded wave within 0.1 mV of its final
-    value), every node moved less than 10 uV per ps of step in each of
-    the last 10 accepted steps, and every node lies at least 50 mV from
-    each level. The samples up to the stop are bit-identical to those
-    of a run to [tstop], and no crossing of a settle level follows it
+    value), every node moved less than 10 uV per ps of step in each
+    step of a calm span worth 10 steps of [dt] (a step of length h
+    counts for max(1, floor(h/dt)), and the span holds at least two
+    accepted steps), and every node lies at least 50 mV from each
+    level. The samples up to the stop are bit-identical to those of a
+    run to [tstop], and no crossing of a settle level follows it
     (DESIGN §9 item 8 gives the argument).
     Waveforms hold their last sample beyond their end, so a reader
-    that needs values past the stop sees the settled value. *)
+    that needs values past the stop sees the settled value.
+
+    On the fixed grid, a step that provably repeats a verified fixed
+    point is committed without its Newton solve. A solved step is a
+    verified fixed point when it entered with the predictor's previous
+    solution equal to the state, converged in one iteration on the
+    kept factorization and committed the state it entered with; its
+    capacitor currents then flip sign, a period-2 orbit. A later step
+    repeats it when no factorization or linear restamp intervenes, the
+    capacitor currents, every source value and each capacitor's
+    companion term at the new step size equal the verified step's bit
+    for bit. The skip commits exactly what the solve would, so every
+    sample is bit-identical; {!Stats} counts such steps in [steps] and
+    [skipped_steps], not in [newton_iters]. Before its stimulus moves, a
+    replay of a ramp skips every step (DESIGN §9 item 9). *)
 
 val run_batch_outcomes :
   ?config:config ->

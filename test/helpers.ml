@@ -49,6 +49,13 @@ let final_voltage res name =
   let vs = Waveform.Wave.values (Spice.Transient.probe res name) in
   vs.(Array.length vs - 1)
 
+(* A device closure evaluated at terminal voltages, as the tuple
+   (ids, dids/dvg, dids/dvd, dids/dvs). *)
+let eval_fet (f : Spice.Circuit.mosfet_eval) ~vg ~vd ~vs =
+  let out = Array.make 4 0.0 in
+  f [| vg; vd; vs |] ~g:0 ~d:1 ~s:2 out 0;
+  (out.(0), out.(1), out.(2), out.(3))
+
 (* The DC operating point [Spice.Transient.run] starts from: the first
    sample of a two-step run, with [ic] as the Newton starting guesses. *)
 let dc_point ?(ic = []) ckt =

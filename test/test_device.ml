@@ -7,12 +7,15 @@ let vdd = proc.Device.Process.vdd
    NMOS with its source grounded, PMOS (as a magnitude) with its source
    pinned at vdd. *)
 let nmos_id ~width ~vgs ~vds =
-  let ids, _, _, _ = Device.Mosfet.nmos proc ~width ~vg:vgs ~vd:vds ~vs:0.0 in
+  let ids, _, _, _ =
+    eval_fet (Device.Mosfet.nmos proc ~width) ~vg:vgs ~vd:vds ~vs:0.0
+  in
   ids
 
 let pmos_id ~width ~vsg ~vsd =
   let ids, _, _, _ =
-    Device.Mosfet.pmos proc ~width ~vg:(vdd -. vsg) ~vd:(vdd -. vsd) ~vs:vdd
+    eval_fet (Device.Mosfet.pmos proc ~width) ~vg:(vdd -. vsg) ~vd:(vdd -. vsd)
+      ~vs:vdd
   in
   abs_float ids
 
@@ -80,7 +83,7 @@ let fd_check name eval ~vg ~vd ~vs =
   approx_rel ~rel:2e-2 (name ^ " dIds/dVs") ((ip -. i0) /. h +. 1e-12) (ds +. 1e-12)
 
 let test_nmos_derivatives () =
-  let eval = Device.Mosfet.nmos proc ~width:2e-6 in
+  let eval = eval_fet (Device.Mosfet.nmos proc ~width:2e-6) in
   (* Operating points covering triode, saturation, and swapped S/D. *)
   List.iter
     (fun (vg, vd, vs) -> fd_check "nmos" eval ~vg ~vd ~vs)
@@ -93,7 +96,7 @@ let test_nmos_derivatives () =
     ]
 
 let test_pmos_derivatives () =
-  let eval = Device.Mosfet.pmos proc ~width:2e-6 in
+  let eval = eval_fet (Device.Mosfet.pmos proc ~width:2e-6) in
   List.iter
     (fun (vg, vd, vs) -> fd_check "pmos" eval ~vg ~vd ~vs)
     [ (0.0, 0.0, 1.2); (0.0, 1.1, 1.2); (0.5, 0.6, 1.2); (0.3, 1.2, 0.9) ]
@@ -104,13 +107,13 @@ let test_pmos_pulls_up () =
      source->drain... our convention: ids flows d->s; for a conducting
      PMOS pulling the drain up, current enters the drain from the
      supply: ids must be negative. *)
-  let eval = Device.Mosfet.pmos proc ~width:1e-6 in
+  let eval = eval_fet (Device.Mosfet.pmos proc ~width:1e-6) in
   let ids, _, _, _ = eval ~vg:0.0 ~vd:0.0 ~vs:vdd in
   check_true "pmos conducts upward" (ids < -1e-5)
 
 let test_nmos_symmetry () =
   (* Swapping drain and source negates the current. *)
-  let eval = Device.Mosfet.nmos proc ~width:1e-6 in
+  let eval = eval_fet (Device.Mosfet.nmos proc ~width:1e-6) in
   let i1, _, _, _ = eval ~vg:1.0 ~vd:0.6 ~vs:0.2 in
   let i2, _, _, _ = eval ~vg:1.0 ~vd:0.2 ~vs:0.6 in
   approx_rel ~rel:1e-9 "antisymmetric" i1 (-.i2)
@@ -213,7 +216,7 @@ let qcheck_tests =
         (* Keep away from the exact vds=0 kink where the FD straddles
            the symmetry point. *)
         QCheck2.assume (abs_float (vd -. vs) > 1e-3);
-        let eval = Device.Mosfet.nmos proc ~width:1e-6 in
+        let eval = eval_fet (Device.Mosfet.nmos proc ~width:1e-6) in
         let h = 1e-7 in
         let i0, dg, dd, ds = eval ~vg ~vd ~vs in
         let ig, _, _, _ = eval ~vg:(vg +. h) ~vd ~vs in
@@ -229,7 +232,7 @@ let qcheck_tests =
       QCheck2.Gen.(
         triple (float_range 0.0 1.2) (float_range 0.0 1.2) (float_range 0.0 1.2))
       (fun (vg, vd, vs) ->
-        let eval = Device.Mosfet.nmos proc ~width:1e-6 in
+        let eval = eval_fet (Device.Mosfet.nmos proc ~width:1e-6) in
         let i1, _, _, _ = eval ~vg ~vd ~vs in
         let i2, _, _, _ = eval ~vg ~vd:vs ~vs:vd in
         abs_float (i1 +. i2) < 1e-12 +. (1e-9 *. abs_float i1));

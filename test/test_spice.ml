@@ -263,7 +263,7 @@ let test_inverter_switching_energy () =
   let i =
     Array.mapi
       (fun k vgk ->
-        let ids, _, _, _ = eval ~vg:vgk ~vd:vd.(k) ~vs:vs.(k) in
+        let ids, _, _, _ = eval_fet eval ~vg:vgk ~vd:vd.(k) ~vs:vs.(k) in
         -.ids)
       vg
   in
@@ -508,6 +508,32 @@ let test_newton_loop_allocation_free () =
   check_true "enough steps" (steps >= 1000);
   check_true
     (Printf.sprintf "minor words per step bounded: %.0f words / %d steps"
+       words steps)
+    (words < 60.0 *. float_of_int steps);
+  (* A receiver replay, INVx16 into INVx64 on a ramp: four MOSFETs are
+     evaluated per Newton iteration, straight into the workspace. A
+     device evaluation that returned its four values as a boxed tuple
+     (about 200 words per step here) fails the budget. *)
+  let proc = Device.Process.c13 in
+  let c = Circuit.create () in
+  let vdd = Device.Cell.attach_supply proc c in
+  let pin = Circuit.node c "pin" and rcv = Circuit.node c "rcv" in
+  let buf = Circuit.node c "buf" in
+  Device.Cell.instantiate proc Device.Cell.inv_x16 ~ckt:c ~input:pin ~output:rcv
+    ~vdd_node:vdd ~name:"u16";
+  Device.Cell.instantiate proc Device.Cell.inv_x64 ~ckt:c ~input:rcv ~output:buf
+    ~vdd_node:vdd ~name:"u64";
+  Circuit.vsource c pin
+    (Source.ramp ~t0:0.5e-9 ~v0:0.0 ~v1:proc.Device.Process.vdd ~trans:0.15e-9);
+  let config = { Transient.default_config with dt = 1e-12; tstop = 2e-9 } in
+  ignore (Transient.run ~config c);
+  let before = Gc.minor_words () in
+  let _, s = stats_of (fun () -> Transient.run ~config c) in
+  let words = Gc.minor_words () -. before in
+  let steps = s.Transient.Stats.steps in
+  check_true "replay: enough steps" (steps >= 2000);
+  check_true
+    (Printf.sprintf "replay: minor words per step bounded: %.0f words / %d steps"
        words steps)
     (words < 60.0 *. float_of_int steps)
 
