@@ -52,38 +52,60 @@ let blit src dst =
 
 (* Preallocated, reusable factorization workspace. Row exchanges are
    recorded as successive swaps (LAPACK ipiv style) so the permutation
-   can be applied to a right-hand side in place. [fcols] holds, while
-   column k is eliminated, the columns right of the diagonal where the
-   pivot row is non-zero. *)
+   can be applied to a right-hand side in place. Every factorization
+   also records where its factors are non-zero. U sits in [fdata] on
+   and right of the diagonal, and row i's non-zeros right of the
+   diagonal are in the columns [fucols.(fuptr.(i)) ..
+   fucols.(fuptr.(i + 1) - 1)], ascending. L is kept by column: column
+   k's non-zero multipliers are [flvals.(flptr.(k)) ..], each with the
+   row it was computed for while column k was eliminated ([flrows]), in
+   ascending row order. *)
 type fact = {
   fn : int;
   fdata : float array;
   fipiv : int array;
-  fcols : int array;
+  fucols : int array;
+  fuptr : int array;
+  flrows : int array;
+  flvals : float array;
+  flptr : int array;
 }
 
 let fact_create n =
   if n <= 0 then invalid_arg "Matrix.fact_create: size must be positive";
+  let half = max 1 (n * (n - 1) / 2) in
   {
     fn = n;
     fdata = Array.make (n * n) 0.0;
     fipiv = Array.make n 0;
-    fcols = Array.make n 0;
+    fucols = Array.make half 0;
+    fuptr = Array.make (n + 1) 0;
+    flrows = Array.make half 0;
+    flvals = Array.make half 0.0;
+    flptr = Array.make (n + 1) 0;
   }
 
 (* Doolittle LU with partial pivoting. Eliminating column k subtracts
    fmul * a(k, j) from a(i, j) for every row i > k and column j > k.
    Where the pivot-row entry a(k, j) is zero that leaves a(i, j) as it
-   was, up to the sign of a zero, so only the columns collected in
-   [fcols] are updated. MNA rows are mostly zeros: the skip keeps every
-   non-zero result of the full loop and does a fraction of its work. *)
+   was, up to the sign of a zero, so only the columns where the pivot
+   row is non-zero are updated. MNA rows are mostly zeros: the skip
+   keeps every non-zero result of the full loop and does a fraction of
+   its work. A row is final once it has served as the pivot row, so
+   the columns gathered for the update are U's non-zeros in that row.
+   The non-zero multipliers go to column k's L list as they are
+   computed; nothing left of column k is read again, so a row exchange
+   moves only columns k and up. *)
 let factor_into m f =
   if m.rows <> m.cols then invalid_arg "Matrix.factor_into: not square";
   if m.rows <> f.fn then invalid_arg "Matrix.factor_into: size mismatch";
   let n = f.fn in
   let a = f.fdata in
-  let cols = f.fcols in
+  let ucols = f.fucols and uptr = f.fuptr in
+  let lrows = f.flrows and lvals = f.flvals and lptr = f.flptr in
   Array.blit m.data 0 a 0 (n * n);
+  uptr.(0) <- 0;
+  lptr.(0) <- 0;
   for k = 0 to n - 1 do
     let pmax = ref (abs_float a.((k * n) + k)) in
     let prow = ref k in
@@ -98,7 +120,7 @@ let factor_into m f =
     f.fipiv.(k) <- !prow;
     if !prow <> k then begin
       let p = !prow in
-      for j = 0 to n - 1 do
+      for j = k to n - 1 do
         let tmp = a.((k * n) + j) in
         a.((k * n) + j) <- a.((p * n) + j);
         a.((p * n) + j) <- tmp
@@ -107,54 +129,70 @@ let factor_into m f =
     let kb = k * n in
     let akk = a.(kb + k) in
     (* Unsafe accesses in the O(n^3) update: rows and columns stay in
-       [0, n) by construction. *)
-    let nz = ref 0 in
+       [0, n) by construction, and column k adds at most n - 1 - k
+       entries to each list, so neither passes n (n - 1) / 2. *)
+    let u0 = Array.unsafe_get uptr k in
+    let nu = ref u0 in
     for j = k + 1 to n - 1 do
       if Array.unsafe_get a (kb + j) <> 0.0 then begin
-        Array.unsafe_set cols !nz j;
-        incr nz
+        Array.unsafe_set ucols !nu j;
+        incr nu
       end
     done;
-    let nz = !nz in
+    let u1 = !nu in
+    Array.unsafe_set uptr (k + 1) u1;
+    let nl = ref (Array.unsafe_get lptr k) in
     for i = k + 1 to n - 1 do
       let ib = i * n in
       let fmul = Array.unsafe_get a (ib + k) /. akk in
-      Array.unsafe_set a (ib + k) fmul;
-      if fmul <> 0.0 then
-        for c = 0 to nz - 1 do
-          let j = Array.unsafe_get cols c in
+      if fmul <> 0.0 then begin
+        Array.unsafe_set lrows !nl i;
+        Array.unsafe_set lvals !nl fmul;
+        incr nl;
+        for c = u0 to u1 - 1 do
+          let j = Array.unsafe_get ucols c in
           Array.unsafe_set a (ib + j)
             (Array.unsafe_get a (ib + j)
             -. (fmul *. Array.unsafe_get a (kb + j)))
         done
-    done
+      end
+    done;
+    Array.unsafe_set lptr (k + 1) !nl
   done
 
+(* Forward and back substitution over the recorded non-zeros only. A
+   skipped term is s - 0 * b(j), which leaves s as it was up to the
+   sign of a zero. The forward pass replays the elimination: row
+   exchange k, then column k's multipliers. Each entry of [b] moves
+   with its row and takes its non-zero terms in the order of the dense
+   row-by-row loop, so every non-zero result is the dense loop's. *)
 let solve_into f b =
   let n = f.fn in
   if Array.length b <> n then invalid_arg "Matrix.solve_into: size mismatch";
   let a = f.fdata in
+  let lrows = f.flrows and lvals = f.flvals and lptr = f.flptr in
+  (* Unsafe accesses: [b] length was checked against [n] above, and
+     the recorded rows and columns lie in [0, n). *)
   for k = 0 to n - 1 do
-    let p = f.fipiv.(k) in
+    let p = Array.unsafe_get f.fipiv k in
     if p <> k then begin
-      let tmp = b.(k) in
-      b.(k) <- b.(p);
-      b.(p) <- tmp
-    end
+      let tmp = Array.unsafe_get b k in
+      Array.unsafe_set b k (Array.unsafe_get b p);
+      Array.unsafe_set b p tmp
+    end;
+    let bk = Array.unsafe_get b k in
+    for c = Array.unsafe_get lptr k to Array.unsafe_get lptr (k + 1) - 1 do
+      let i = Array.unsafe_get lrows c in
+      Array.unsafe_set b i
+        (Array.unsafe_get b i -. (Array.unsafe_get lvals c *. bk))
+    done
   done;
-  (* Unsafe accesses: [b] length was checked against [n] above. *)
-  for i = 1 to n - 1 do
-    let ib = i * n in
-    let s = ref (Array.unsafe_get b i) in
-    for j = 0 to i - 1 do
-      s := !s -. (Array.unsafe_get a (ib + j) *. Array.unsafe_get b j)
-    done;
-    Array.unsafe_set b i !s
-  done;
+  let ucols = f.fucols and uptr = f.fuptr in
   for i = n - 1 downto 0 do
     let ib = i * n in
     let s = ref (Array.unsafe_get b i) in
-    for j = i + 1 to n - 1 do
+    for c = Array.unsafe_get uptr i to Array.unsafe_get uptr (i + 1) - 1 do
+      let j = Array.unsafe_get ucols c in
       s := !s -. (Array.unsafe_get a (ib + j) *. Array.unsafe_get b j)
     done;
     Array.unsafe_set b i (!s /. Array.unsafe_get a (ib + i))

@@ -3,9 +3,10 @@
     Matrices are stored row-major in a flat [float array]. Sizes are small
     (tens of unknowns, as produced by circuit MNA stamping), so one dense
     LU with partial pivoting serves every caller. Its factorization skips
-    the columns where the pivot row is zero, which on sparse MNA systems
-    saves most of the elimination work without changing a non-zero
-    result. *)
+    the columns where the pivot row is zero and records where L and U are
+    non-zero, and its triangular solves visit only those entries. On
+    sparse MNA systems that saves most of the elimination and
+    substitution work without changing a non-zero result. *)
 
 type t
 (** A mutable [rows] x [cols] dense matrix of floats. *)
@@ -62,4 +63,9 @@ val factor_into : t -> fact -> unit
 
 val solve_into : fact -> float array -> unit
 (** [solve_into f b] solves [A x = b] for the factored [A],
-    overwriting [b] with [x]. Allocation-free. *)
+    overwriting [b] with [x]. Allocation-free. It visits only the
+    entries of L and U that the last {!factor_into} into [f] recorded as
+    non-zero: a skipped term would subtract 0·b(j), so for a finite [b]
+    every non-zero of [x] is the dense substitution's, and only the sign
+    of a zero may differ. After a {!Singular} raise, [f] holds no usable
+    factorization until the next successful [factor_into]. *)

@@ -22,20 +22,25 @@ let ramp ~t0 ~v0 ~v1 ~trans =
 let of_wave w = Wave w
 let of_ramp r = Ramp r
 
-let value src t =
+(* Every branch stores an unboxed float, so evaluating a Dc, Pwl or
+   Ramp source allocates nothing; a Wave boxes across its lookup. *)
+let value_into src buf i =
   match src with
-  | Dc v -> v
-  | Wave w -> Waveform.Wave.value_at w t
-  | Ramp r -> Waveform.Ramp.value_at r t
+  | Dc v -> buf.(i) <- v
+  | Wave w -> buf.(i) <- Waveform.Wave.value_at w buf.(i)
+  | Ramp r -> Waveform.Ramp.value_into r buf i
   | Pwl a ->
+      let t = buf.(i) in
       let n = Array.length a in
-      if t <= fst a.(0) then snd a.(0)
-      else if t >= fst a.(n - 1) then snd a.(n - 1)
+      if t <= fst a.(0) then buf.(i) <- snd a.(0)
+      else if t >= fst a.(n - 1) then buf.(i) <- snd a.(n - 1)
       else begin
-        let rec find i = if fst a.(i + 1) >= t then i else find (i + 1) in
-        let i = find 0 in
-        let t0, v0 = a.(i) and t1, v1 = a.(i + 1) in
-        v0 +. ((t -. t0) /. (t1 -. t0) *. (v1 -. v0))
+        let k = ref 0 in
+        while fst a.(!k + 1) < t do
+          incr k
+        done;
+        let t0, v0 = a.(!k) and t1, v1 = a.(!k + 1) in
+        buf.(i) <- v0 +. ((t -. t0) /. (t1 -. t0) *. (v1 -. v0))
       end
 
 let fingerprint = function

@@ -19,8 +19,10 @@ val of_wave : Waveform.Wave.t -> t
 val of_ramp : Waveform.Ramp.t -> t
 (** Drive with a saturated ramp, evaluated analytically. *)
 
-val value : t -> float -> float
-(** Evaluate at a time. *)
+val value_into : t -> float array -> int -> unit
+(** [value_into s buf i] replaces the time [buf.(i)] with the stimulus
+    value at that time. A Dc, Pwl or Ramp source allocates nothing, so
+    the transient engine's per-step evaluation boxes no float. *)
 
 val fingerprint : t -> string
 (** Content digest for simulation caching: two sources with equal

@@ -289,7 +289,8 @@ module Deadline = struct
     Domain.DLS.set key (Some (Unix.gettimeofday () +. (ms /. 1000.0), ms));
     Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) f
 
-  let check ~at =
+  (* Inlined, so a step's time reaches the raise unboxed. *)
+  let[@inline] check ~at =
     match Domain.DLS.get key with
     | None -> ()
     | Some (expiry, budget_ms) ->
@@ -743,10 +744,18 @@ let solve_phase ws cp cfg ~gmin ~h ~reuse x =
          ws.nw_reused <- true;
          Atomic.incr Stats.jac_reuses
        end;
+       (* A non-finite residual or update fails the call at once: a
+          NaN never wins the max comparisons below, so it would
+          otherwise read as converged. *)
        for i = 0 to nu - 1 do
-         ws.rhs.(i) <- -.ws.f.(i)
+         let r = ws.f.(i) in
+         if not (abs_float r < infinity) then raise Exit;
+         ws.rhs.(i) <- -.r
        done;
        Numerics.Matrix.solve_into ws.fact ws.rhs;
+       for i = 0 to nu - 1 do
+         if not (abs_float ws.rhs.(i) < infinity) then raise Exit
+       done;
        (* Clamp voltage updates for robustness; branch currents
           free. *)
        sc.(0) <- 0.0;
@@ -796,7 +805,8 @@ let newton ws cp cfg ~gmin ~t ~h ~integ x =
   ensure_lin ws cp ~gmin ~h ~integ;
   for j = 0 to Array.length cp.vsrc - 1 do
     let _, src = cp.vsrc.(j) in
-    ws.vvals.(j) <- Source.value src t
+    ws.vvals.(j) <- t;
+    Source.value_into src ws.vvals j
   done;
   (if h > 0.0 then
      (* The capacitor companion is constant for the whole call: [h],
@@ -848,9 +858,12 @@ let dc_solve ws cp cfg ~at x =
 
 type result = {
   grid : float array;
-  data : float array array;
-  (* data.(k).(i): node voltages (columns named by [index]), then
-     vsource branch currents. *)
+  data : float array;
+  (* Sample k is [data.(k * width) .. data.(k * width + width - 1)]:
+     node voltages (columns named by [index]), then vsource branch
+     currents. One flat array, so recording a sample allocates nothing;
+     it may run past the last sample. *)
+  width : int;
   index : (string, int) Hashtbl.t;
 }
 
@@ -858,7 +871,8 @@ let probe r name =
   match Hashtbl.find_opt r.index name with
   | None -> raise Not_found
   | Some i ->
-      Waveform.Wave.create r.grid (Array.map (fun row -> row.(i)) r.data)
+      Waveform.Wave.create r.grid
+        (Array.init (Array.length r.grid) (fun k -> r.data.((k * r.width) + i)))
 
 let build_grid cp cfg =
   let span = cfg.tstop -. cfg.tstart in
@@ -928,6 +942,10 @@ type case_state = {
   c_vcap : float array;
   c_icap : float array;
   mutable c_steps : int; (* accepted steps; 0 = nothing charged yet *)
+  mutable c_skipped : int; (* accepted steps committed without a solve *)
+  c_step : float array;
+      (* end time and size of the step being taken: slots, so the
+         per-step path passes no boxed float *)
   c_levels : float array; (* [settle_levels]; empty = no settle stop *)
   c_quiet : float; (* every source is quiet from here on *)
   mutable c_calm : int; (* grid steps' worth of calm time in a row: the
@@ -941,10 +959,13 @@ let case_load_caps st =
   Array.blit st.c_vcap 0 st.c_ws.vcap0 0 ncap;
   Array.blit st.c_icap 0 st.c_ws.icap0 0 ncap
 
-(* Accepted-step bookkeeping: budget, deadline, and the [Slow] fault
-   stall — a deadline trips mid-solve at a step boundary, the
-   cancellation point the deadline machinery promises. *)
-let case_charge_step st ~at =
+(* Accepted-step bookkeeping for the step in [c_step]: budget,
+   deadline, and the [Slow] fault stall — a deadline trips mid-solve at
+   a step boundary, the cancellation point the deadline machinery
+   promises. The step counts reach [Stats] once per run
+   ([case_flush_stats]), not through two atomics per step. *)
+let[@inline] case_charge_step st =
+  let at = st.c_step.(0) in
   st.c_steps <- st.c_steps + 1;
   Deadline.check ~at;
   (match st.c_fault with
@@ -953,18 +974,27 @@ let case_charge_step st ~at =
   if st.c_cfg.max_steps > 0 && st.c_steps > st.c_cfg.max_steps then
     raise (Step_budget_exhausted { at; budget = st.c_cfg.max_steps })
 
-(* The settle stop, called after every accepted step of length [h]
-   that took the nodes from [x0] to [x1] at time [t]: true when the run
-   may end here (see [settle_slope]). It only reads the state, so the
-   steps before a stop are the ones a run to [tstop] takes. *)
-let settled st ~t ~h x0 x1 =
+(* Add the run's accepted and skipped steps to [Stats], on every exit
+   of the step loop, so the totals stay exact when a step raises. *)
+let case_flush_stats st =
+  ignore (Atomic.fetch_and_add Stats.steps st.c_steps);
+  ignore (Atomic.fetch_and_add Stats.skipped_steps st.c_skipped)
+
+(* The settle stop, called after every accepted step (the one in
+   [c_step], ending at t with length h) that took the nodes from the
+   state at [x0.(o0)] to the one at [x1.(o1)]: true when the run may
+   end here (see [settle_slope]). It only reads the state, so the steps
+   before a stop are the ones a run to [tstop] takes. *)
+let settled st x0 o0 x1 o1 =
   let n = st.c_cp.n and levels = st.c_levels in
   Array.length levels > 0
   && begin
+       let t = st.c_step.(0) and h = st.c_step.(1) in
        let bound = settle_slope *. (h /. 1e-12) in
        let calm = ref true in
        for i = 0 to n - 1 do
-         if abs_float (x1.(i) -. x0.(i)) >= bound then calm := false
+         if abs_float (x1.(o1 + i) -. x0.(o0 + i)) >= bound then
+           calm := false
        done;
        if !calm then begin
          st.c_calm <- st.c_calm + max 1 (int_of_float (h /. st.c_cfg.dt));
@@ -980,11 +1010,10 @@ let settled st ~t ~h x0 x1 =
        && begin
             let away = ref true in
             for i = 0 to n - 1 do
-              Array.iter
-                (fun lv ->
-                  if abs_float (x1.(i) -. lv) < settle_margin then
-                    away := false)
-                levels
+              for l = 0 to Array.length levels - 1 do
+                if abs_float (x1.(o1 + i) -. levels.(l)) < settle_margin then
+                  away := false
+              done
             done;
             !away
           end
@@ -1021,8 +1050,12 @@ let case_attempt st ~integ ~t ~h xtrial =
    verified one, [xprev] equals it and the kept factorization is the
    one the verified solve used. *)
 
-(* Floats compared by their bits: value and sign, so -0.0 <> 0.0. *)
-let[@inline] same_bits (a : float) b = Int64.bits_of_float a = Int64.bits_of_float b
+(* Floats that are the same value with the same sign, so -0.0 and 0.0
+   differ and a NaN matches nothing: the bits agree on every finite
+   value. Plain comparisons, as [Int64.bits_of_float] is a C call; the
+   division runs only on zeros. *)
+let[@inline] same_bits (a : float) b =
+  a = b && (a <> 0.0 || 1.0 /. a = 1.0 /. b)
 
 let rec same_slice a ia b ib n =
   n = 0 || (same_bits a.(ia) b.(ib) && same_slice a (ia + 1) b (ib + 1) (n - 1))
@@ -1030,15 +1063,16 @@ let rec same_slice a ia b ib n =
 let rec negated a b n =
   n = 0 || (same_bits a.(n - 1) (0.0 -. b.(n - 1)) && negated a b (n - 1))
 
-(* The entry a step of size [t1 - t0] ending at [t1] repeats, or -1:
-   [ensure_lin] would keep the factorization, the capacitor currents
-   equal the entry's, and each capacitor's companion term at this step
-   size and every source value at [t1] equal the verified solve's. The
-   solve would then evaluate the same residual at the same iterate and
-   take the same update. *)
-let repeated_entry st t0 t1 =
+(* The entry the step in [c_step] (size h, ending at t1) repeats, or
+   -1: [ensure_lin] would keep the factorization, the capacitor
+   currents equal the entry's, and each capacitor's companion term at
+   this step size and every source value at t1 equal the verified
+   solve's. The solve would then evaluate the same residual at the same
+   iterate and take the same update. The sources are evaluated into
+   [vvals], where the solve would put the same values. *)
+let repeated_entry st =
   let ws = st.c_ws and cp = st.c_cp in
-  let h = t1 -. t0 in
+  let t1 = st.c_step.(0) and h = st.c_step.(1) in
   if ws.fp_n = 0 || (not ws.fact_valid)
      || lin_stale ws cp ~gmin ~h ~integ:Trapezoidal
   then -1
@@ -1065,9 +1099,13 @@ let repeated_entry st t0 t1 =
     done;
     let nsrc = Array.length cp.vsrc in
     for j = 0 to nsrc - 1 do
-      let _, src = cp.vsrc.(j) in
-      if !ok && not (same_bits (Source.value src t1) ws.fp_vv.((e * nsrc) + j))
-      then ok := false
+      if !ok then begin
+        let _, src = cp.vsrc.(j) in
+        ws.vvals.(j) <- t1;
+        Source.value_into src ws.vvals j;
+        if not (same_bits ws.vvals.(j) ws.fp_vv.((e * nsrc) + j)) then
+          ok := false
+      end
     done;
     if !ok then e else -1
   end
@@ -1108,90 +1146,108 @@ let note_fixed_point st ~candidate =
     done
   end
 
+(* Commit the step in [c_step] without its solve when it repeats a
+   verified entry, leaving what the solve would: the same state and
+   capacitor voltages, negated currents, [xprev] (already the state),
+   the step size and one more iteration on the kept factorization. *)
+let skipped st =
+  repeated_entry st >= 0
+  && begin
+       let ws = st.c_ws and icap = st.c_icap in
+       st.c_skipped <- st.c_skipped + 1;
+       case_charge_step st;
+       for k = 0 to Array.length icap - 1 do
+         icap.(k) <- 0.0 -. icap.(k)
+       done;
+       ws.hprev.(0) <- st.c_step.(1);
+       ws.fact_stale <- ws.fact_stale + 1;
+       true
+     end
+
 (* Advance from t0 to t1, bisecting on failure. The ws scratch buffers
    are safe across the recursion: a failed attempt's parent state is
    dead by the time a child reloads them. *)
 let rec fixed_advance st depth t0 t1 =
+  st.c_step.(0) <- t1;
+  st.c_step.(1) <- t1 -. t0;
+  if not (skipped st) then fixed_solve st depth t0 t1
+
+and fixed_solve st depth t0 t1 =
   let ws = st.c_ws and x = st.c_x in
   let nu = ws.nu in
   let h = t1 -. t0 in
-  if repeated_entry st t0 t1 >= 0 then begin
-    (* What the solve would leave: the same state and capacitor
-       voltages, negated currents, [xprev] (already the state), the
-       step size and one more iteration on the kept factorization. *)
-    Atomic.incr Stats.steps;
-    Atomic.incr Stats.skipped_steps;
-    case_charge_step st ~at:t1;
-    let icap = st.c_icap in
-    for k = 0 to Array.length icap - 1 do
-      icap.(k) <- 0.0 -. icap.(k)
-    done;
+  case_load_caps st;
+  let xtrial = ws.xtrial in
+  (* Linear-extrapolation predictor: seed Newton with the solution
+     continued along the last accepted step's slope. Near-free on
+     quiescent spans and typically saves an iteration through
+     transitions; a failed predicted solve retries once from the flat
+     (previous-solution) guess before bisecting. *)
+  let predicted = ws.have_prev && ws.hprev.(0) > 0.0 in
+  if predicted then begin
+    let r = h /. ws.hprev.(0) in
+    let xp = ws.xprev in
+    for i = 0 to nu - 1 do
+      xtrial.(i) <- x.(i) +. ((x.(i) -. xp.(i)) *. r)
+    done
+  end
+  else Array.blit x 0 xtrial 0 nu;
+  let first = case_attempt st ~integ:Trapezoidal ~t:t1 ~h xtrial in
+  let candidate = first && predicted && ws.nw_total = 1 && ws.nw_reused in
+  let ok =
+    first
+    || predicted
+       && (case_load_caps st;
+           Array.blit x 0 xtrial 0 nu;
+           case_attempt st ~integ:Trapezoidal ~t:t1 ~h xtrial)
+  in
+  if ok then begin
+    case_charge_step st;
+    case_commit st ~h xtrial;
+    note_fixed_point st ~candidate;
+    Array.blit x 0 ws.xprev 0 nu;
     ws.hprev.(0) <- h;
-    ws.fact_stale <- ws.fact_stale + 1
+    ws.have_prev <- true;
+    Array.blit xtrial 0 x 0 nu
   end
   else begin
-    case_load_caps st;
-    let xtrial = ws.xtrial in
-    (* Linear-extrapolation predictor: seed Newton with the solution
-       continued along the last accepted step's slope. Near-free on
-       quiescent spans and typically saves an iteration through
-       transitions; a failed predicted solve retries once from the
-       flat (previous-solution) guess before bisecting. *)
-    let predicted = ws.have_prev && ws.hprev.(0) > 0.0 in
-    if predicted then begin
-      let r = h /. ws.hprev.(0) in
-      let xp = ws.xprev in
-      for i = 0 to nu - 1 do
-        xtrial.(i) <- x.(i) +. ((x.(i) -. xp.(i)) *. r)
-      done
-    end
-    else Array.blit x 0 xtrial 0 nu;
-    let first = case_attempt st ~integ:Trapezoidal ~t:t1 ~h xtrial in
-    let candidate = first && predicted && ws.nw_total = 1 && ws.nw_reused in
-    let ok =
-      first
-      || predicted
-         && (case_load_caps st;
-             Array.blit x 0 xtrial 0 nu;
-             case_attempt st ~integ:Trapezoidal ~t:t1 ~h xtrial)
-    in
-    if ok then begin
-      Atomic.incr Stats.steps;
-      case_charge_step st ~at:t1;
-      case_commit st ~h xtrial;
-      note_fixed_point st ~candidate;
-      Array.blit x 0 ws.xprev 0 nu;
-      ws.hprev.(0) <- h;
-      ws.have_prev <- true;
-      Array.blit xtrial 0 x 0 nu
-    end
-    else begin
-      ws.fp_n <- 0;
-      if depth >= max_bisection then raise (No_convergence t1);
-      Atomic.incr Stats.bisections;
-      let tm = 0.5 *. (t0 +. t1) in
-      fixed_advance st (depth + 1) t0 tm;
-      fixed_advance st (depth + 1) tm t1
-    end
+    ws.fp_n <- 0;
+    if depth >= max_bisection then raise (No_convergence t1);
+    Atomic.incr Stats.bisections;
+    let tm = 0.5 *. (t0 +. t1) in
+    fixed_advance st (depth + 1) t0 tm;
+    fixed_advance st (depth + 1) tm t1;
+    st.c_step.(0) <- t1;
+    st.c_step.(1) <- h
   end
 
 (* Walk the fixed grid one interval at a time, recording each
-   committed sample, up to the settle stop. *)
+   committed sample, up to the settle stop. Each step is taken as
+   [fixed_advance] takes it, written out so that a skipped step boxes
+   neither of its times; with the samples in one flat array, it
+   allocates nothing. *)
 let run_fixed st =
   let grid = build_grid st.c_cp st.c_cfg in
-  let data = Array.make (Array.length grid) [||] in
-  data.(0) <- Array.copy st.c_x;
+  let x = st.c_x in
+  let nu = Array.length x in
+  let data = Array.create_float (Array.length grid * nu) in
+  Array.blit x 0 data 0 nu;
   let last = ref (Array.length grid - 1) in
   let k = ref 1 in
   while !k <= !last do
     let t0 = grid.(!k - 1) and t1 = grid.(!k) in
-    fixed_advance st 0 t0 t1;
-    data.(!k) <- Array.copy st.c_x;
-    if settled st ~t:t1 ~h:(t1 -. t0) data.(!k - 1) data.(!k) then last := !k;
+    st.c_step.(0) <- t1;
+    st.c_step.(1) <- t1 -. t0;
+    if not (skipped st) then fixed_solve st 0 t0 t1;
+    let o = !k * nu in
+    for i = 0 to nu - 1 do
+      data.(o + i) <- x.(i)
+    done;
+    if settled st data (o - nu) data o then last := !k;
     incr k
   done;
   if !last = Array.length grid - 1 then (grid, data)
-  else (Array.sub grid 0 (!last + 1), Array.sub data 0 (!last + 1))
+  else (Array.sub grid 0 (!last + 1), data)
 
 (* DC-solve the case at [tstart] and initialise the capacitor state
    (voltage across and, for trapezoidal, current). Raises
@@ -1220,6 +1276,8 @@ let case_start cp ws cfg fault ic =
     c_vcap = Array.map (fun (a, b, _) -> getv x a -. getv x b) cp.caps;
     c_icap = Array.make (Array.length cp.caps) 0.0;
     c_steps = 0;
+    c_skipped = 0;
+    c_step = [| cfg.tstart; 0.0 |];
     c_levels = Array.of_list cfg.settle_levels;
     c_quiet = quiet;
     c_calm = 0;
@@ -1313,10 +1371,11 @@ let run_adaptive st a =
         && crosses x xtrial
       in
       if (lte_ok && not crossing_viol) || at_floor then begin
-        Atomic.incr Stats.steps;
-        case_charge_step st ~at:t1;
+        st.c_step.(0) <- t1;
+        st.c_step.(1) <- h;
+        case_charge_step st;
         case_commit st ~h xtrial;
-        stopped := settled st ~t:t1 ~h x xtrial;
+        stopped := settled st x 0 xtrial 0;
         Array.blit xtrial 0 x 0 nu;
         t := t1;
         ts_rev := t1 :: !ts_rev;
@@ -1349,7 +1408,7 @@ let run_adaptive st a =
     end
   done;
   let grid = Array.of_list (List.rev !ts_rev) in
-  let data = Array.of_list (List.rev !xs_rev) in
+  let data = Array.concat (List.rev !xs_rev) in
   (grid, data)
 
 (* Finalise a trace into a [result]: apply a pending [Corrupt]
@@ -1358,12 +1417,13 @@ let assemble (cp : compiled) fault grid data =
   (* A Corrupt fault poisons every node voltage of one mid-trace
      sample, modelling a solver that "succeeded" with garbage —
      downstream validation must catch it whichever node it probes.
-     Rows are fresh copies, so mutation is safe. *)
+     The samples are a fresh array, so mutation is safe. *)
+  let nu = cp.n + cp.m in
   (match fault with
-  | Some Fault.Corrupt when Array.length data > 1 && cp.n > 0 ->
-      Array.fill data.(Array.length data / 2) 0 cp.n Float.nan
+  | Some Fault.Corrupt when Array.length grid > 1 && cp.n > 0 ->
+      Array.fill data (Array.length grid / 2 * nu) cp.n Float.nan
   | _ -> ());
-  { grid; data; index = cp.name_index }
+  { grid; data; width = nu; index = cp.name_index }
 
 let validate_config cfg =
   if cfg.tstop -. cfg.tstart <= 0.0 then
@@ -1388,9 +1448,12 @@ let run ?(config = default_config) ?(ic = []) ckt =
   let cp = compile ckt in
   let st = case_start cp (make_ws cp) cfg fault ic in
   let grid, data =
-    match cfg.step_control with
-    | Fixed -> run_fixed st
-    | Adaptive a -> run_adaptive st a
+    Fun.protect
+      ~finally:(fun () -> case_flush_stats st)
+      (fun () ->
+        match cfg.step_control with
+        | Fixed -> run_fixed st
+        | Adaptive a -> run_adaptive st a)
   in
   assemble cp fault grid data
 

@@ -116,7 +116,10 @@ exception Deadline_exceeded of { at : float; budget_ms : float }
 
 (** Process-global solver effort counters, maintained with atomics so
     concurrent simulations on separate domains account correctly.
-    These are the raw feed for [Runtime.Metrics]. *)
+    These are the raw feed for [Runtime.Metrics]. A run adds its
+    [steps] and [skipped_steps] once, when its step loop exits
+    (normally or by an exception), so a snapshot taken during a run
+    does not yet include that run's steps. *)
 module Stats : sig
   type snapshot = {
     sims : int;          (** [run] invocations *)
@@ -225,7 +228,11 @@ val run : ?config:config -> ?ic:(string * float) list -> Circuit.t -> result
     for bit. The skip commits exactly what the solve would, so every
     sample is bit-identical; {!Stats} counts such steps in [steps] and
     [skipped_steps], not in [newton_iters]. Before its stimulus moves, a
-    replay of a ramp skips every step (DESIGN §9 item 9). *)
+    replay of a ramp skips every step (DESIGN §9 item 9).
+
+    A Newton iteration whose residual or update is not finite fails, so
+    a stimulus that evaluates to NaN ends in {!No_convergence} after
+    bisection, not in NaN samples. *)
 
 val run_batch_outcomes :
   ?config:config ->

@@ -2,7 +2,7 @@ type t = { slope : float; intercept : float; vdd : float }
 
 let make ~slope ~intercept ~vdd =
   if slope = 0.0 then invalid_arg "Ramp.make: zero slope";
-  if vdd <= 0.0 then invalid_arg "Ramp.make: vdd must be positive";
+  if not (vdd > 0.0) then invalid_arg "Ramp.make: vdd must be positive";
   { slope; intercept; vdd }
 
 let of_line (l : Numerics.Lsq.line) ~vdd =
@@ -25,9 +25,18 @@ let of_arrival_slew ~arrival ~slew ~dir th =
   let intercept = v_mid -. (slope *. arrival) in
   make ~slope ~intercept ~vdd
 
-let value_at r t =
+(* min(max(v, 0), vdd) as plain comparisons, so the clamp is inlined
+   rather than two out-of-line calls on boxed floats. It gives
+   [Float.min r.vdd (Float.max 0.0 v)] bit for bit: v above the floor
+   keeps its bits, -0.0 and below clamp to +0.0, and a NaN passes
+   through. *)
+let[@inline] value_at r t =
   let v = (r.slope *. t) +. r.intercept in
-  Float.min r.vdd (Float.max 0.0 v)
+  if v > 0.0 then if v < r.vdd then v else r.vdd
+  else if v <= 0.0 then 0.0
+  else v
+
+let value_into r buf i = buf.(i) <- value_at r buf.(i)
 
 let arrival r th = crossing r (Thresholds.v_mid th)
 

@@ -26,6 +26,10 @@ val direction : t -> Wave.direction
 val value_at : t -> float -> float
 (** The clipped value min(max(a*t + b, 0), vdd). *)
 
+val value_into : t -> float array -> int -> unit
+(** [value_into r buf i] replaces the time [buf.(i)] with [value_at r]
+    of it, boxing no float: the transient engine's evaluation. *)
+
 val arrival : t -> Thresholds.t -> float
 (** Mid-threshold crossing time. *)
 

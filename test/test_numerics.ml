@@ -131,9 +131,9 @@ let test_fact_singular () =
 (* Matrix: a textbook reference for the workspace LU                   *)
 
 (* Partial-pivoting Doolittle LU that updates every column right of
-   the diagonal: the library kernel without its skip of zero pivot-row
-   entries, with the same pivot choice, singularity threshold and
-   operation order. Solves [a x = b] for the n x n row-major [a], or
+   the diagonal and substitutes over every entry of L and U: the
+   library kernel without its skips of zero entries, with the same
+   pivot choice, singularity threshold and operation order. Solves [a x = b] for the n x n row-major [a], or
    raises [Matrix.Singular k] as the kernel does. *)
 let textbook_solve n a b =
   let a = Array.copy a and x = Array.copy b in
@@ -222,30 +222,52 @@ let sparse_system (n, seed, (zeros, lower), (ints, diag, shuffle)) =
   in
   (a, b)
 
+(* A system, then the seed and (zeros, lower) percentages of a second
+   system of the same size and kind, and whether the first gets a zero
+   column so its factorization raises [Singular] part way. *)
 let gen_sparse_system =
   QCheck2.Gen.(
-    tup4 (int_range 1 40) (int_range 0 1_000_000)
-      (pair (int_range 0 95) (int_range 0 100))
-      (triple bool bool bool))
+    pair
+      (tup4 (int_range 1 40) (int_range 0 1_000_000)
+         (pair (int_range 0 95) (int_range 0 100))
+         (triple bool bool bool))
+      (triple (int_range 0 1_000_000)
+         (pair (int_range 0 95) (int_range 0 100))
+         bool))
 
-(* Under [Float.equal], which equates 0.0 and -0.0: the skip may flip
-   the sign of a zero and nothing else. *)
-let kernel_matches_textbook ((n, _, _, _) as spec) =
-  let a, b = sparse_system spec in
-  let kernel () =
-    let m = Matrix.create n n in
-    Array.iteri (fun k v -> Matrix.set m (k / n) (k mod n) v) a;
-    dense_solve m b
+(* Both systems go through one workspace, so the second solve must not
+   reuse where the first system's factors were non-zero, whether that
+   factorization finished or stopped at a singular column. Under
+   [Float.equal], which equates 0.0 and -0.0: the skips may flip the
+   sign of a zero and nothing else. *)
+let kernel_matches_textbook
+    (((n, _, _, kind) as spec), (seed2, sparsity2, singular_first)) =
+  let f = Matrix.fact_create n in
+  let agree (a, b) =
+    let kernel () =
+      let m = Matrix.create n n in
+      Array.iteri (fun k v -> Matrix.set m (k / n) (k mod n) v) a;
+      Matrix.factor_into m f;
+      let x = Array.copy b in
+      Matrix.solve_into f x;
+      x
+    in
+    match textbook_solve n a b with
+    | exception Matrix.Singular k -> (
+        match kernel () with
+        | exception Matrix.Singular k' -> k = k'
+        | _ -> false)
+    | x -> (
+        match kernel () with
+        | exception Matrix.Singular _ -> false
+        | y -> Array.for_all2 Float.equal x y)
   in
-  match textbook_solve n a b with
-  | exception Matrix.Singular k -> (
-      match kernel () with
-      | exception Matrix.Singular k' -> k = k'
-      | _ -> false)
-  | x -> (
-      match kernel () with
-      | exception Matrix.Singular _ -> false
-      | y -> Array.for_all2 Float.equal x y)
+  let a, b = sparse_system spec in
+  if singular_first then
+    for i = 0 to n - 1 do
+      a.((i * n) + (seed2 mod n)) <- 0.0
+    done;
+  agree (a, b) && agree (sparse_system (n, seed2, sparsity2, kind))
 
 (* ------------------------------------------------------------------ *)
 (* Tridiagonal systems: the shape of an RC ladder's nodal matrix.      *)

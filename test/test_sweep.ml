@@ -287,11 +287,61 @@ let test_checkpoint_crc_recovery () =
   check_true "sibling survives"
     (Option.is_some (Runtime.Checkpoint.find t 1 : (float * string) option))
 
+(* Golden: the worst-aggressor search the worstcase workload runs, on
+   the nominal configurations at a 24-point grid, pruned (2 ps) and
+   exhaustive. Its best delay and alignment are [%h] renderings, and the
+   solved indices show which alignments pruning kept. Taken before the
+   LU's triangular solves learned to skip zero entries. *)
+let golden_search () =
+  List.concat_map
+    (fun scen ->
+      let scen = Noise.Scenario.with_cases scen 24 in
+      let noiseless = Noise.Injection.noiseless scen in
+      List.map
+        (fun tol ->
+          let config = { Noise.Alignment.default with prune_tol_ps = tol } in
+          let r =
+            Noise.Alignment.search ~config ~engine:(fresh_engine ()) scen
+              ~noiseless
+          in
+          let solved =
+            List.filter
+              (fun i -> r.Noise.Alignment.delays.(i) <> None)
+              (List.init (Array.length r.Noise.Alignment.delays) Fun.id)
+          in
+          Printf.sprintf "%s, tol %g ps: best %d, tau %h, delay %h, solved %s"
+            scen.Noise.Scenario.name tol r.Noise.Alignment.best_index
+            r.Noise.Alignment.best_tau r.Noise.Alignment.best_delay
+            (String.concat "," (List.map string_of_int solved)))
+        [ 2.0; 0.0 ])
+    Noise.Scenario.[ config_i; config_ii ]
+
+let golden_search_pinned =
+  [
+    "Configuration I, tol 2 ps: best 17, tau 0x1.3e9e8d939ee0ap-30, delay \
+     0x1.7a07b8bca3a6p-35, solved 0,3,6,9,12,14,17,20,23";
+    "Configuration I, tol 0 ps: best 19, tau 0x1.5685930322d39p-30, delay \
+     0x1.0fae540536cfp-34, solved \
+     0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23";
+    "Configuration II, tol 2 ps: best 20, tau 0x1.627915bae4cdp-30, delay \
+     0x1.bb5a81c73084p-35, solved 0,3,6,9,12,14,17,18,20,21,22,23";
+    "Configuration II, tol 0 ps: best 5, tau 0x1.5e68d9ed0e5e9p-31, delay \
+     0x1.bb5a9ce2f91cp-35, solved \
+     0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23";
+  ]
+
+let test_golden_search () =
+  let got = golden_search () in
+  if got <> golden_search_pinned then
+    Alcotest.failf "search moved:\n%s"
+      (String.concat "\n" (List.map (Printf.sprintf "%S;") got))
+
 let suite =
   ( "sweep",
     [
       test_bnb_tol0_byte_identical;
       slow_case "alignment: pruned search within tol" test_bnb_pruned_within_tol;
+      slow_case "golden: pruned alignment search" test_golden_search;
       case "cache: format-2 entries migrate" test_cache_v2_migration;
       case "cache: stale entries keep the breaker closed"
         test_cache_stale_entries_keep_breaker_closed;
